@@ -11,7 +11,7 @@ even when the node itself does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
@@ -99,7 +99,6 @@ class BethModel:
                 if not any(c != b and (c, b) in leq for c in above)
             ))
         self.leaves = frozenset(a for a in nodes if not self.covers[a])
-        self._paths: dict[str, tuple[tuple[str, ...], ...]] = {}
         self._memo: dict[tuple[str, Formula], bool] = {}
         self._memo_shortcut: dict[tuple[str, Formula], bool] = {}
 
@@ -172,27 +171,53 @@ def up_set(m: BethModel, a: str) -> frozenset[str]:
 
 
 def maximal_paths(m: BethModel, a: str) -> tuple[tuple[str, ...], ...]:
-    """All maximal ascending chains starting at ``a`` (each ends in a leaf)."""
+    """All maximal ascending chains starting at ``a`` (each ends in a leaf),
+    depth-first over the sorted covers.  Their number can be exponential in
+    the size of the model, so this is for tests and small models only; bars
+    are checked by :func:`avoiding_path`."""
     m.ensure_node(a)
-    cached = m._paths.get(a)
-    if cached is not None:
-        return cached
     out: list[tuple[str, ...]] = []
+    path = [a]
+    branches = [iter(m.covers[a])]
+    while branches:
+        nxt = next(branches[-1], None)
+        if nxt is None:
+            if not m.covers[path[-1]]:
+                out.append(tuple(path))
+            path.pop()
+            branches.pop()
+        else:
+            path.append(nxt)
+            branches.append(iter(m.covers[nxt]))
+    return tuple(out)
 
-    def walk(prefix: list[str], node: str) -> None:
-        succ = m.covers[node]
-        if not succ:
-            out.append(tuple(prefix))
-            return
-        for nxt in succ:
-            prefix.append(nxt)
-            walk(prefix, nxt)
-            prefix.pop()
 
-    walk([a], a)
-    result = tuple(out)
-    m._paths[a] = result
-    return result
+def avoiding_path(m: BethModel, a: str, bar: AbstractSet[str]) -> Optional[tuple[str, ...]]:
+    """The first maximal path from ``a``, in :func:`maximal_paths` order, that
+    misses ``bar``; None when every maximal path meets it.
+
+    A depth-first walk over the sorted covers that never enters ``bar`` and
+    never re-enters a dead node (one from which no walk reaches a leaf
+    outside ``bar``), so each node and covering edge is visited at most once.
+    """
+    m.ensure_node(a)
+    if a in bar:
+        return None
+    path = [a]
+    branches = [iter(m.covers[a])]
+    dead: set[str] = set()
+    while branches:
+        if not m.covers[path[-1]]:
+            return tuple(path)
+        for nxt in branches[-1]:
+            if nxt not in bar and nxt not in dead:
+                path.append(nxt)
+                branches.append(iter(m.covers[nxt]))
+                break
+        else:
+            dead.add(path.pop())
+            branches.pop()
+    return None
 
 
 def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
@@ -202,7 +227,7 @@ def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
     outside = bar - up_set(m, a)
     if outside:
         raise NodeOutsideUpSet(sorted(outside)[0], a)
-    return all(bar.intersection(path) for path in maximal_paths(m, a))
+    return avoiding_path(m, a, bar) is None
 
 
 def forces_prop(m: BethModel, a: str, f: Formula) -> bool:

@@ -204,6 +204,13 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0 if report.equivalent is None else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bethpal",
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("world")
     p.add_argument("formula")
     p.add_argument("--explain", action="store_true")
-    p.add_argument("--max-witness", type=int, default=8,
+    p.add_argument("--max-witness", type=_positive_int, default=8,
                    help="cap on bar/path listings in traces")
     p.set_defaults(func=cmd_check)
 

@@ -258,8 +258,10 @@ def check_s5(m: BethKripkeModel) -> dict[str, RelationReport]:
 # Explanation traces
 
 def _fmt_nodes(nodes: Iterable[str], max_items: int) -> str:
+    """Sorted node listing, cut after ``max_items`` nodes; a cap below 1
+    lists every node rather than an empty or shortened set."""
     nodes = sorted(nodes)
-    if len(nodes) > max_items:
+    if 0 < max_items < len(nodes):
         return "{" + ", ".join(nodes[:max_items]) + ", ...}"
     return "{" + ", ".join(nodes) + "}"
 
@@ -279,8 +281,7 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
             if value:
                 note = f"bar {_fmt_nodes(candidate, max_items)} settles the atom"
             else:
-                miss = next(p for p in beth.maximal_paths(w, node)
-                            if not candidate.intersection(p))
+                miss = beth.avoiding_path(w, node, candidate)
                 note = f"path {list(miss)} never carries the atom"
             return Trace(s, node, f, "atom-bar", value, note)
         case And(x, y):
@@ -291,8 +292,7 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
             if value:
                 note = f"bar {_fmt_nodes(candidate, max_items)} settles a disjunct"
             else:
-                miss = next(p for p in beth.maximal_paths(w, node)
-                            if not candidate.intersection(p))
+                miss = beth.avoiding_path(w, node, candidate)
                 note = f"path {list(miss)} settles neither disjunct"
             return Trace(s, node, f, "or-bar", value, note,
                          children=(sub(node, x), sub(node, y)))

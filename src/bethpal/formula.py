@@ -260,10 +260,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent, one token lookahead)
 
+MAX_NESTING = 100
+"""Deepest nesting the parser accepts: operators and parentheses inside one
+another (``(p)`` and ``~p`` nest one level, ``a <-> b`` two).  The parser,
+printer and evaluators recurse a few frames per level, so every accepted
+formula stays within Python's default recursion limit."""
+
+
 class _Parser:
+    """Each rule returns the parsed formula and its nesting level."""
+
     def __init__(self, toks: list[tuple[str, str, int]]):
         self.toks = toks
         self.pos = 0
+        self.open = 0           # nested rules currently being parsed
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.pos]
@@ -280,74 +290,90 @@ class _Parser:
                              t[2], (kind,))
         return self.take()
 
-    def formula(self) -> Formula:
-        left = self.imp()
+    def level(self, n: int, at: int) -> int:
+        if n > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", at)
+        return n
+
+    def inner(self, rule, at: int) -> tuple[Formula, int]:
+        """Parse ``rule`` one level down.  Every open rule adds a level to the
+        result, so deeper input is rejected here, before recursing further."""
+        self.level(self.open + 1, at)
+        self.open += 1
+        result = rule()
+        self.open -= 1
+        return result
+
+    def formula(self) -> tuple[Formula, int]:
+        left, n = self.imp()
         if self.peek()[0] == "IFF":
-            self.take()
-            right = self.imp()
-            return And(Imp(left, right), Imp(right, left))
-        return left
+            at = self.take()[2]
+            right, m = self.imp()
+            return And(Imp(left, right), Imp(right, left)), self.level(2 + max(n, m), at)
+        return left, n
 
-    def imp(self) -> Formula:
-        left = self.or_()
+    def imp(self) -> tuple[Formula, int]:
+        left, n = self.or_()
         if self.peek()[0] == "IMP":
-            self.take()
-            return Imp(left, self.imp())
-        return left
+            at = self.take()[2]
+            right, m = self.inner(self.imp, at)
+            return Imp(left, right), self.level(1 + max(n, m), at)
+        return left, n
 
-    def or_(self) -> Formula:
-        f = self.and_()
+    def or_(self) -> tuple[Formula, int]:
+        f, n = self.and_()
         while self.peek()[0] == "OR":
-            self.take()
-            f = Or(f, self.and_())
-        return f
+            at = self.take()[2]
+            g, m = self.and_()
+            f, n = Or(f, g), self.level(1 + max(n, m), at)
+        return f, n
 
-    def and_(self) -> Formula:
-        f = self.unary()
+    def and_(self) -> tuple[Formula, int]:
+        f, n = self.unary()
         while self.peek()[0] == "AND":
-            self.take()
-            f = And(f, self.unary())
-        return f
+            at = self.take()[2]
+            g, m = self.unary()
+            f, n = And(f, g), self.level(1 + max(n, m), at)
+        return f, n
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, text, pos = self.peek()
         if kind == "NOT":
             self.take()
-            return Neg(self.unary())
+            body, n = self.inner(self.unary, pos)
+            return Neg(body), self.level(n + 1, pos)
         if kind == "KNOW":
             self.take()
-            return Know(text, self.unary())
-        if kind == "LBRACK":
+            body, n = self.inner(self.unary, pos)
+            return Know(text, body), self.level(n + 1, pos)
+        if kind in ("LBRACK", "LT"):
             self.take()
-            ann = self.formula()
-            self.expect("RBRACK")
-            return Announce(ann, self.unary())
-        if kind == "LT":
-            self.take()
-            ann = self.formula()
-            self.expect("GT")
-            return Diamond(ann, self.unary())
+            ann, n = self.inner(self.formula, pos)
+            self.expect("RBRACK" if kind == "LBRACK" else "GT")
+            body, m = self.inner(self.unary, pos)
+            ctor = Announce if kind == "LBRACK" else Diamond
+            return ctor(ann, body), self.level(1 + max(n, m), pos)
         if kind == "LPAREN":
             self.take()
-            f = self.formula()
+            f, n = self.inner(self.formula, pos)
             self.expect("RPAREN")
-            return f
+            return f, self.level(n + 1, pos)
         if kind == "TOP":
             self.take()
-            return TOP
+            return TOP, 0
         if kind == "BOT":
             self.take()
-            return BOT
+            return BOT, 0
         if kind == "IDENT":
             self.take()
-            return Atom(text)
+            return Atom(text), 0
         raise ParseError(f"unexpected {text!r}" if kind != "EOF" else "unexpected end of input",
                          pos, ("~", "K{...}", "[", "<", "(", "top", "bot", "ident"))
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(_tokenize(text))
-    f = p.formula()
+    f, _ = p.formula()
     kind, text_, pos = p.peek()
     if kind != "EOF":
         raise ParseError(f"trailing input {text_!r}", pos)

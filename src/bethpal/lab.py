@@ -241,8 +241,11 @@ class Counterexample:
     instance: Formula
 
     def verify(self) -> bool:
-        """A counterexample must re-check false under the evaluator."""
-        return not dynamic.satisfies(self.model, self.world, self.instance).value
+        """A counterexample must re-check false at the world's root under the
+        cache-free oracle :func:`naive_forces`, not under the evaluator that
+        found it."""
+        root = self.model.world(self.world).root
+        return not naive_forces(self.model, self.world, root, self.instance)
 
 
 Verdict = Union[NoCounterexample, Counterexample]

@@ -1,3 +1,6 @@
+import ast
+import gc
+import itertools
 import random
 
 import pytest
@@ -5,10 +8,12 @@ import pytest
 from bethpal.beth import (
     BethModel, NoRoot, NodeOutsideUpSet, NonMonotoneValuation,
     NonPropositionalFormula, NotAPartialOrder, PointedBeth, UnknownNode,
-    equivalent_up_to_depth, forces_prop, is_bar, leaf_shortcut_forces,
-    maximal_paths, up_set, validate_beth,
+    avoiding_path, equivalent_up_to_depth, forces_prop, is_bar,
+    leaf_shortcut_forces, maximal_paths, up_set, validate_beth,
 )
+from bethpal.dynamic import BethKripkeModel, satisfies
 from bethpal.formula import And, Atom, Imp, Neg, Or, BOT, TOP, parse_formula
+from bethpal import lab
 from bethpal.lab import enumerate_small_beth, propositional_pool, random_beth
 from bethpal.proofkit import A1_IDS, SCHEMAS
 from bethpal.formula import substitute
@@ -86,6 +91,73 @@ class TestPosetMachinery:
     def test_is_bar_outside_up_set(self, fork_pq):
         with pytest.raises(NodeOutsideUpSet):
             is_bar(fork_pq, "b", {"c"})
+
+
+def _posets_up_to_5_nodes():
+    """Every rooted poset with up to 5 nodes, without valuation: the
+    enumerator's up-to-4-node models plus the 5-node posets it stops short of."""
+    yield from enumerate_small_beth(4, ())
+    names = [f"n{i}" for i in range(5)]
+    for rel in lab._rooted_posets(5):
+        yield validate_beth(names, [(names[a], names[b]) for a, b in rel], "n0")
+
+
+def _ladder(levels: int):
+    """Width-2 ladder: root r, then levels of two nodes each, every node
+    covered by both nodes of the next level (2**levels maximal paths).  x holds
+    at the leaf a<levels>, y at the leaf b<levels>."""
+    rows = [("r",)] + [(f"a{i:03d}", f"b{i:03d}") for i in range(1, levels + 1)]
+    edges = [(lo, hi) for below, above in zip(rows, rows[1:])
+             for lo in below for hi in above]
+    top_a, top_b = rows[-1]
+    return validate_beth([n for row in rows for n in row], edges, "r",
+                         {top_a: {"x"}, top_b: {"y"}}, ("x", "y"))
+
+
+class TestAvoidingPath:
+    def test_agrees_with_paths_and_naive_bar(self):
+        models = list(_posets_up_to_5_nodes())
+        assert len(models) == 1 + 1 + 2 + 5 + 16
+        for m in models:
+            for node in m.node_order:
+                paths = maximal_paths(m, node)
+                up = sorted(m.up[node])
+                for r in range(len(up) + 1):
+                    for bar in map(frozenset, itertools.combinations(up, r)):
+                        first_miss = next((path for path in paths
+                                           if not bar.intersection(path)), None)
+                        assert avoiding_path(m, node, bar) == first_miss
+                        assert is_bar(m, node, bar) == lab._naive_bar(m, node, set(bar))
+
+    def test_ladder_of_201_nodes(self):
+        # 2**100 maximal paths from the root: only a walk that never
+        # enumerates them finishes.
+        m = _ladder(100)
+        assert len(m.nodes) == 201
+        assert not is_bar(m, "r", {"a100"})
+        assert is_bar(m, "r", {"a100", "b100"})
+        assert is_bar(m, "r", {"a050", "b050"})
+        bk = BethKripkeModel({"u": m}, ("i",), {"i": {("u", "u")}})
+        assert not satisfies(bk, "u", parse_formula("x")).value
+        assert satisfies(bk, "u", parse_formula("x | y")).value
+        assert not satisfies(bk, "u", parse_formula("x -> y")).value
+        trace = satisfies(bk, "u", parse_formula("x"), explain=True).trace
+        assert trace.note.endswith(" never carries the atom")
+        path = ast.literal_eval(trace.note[len("path "):-len(" never carries the atom")])
+        assert path[0] == "r" and path[-1] in m.leaves and len(path) == 101
+        assert all(hi in m.covers[lo] for lo, hi in zip(path, path[1:]))
+        assert path == ["r"] + [f"a{i:03d}" for i in range(1, 100)] + ["b100"]
+
+    def test_maximal_paths_leaves_no_cyclic_garbage(self, fork_pq):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert len(maximal_paths(fork_pq, "a")) == 2
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestForcing:

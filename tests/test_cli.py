@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from bethpal.cli import main
+from bethpal.formula import MAX_NESTING
 from bethpal.modeldoc import parse_model_document
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -56,6 +57,54 @@ class TestCheck:
         assert main(["--format", "json", "check", model_file, "s", "top"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] is True
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_max_witness_below_one_exits_two(self, model_file, capsys, cap):
+        assert main(["check", model_file, "s", "p | q", "--explain",
+                     "--max-witness", cap]) == 2
+        captured = capsys.readouterr()
+        assert "--max-witness" in captured.err
+        assert captured.out == ""
+
+
+def _nested(shape: str, n: int) -> str:
+    """A formula nested ``n`` levels deep in the given shape."""
+    return {
+        "neg": "~" * n + "p",
+        "parens": "(" * n + "p" + ")" * n,
+        "and-chain": " & ".join(["p"] * (n + 1)),
+        "imp-chain": " -> ".join(["q"] * (n + 1)),
+        "know": "K{i}" * n + "p",
+        "announced": "[" * n + "p" + "]q" * n,
+        "neg-or": "~(p | " * (n // 3) + "q" + ")" * (n // 3) + " | p" * (n % 3),
+    }[shape]
+
+
+SHAPES = ["neg", "parens", "and-chain", "imp-chain", "know", "announced", "neg-or"]
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_the_limit_checks_explains_and_prints(self, model_file, capsys, shape):
+        text = _nested(shape, MAX_NESTING)
+        code = main(["check", model_file, "s", text, "--explain"])
+        assert code in (0, 1)
+        assert capsys.readouterr().out.splitlines()[0] == ("true" if code == 0 else "false")
+        assert main(["--format", "json", "check", model_file, "s", text,
+                     "--explain"]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] is (code == 0) and payload["trace"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_past_the_limit_exits_two(self, model_file, capsys, shape):
+        text = _nested(shape, MAX_NESTING + 1)
+        assert main(["check", model_file, "s", text]) == 2
+        assert f"nested deeper than {MAX_NESTING} levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000])
+    def test_far_past_the_limit_exits_two(self, model_file, capsys, text):
+        assert main(["check", model_file, "s", text, "--explain"]) == 2
+        assert "nested deeper" in capsys.readouterr().err
 
 
 class TestAnnounce:

@@ -289,6 +289,20 @@ class TestTraces:
         assert res.value
         assert "..." in res.trace.note
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_lists_the_whole_bar(self, fork_model, cap):
+        res = forces(fork_model, "s", "a", parse_formula("p | q"), explain=True,
+                     max_items=cap)
+        assert res.trace.note == "bar {b, c} settles a disjunct"
+
+    def test_failing_paths_are_the_first_in_path_order(self, fork_model):
+        atom = forces(fork_model, "s", "a", p, explain=True)
+        assert atom.trace.note == "path ['a', 'c'] never carries the atom"
+        either = forces(fork_model, "s", "a", parse_formula("q | q"), explain=True)
+        assert either.trace.note == "path ['a', 'b'] settles neither disjunct"
+        unknown = forces(fork_model, "s", "a", parse_formula("r | bot"), explain=True)
+        assert unknown.trace.note == "path ['a', 'b'] settles neither disjunct"
+
     def test_memoization_consistent_across_calls(self, fork_model):
         f = parse_formula("[p](q | ~q)")
         first = satisfies(fork_model, "s", f).value

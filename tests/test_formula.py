@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from bethpal.formula import (
     And, Announce, Atom, Diamond, Imp, Know, Neg, Or,
-    BOT, TOP, ParseError, UnboundMetavariable, UnknownToken,
+    BOT, MAX_NESTING, TOP, ParseError, UnboundMetavariable, UnknownToken,
     agent_names, atom_names, classify, depth, is_metavariable, metavariables,
     parse_formula, print_formula, substitute,
 )
@@ -62,6 +62,22 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_formula("p & & q")
         assert exc.value.position == 4
+
+    def test_nesting_limit(self):
+        assert depth(parse_formula("~" * MAX_NESTING + "p")) == MAX_NESTING
+        assert parse_formula("(" * MAX_NESTING + "p" + ")" * MAX_NESTING) == p
+        with pytest.raises(ParseError) as exc:
+            parse_formula("~" * (MAX_NESTING + 1) + "p")
+        assert exc.value.position == MAX_NESTING
+        with pytest.raises(ParseError):
+            parse_formula("(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1))
+        with pytest.raises(ParseError):
+            parse_formula(" & ".join(["p"] * (MAX_NESTING + 2)))
+        # a <-> b stands for (a -> b) & (b -> a): two levels.
+        n = MAX_NESTING - 2
+        assert depth(parse_formula("(" * n + "p <-> q" + ")" * n)) == 2
+        with pytest.raises(ParseError):
+            parse_formula("(" * (n + 1) + "p <-> q" + ")" * (n + 1))
 
     def test_trailing_input(self):
         with pytest.raises(ParseError):

@@ -120,6 +120,16 @@ class TestValidityTrials:
         assert isinstance(verdict, Counterexample)
         assert verdict.verify()
 
+    def test_verify_rechecks_with_the_oracle(self, monkeypatch):
+        verdict = lab.test_validity(
+            SchemaInstanceSpace(SCHEMAS["A3"].pattern),
+            GenParams(seed=7, s5=False), 100)
+        # A lying evaluator must not change what verify() says.
+        monkeypatch.setattr(lab.dynamic, "satisfies",
+                            lambda *args, **kwargs: lab.dynamic.EvalResult(True))
+        assert verdict.verify()
+        assert not Counterexample(verdict.model, verdict.world, TOP).verify()
+
     def test_counterexample_is_replayable(self):
         verdict = lab.test_validity(
             SchemaInstanceSpace(SCHEMAS["A3"].pattern),
