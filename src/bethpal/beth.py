@@ -11,12 +11,9 @@ even when the node itself does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .formula import (
-    And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    BOT, TOP,
-)
+from .formula import And, Atom, Formula, Imp, Neg, Or, BOT, TOP, is_propositional
 
 
 class ModelError(ValueError):
@@ -99,8 +96,7 @@ class BethModel:
                 if not any(c != b and (c, b) in leq for c in above)
             ))
         self.leaves = frozenset(a for a in nodes if not self.covers[a])
-        self._memo: dict[tuple[str, Formula], bool] = {}
-        self._memo_shortcut: dict[tuple[str, Formula], bool] = {}
+        self._kripke = None         # this model as a one-world BethKripkeModel
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.leq_pairs
@@ -230,71 +226,56 @@ def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
     return avoiding_path(m, a, bar) is None
 
 
+def extension(m: BethModel, f: Formula) -> int:
+    """The nodes of ``m`` forcing the propositional formula ``f``, as a
+    bitmask (bit i is ``m.node_order[i]``), read from the labeling of
+    :mod:`bethpal.dynamic` on ``m`` as a world of its own."""
+    if not is_propositional(f):
+        raise NonPropositionalFormula(f)
+    from .dynamic import BethKripkeModel, _ext     # dynamic builds on this module
+    if m._kripke is None:
+        m._kripke = BethKripkeModel({"w": m}, (), {})
+    return _ext(m._kripke, f)
+
+
 def forces_prop(m: BethModel, a: str, f: Formula) -> bool:
-    """Propositional forcing at a node, clause by clause: atoms and ∨ through
-    bars, → and ¬ by quantifying over the up-set."""
+    """Propositional forcing at a node: atoms and ∨ through bars, → and ¬ by
+    quantifying over the up-set."""
     m.ensure_node(a)
-    key = (a, f)
-    hit = m._memo.get(key)
-    if hit is not None:
-        return hit
-    match f:
-        case Top():
-            value = True
-        case Bot():
-            value = False
-        case Atom(name):
-            value = is_bar(m, a, (b for b in m.up[a] if name in m.val[b]))
-        case And(x, y):
-            value = forces_prop(m, a, x) and forces_prop(m, a, y)
-        case Or(x, y):
-            value = is_bar(m, a, (b for b in m.up[a]
-                                  if forces_prop(m, b, x) or forces_prop(m, b, y)))
-        case Imp(x, y):
-            value = all(forces_prop(m, b, y) for b in m.up[a] if forces_prop(m, b, x))
-        case Neg(x):
-            value = not any(forces_prop(m, b, x) for b in m.up[a])
-        case Know() | Announce() | Diamond():
-            raise NonPropositionalFormula(f)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    m._memo[key] = value
-    return value
+    return bool(extension(m, f) >> m.node_order.index(a) & 1)
 
 
 def leaf_shortcut_forces(m: BethModel, a: str, f: Formula) -> bool:
-    """Same contract as :func:`forces_prop`, computed through the finite-model
+    """Same contract as :func:`forces_prop`, through the finite-model
     shortcut: bar conditions for persistent properties reduce to "all leaves
-    above the node satisfy it"."""
-    m.ensure_node(a)
-    key = (a, f)
-    hit = m._memo_shortcut.get(key)
-    if hit is not None:
-        return hit
-    leaves = m.up[a] & m.leaves
-    match f:
-        case Top():
-            value = True
-        case Bot():
-            value = False
-        case Atom(name):
-            value = all(name in m.val[leaf] for leaf in leaves)
-        case And(x, y):
-            value = leaf_shortcut_forces(m, a, x) and leaf_shortcut_forces(m, a, y)
-        case Or(x, y):
-            value = all(leaf_shortcut_forces(m, leaf, x) or leaf_shortcut_forces(m, leaf, y)
-                        for leaf in leaves)
-        case Imp(x, y):
-            value = all(leaf_shortcut_forces(m, b, y)
-                        for b in m.up[a] if leaf_shortcut_forces(m, b, x))
-        case Neg(x):
-            value = not any(leaf_shortcut_forces(m, b, x) for b in m.up[a])
-        case Know() | Announce() | Diamond():
-            raise NonPropositionalFormula(f)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    m._memo_shortcut[key] = value
-    return value
+    above the node satisfy it", which is how the labeling decides them."""
+    return forces_prop(m, a, f)
+
+
+def fingerprint_classes(models: Sequence[BethModel], atoms: Iterable[str],
+                        max_depth: int) -> Iterator[Formula]:
+    """The propositional formulas of depth <= ``max_depth`` over ``atoms``,
+    the first of each fingerprint (its extension in each model) in
+    breadth-first order: atoms, top and bot, then layer by layer the
+    negations and binary combinations of the classes found so far.  A layer
+    without fresh classes cannot seed a fresh deeper one, so it ends the
+    search."""
+    seen: set[tuple[int, ...]] = set()
+    reps: list[Formula] = []
+    frontier: list[Formula] = [Atom(a) for a in atoms] + [TOP, BOT]
+    for level in range(max_depth + 1):
+        fresh: list[Formula] = []
+        for f in frontier:
+            fp = tuple(extension(m, f) for m in models)
+            if fp not in seen:
+                seen.add(fp)
+                fresh.append(f)
+                yield f
+        reps.extend(fresh)
+        if level == max_depth or not fresh:
+            return
+        frontier = [Neg(r) for r in reps]
+        frontier += [ctor(a, b) for ctor in (And, Or, Imp) for a in reps for b in reps]
 
 
 def equivalent_up_to_depth(x: PointedBeth, y: PointedBeth, d: int,
@@ -304,37 +285,10 @@ def equivalent_up_to_depth(x: PointedBeth, y: PointedBeth, d: int,
     on every such formula.
 
     Candidates are explored breadth-first by depth with duplicate pruning by
-    semantic fingerprint (truth at every node of both models), so the search
+    semantic fingerprint (see :func:`fingerprint_classes`), so the search
     space stays small even at generous depths.
     """
-    atoms = sorted(set(atoms))
-
-    def fingerprint(f: Formula) -> tuple:
-        return (
-            tuple(forces_prop(x.model, n, f) for n in x.model.node_order),
-            tuple(forces_prop(y.model, n, f) for n in y.model.node_order),
-        )
-
-    def distinguishes(f: Formula) -> bool:
-        return forces_prop(x.model, x.point, f) != forces_prop(y.model, y.point, f)
-
-    seen: set[tuple] = set()
-    reps: list[Formula] = []            # one representative per fingerprint class
-    frontier: list[Formula] = [Atom(a) for a in atoms] + [TOP, BOT]
-    for current_depth in range(d + 1):
-        new_reps: list[Formula] = []
-        for f in frontier:
-            fp = fingerprint(f)
-            if fp in seen:
-                continue
-            seen.add(fp)
-            if distinguishes(f):
-                return f
-            new_reps.append(f)
-        reps.extend(new_reps)
-        # A layer without fresh classes cannot seed a distinguishing deeper one.
-        if current_depth == d or not new_reps:
-            break
-        frontier = [Neg(r) for r in reps]
-        frontier += [ctor(a, b) for ctor in (And, Or, Imp) for a in reps for b in reps]
-    return None
+    classes = fingerprint_classes((x.model, y.model), sorted(set(atoms)), d)
+    return next((f for f in classes
+                 if forces_prop(x.model, x.point, f) != forces_prop(y.model, y.point, f)),
+                None)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, Optional
 
 from . import dynamic, lab, modeldoc, proofkit, sep
 from .beth import ModelError
@@ -204,11 +205,18 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0 if report.equivalent is None else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def _count(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """Argument type for an integer between ``low`` and ``high`` inclusive."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, not {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("world")
     p.add_argument("formula")
     p.add_argument("--explain", action="store_true")
-    p.add_argument("--max-witness", type=_positive_int, default=8,
+    p.add_argument("--max-witness", type=_count(1), default=8,
                    help="cap on bar/path listings in traces")
     p.set_defaults(func=cmd_check)
 
@@ -236,19 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_announce)
 
     p = sub.add_parser("axioms", help="random-model validity trials for the axiom schemas")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count(1), default=100)
     p.add_argument("--schema", default="all")
-    p.add_argument("--depth", type=int, default=1,
+    p.add_argument("--depth", type=_count(0), default=1,
                    help="instantiation depth for schema metavariables")
-    p.add_argument("--max-nodes", type=int, default=4)
-    p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--agents", type=int, default=2)
-    p.add_argument("--atoms", type=int, default=2)
+    p.add_argument("--max-nodes", type=_count(1), default=4)
+    p.add_argument("--max-worlds", type=_count(1), default=3)
+    p.add_argument("--agents", type=_count(1, len(lab.AGENT_NAMES)), default=2)
+    p.add_argument("--atoms", type=_count(1, len(lab.ATOM_NAMES)), default=2)
     p.add_argument("--no-s5", action="store_true",
                    help="draw irreflexive random relations instead of equivalences")
     p.add_argument("--hypothesis", action="store_true",
                    help="also run the [phi]psi <-> (phi -> psi) experiment")
-    p.add_argument("--hyp-depth", type=int, default=2)
+    p.add_argument("--hyp-depth", type=_count(0), default=2)
     p.add_argument("--hyp-announcements", action="store_true",
                    help="allow nested announcements in sampled formulas")
     p.add_argument("--hyp-out", help="write the experiment report to this file")
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("witness", help="report on the non-translatability of <p>top")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_count(0), default=4)
     p.set_defaults(func=cmd_witness)
     return parser
 

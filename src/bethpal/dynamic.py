@@ -6,6 +6,12 @@ settled (the nodes forcing ¬φ), drops worlds whose root already forces ¬φ,
 and restricts the accessibility relations to the surviving worlds.  The
 announcement operators are root-anchored: every node of a world agrees on
 [φ]ψ and <φ>ψ, which refer to the world's root before and after the update.
+
+Evaluation labels each subformula once per model with its extension, the
+(world, node) points forcing it, as an int bitmask (the labeling algorithm
+of CTL model checking).  Every formula is persistent (the valuation is
+monotone; K, [φ] and <φ> hold at all nodes of a world or at none), so on
+finite models a bar for it exists exactly when every leaf above forces it.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from . import beth
 from .beth import BethModel, validate_beth
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    is_propositional, print_formula,
+    print_formula,
 )
 
 
@@ -34,7 +40,7 @@ class UnknownAgent(beth.ModelError):
 
 class BethKripkeModel:
     """Named pointed Beth models plus per-agent accessibility between world
-    names.  Immutable; evaluation results are memoized per instance, so a
+    names.  Immutable; extensions are memoized per instance, so a
     restricted model never shares caches with its parent."""
 
     def __init__(self, worlds: Mapping[str, BethModel], agents: Iterable[str],
@@ -54,7 +60,8 @@ class BethKripkeModel:
                     raise UnknownWorld(t)
             self.access[agent] = pairs
         self._succ: dict[tuple[str, str], tuple[str, ...]] = {}
-        self._memo: dict[tuple[str, str, Formula], bool] = {}
+        self._points: Optional[_Points] = None      # built on first evaluation
+        self._labels: dict[Formula, int] = {}
         self._announce: dict[Formula, "BethKripkeModel"] = {}
         self._s5: Optional[bool] = None
 
@@ -111,50 +118,98 @@ class EvalResult:
         return self.value
 
 
-def _eval(m: BethKripkeModel, s: str, node: str, f: Formula) -> bool:
-    # Propositional formulas force exactly as in the bare Beth model.
-    if is_propositional(f):
-        return beth.forces_prop(m.world(s), node, f)
-    key = (s, node, f)
-    hit = m._memo.get(key)
+class _Points:
+    """The masks the labeling reads; point i, the i-th of ``world_order`` ×
+    ``node_order``, is bit i of every extension."""
+
+    def __init__(self, m: BethKripkeModel):
+        self.bit: dict[tuple[str, str], int] = {}
+        self.world: dict[str, int] = {}     # all points of the world
+        self.root: dict[str, int] = {}      # the world's root point
+        self.up: list[tuple[int, int]] = []         # (point, its up-set)
+        self.leaves: list[tuple[int, int]] = []     # (point, leaves above it)
+        self.atoms: dict[str, int] = {}     # leaves carrying the atom
+        for s in m.world_order:
+            w = m.worlds[s]
+            local: dict[str, int] = {}
+            for n in w.node_order:
+                self.bit[s, n] = len(self.bit)
+                local[n] = 1 << self.bit[s, n]
+            for n in w.node_order:
+                self.up.append((local[n], sum(local[b] for b in w.up[n])))
+                self.leaves.append((local[n], sum(local[b] for b in w.up[n] & w.leaves)))
+            for leaf in w.leaves:
+                for atom in w.val[leaf]:
+                    self.atoms[atom] = self.atoms.get(atom, 0) | local[leaf]
+            self.world[s] = sum(local.values())
+            self.root[s] = local[w.root]
+        self.all = (1 << len(self.bit)) - 1
+
+
+def _layout(m: BethKripkeModel) -> _Points:
+    if m._points is None:
+        m._points = _Points(m)
+    return m._points
+
+
+def _avoiding(masks: list[tuple[int, int]], x: int) -> int:
+    """The points whose mask shares no point with ``x``."""
+    out = 0
+    for point, mask in masks:
+        if not mask & x:
+            out |= point
+    return out
+
+
+def _ext(m: BethKripkeModel, f: Formula) -> int:
+    """The points of ``m`` that force ``f``, as a bitmask (see :class:`_Points`),
+    memoized per model.  Atoms and ∨ hold where every leaf above is in the
+    set, → and ¬ where the up-set avoids the counterexamples, K and the
+    announcement operators world by world."""
+    hit = m._labels.get(f)
     if hit is not None:
         return hit
-    w = m.world(s)
-    w.ensure_node(node)
+    pts = _layout(m)
     match f:
+        case Top():
+            value = pts.all
+        case Bot():
+            value = 0
+        case Atom(name):
+            value = _avoiding(pts.leaves, ~pts.atoms.get(name, 0))
         case And(x, y):
-            value = _eval(m, s, node, x) and _eval(m, s, node, y)
+            value = _ext(m, x) & _ext(m, y)
         case Or(x, y):
-            value = beth.is_bar(w, node, (b for b in w.up[node]
-                                          if _eval(m, s, b, x) or _eval(m, s, b, y)))
+            value = _avoiding(pts.leaves, ~(_ext(m, x) | _ext(m, y)))
         case Imp(x, y):
-            value = all(_eval(m, s, b, y) for b in w.up[node] if _eval(m, s, b, x))
+            value = _avoiding(pts.up, _ext(m, x) & ~_ext(m, y))
         case Neg(x):
-            value = not any(_eval(m, s, b, x) for b in w.up[node])
+            value = _avoiding(pts.up, _ext(m, x))
         case Know(agent, body):
-            value = all(
-                _eval(m, t, b, body)
-                for t in m.successors(agent, s)
-                for b in m.world(t).node_order
-            )
-        case Announce(ann, body):
-            value = (not _announceable(m, s, ann)) or _eval_after(m, s, ann, body)
-        case Diamond(ann, body):
-            value = _announceable(m, s, ann) and _eval_after(m, s, ann, body)
+            missing = ~_ext(m, body)
+            value = 0
+            for s in m.world_order:
+                if not any(pts.world[t] & missing for t in m.successors(agent, s)):
+                    value |= pts.world[s]
+        case Announce(ann, body) | Diamond(ann, body):
+            refuted = _ext(m, Neg(ann))
+            executable = [s for s in m.world_order if not pts.root[s] & refuted]
+            value = 0 if isinstance(f, Diamond) else (
+                pts.all - sum(pts.world[s] for s in executable))
+            if executable:
+                updated = announce(m, ann)
+                holds = _ext(updated, body)
+                roots = _layout(updated).root
+                value |= sum(pts.world[s] for s in executable if roots[s] & holds)
         case _:
             raise TypeError(f"not a formula: {f!r}")
-    m._memo[key] = value
+    m._labels[f] = value
     return value
 
 
-def _announceable(m: BethKripkeModel, s: str, ann: Formula) -> bool:
-    root = m.world(s).root
-    return not _eval(m, s, root, Neg(ann))
-
-
-def _eval_after(m: BethKripkeModel, s: str, ann: Formula, body: Formula) -> bool:
-    updated = announce(m, ann)
-    return _eval(updated, s, updated.world(s).root, body)
+def _eval(m: BethKripkeModel, s: str, node: str, f: Formula) -> bool:
+    m.world(s).ensure_node(node)
+    return bool(_ext(m, f) >> _layout(m).bit[s, node] & 1)
 
 
 def forces(m: BethKripkeModel, s: str, node: str, f: Formula,
@@ -324,8 +379,7 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
         case Announce(ann, body) | Diamond(ann, body):
             dual = isinstance(f, Diamond)
             rule = "diamond" if dual else "announce"
-            ok = _announceable(m, s, ann)
-            if not ok:
+            if _eval(m, s, w.root, Neg(ann)):
                 note = "announcement not executable: root forces the negation"
                 return Trace(s, node, f, rule, value, note,
                              (sub(w.root, Neg(ann)),))

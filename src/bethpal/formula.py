@@ -16,7 +16,6 @@ and only appear in axiom schemas.  Unicode aliases: ¬ ∧ ∨ → ↔ ⊤ ⊥.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
@@ -174,7 +173,6 @@ def metavariables(f: Formula) -> frozenset[str]:
     return frozenset(n for n in atom_names(f) if is_metavariable(n))
 
 
-@functools.cache
 def classify(f: Formula) -> str:
     """Tag a formula: announcement > epistemic > propositional."""
     tag = PROPOSITIONAL
@@ -266,9 +264,16 @@ another (``(p)`` and ``~p`` nest one level, ``a <-> b`` two).  The parser,
 printer and evaluators recurse a few frames per level, so every accepted
 formula stays within Python's default recursion limit."""
 
+MAX_SIZE = 10_000
+"""Most nodes the parser accepts in the formula tree it returns.  ``a <-> b``
+expands to ``(a -> b) & (b -> a)``, which shares ``a`` and ``b`` but counts
+each twice, so nested biconditionals double the tree per level; hashing,
+printing and explaining a formula walk the whole tree."""
+
 
 class _Parser:
-    """Each rule returns the parsed formula and its nesting level."""
+    """Each rule returns the parsed formula, its nesting level and its tree
+    size (node count)."""
 
     def __init__(self, toks: list[tuple[str, str, int]]):
         self.toks = toks
@@ -295,7 +300,14 @@ class _Parser:
             raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", at)
         return n
 
-    def inner(self, rule, at: int) -> tuple[Formula, int]:
+    def built(self, f: Formula, n: int, size: int, at: int) -> tuple[Formula, int, int]:
+        """Check a freshly built formula against both limits."""
+        self.level(n, at)
+        if size > MAX_SIZE:
+            raise ParseError(f"formula expands to more than {MAX_SIZE} nodes", at)
+        return f, n, size
+
+    def inner(self, rule, at: int) -> tuple[Formula, int, int]:
         """Parse ``rule`` one level down.  Every open rule adds a level to the
         result, so deeper input is rejected here, before recursing further."""
         self.level(self.open + 1, at)
@@ -304,76 +316,77 @@ class _Parser:
         self.open -= 1
         return result
 
-    def formula(self) -> tuple[Formula, int]:
-        left, n = self.imp()
+    def formula(self) -> tuple[Formula, int, int]:
+        left, n, a = self.imp()
         if self.peek()[0] == "IFF":
             at = self.take()[2]
-            right, m = self.imp()
-            return And(Imp(left, right), Imp(right, left)), self.level(2 + max(n, m), at)
-        return left, n
+            right, m, b = self.imp()
+            return self.built(And(Imp(left, right), Imp(right, left)),
+                              2 + max(n, m), 3 + 2 * (a + b), at)
+        return left, n, a
 
-    def imp(self) -> tuple[Formula, int]:
-        left, n = self.or_()
+    def imp(self) -> tuple[Formula, int, int]:
+        left, n, a = self.or_()
         if self.peek()[0] == "IMP":
             at = self.take()[2]
-            right, m = self.inner(self.imp, at)
-            return Imp(left, right), self.level(1 + max(n, m), at)
-        return left, n
+            right, m, b = self.inner(self.imp, at)
+            return self.built(Imp(left, right), 1 + max(n, m), 1 + a + b, at)
+        return left, n, a
 
-    def or_(self) -> tuple[Formula, int]:
-        f, n = self.and_()
+    def or_(self) -> tuple[Formula, int, int]:
+        f, n, a = self.and_()
         while self.peek()[0] == "OR":
             at = self.take()[2]
-            g, m = self.and_()
-            f, n = Or(f, g), self.level(1 + max(n, m), at)
-        return f, n
+            g, m, b = self.and_()
+            f, n, a = self.built(Or(f, g), 1 + max(n, m), 1 + a + b, at)
+        return f, n, a
 
-    def and_(self) -> tuple[Formula, int]:
-        f, n = self.unary()
+    def and_(self) -> tuple[Formula, int, int]:
+        f, n, a = self.unary()
         while self.peek()[0] == "AND":
             at = self.take()[2]
-            g, m = self.unary()
-            f, n = And(f, g), self.level(1 + max(n, m), at)
-        return f, n
+            g, m, b = self.unary()
+            f, n, a = self.built(And(f, g), 1 + max(n, m), 1 + a + b, at)
+        return f, n, a
 
-    def unary(self) -> tuple[Formula, int]:
+    def unary(self) -> tuple[Formula, int, int]:
         kind, text, pos = self.peek()
         if kind == "NOT":
             self.take()
-            body, n = self.inner(self.unary, pos)
-            return Neg(body), self.level(n + 1, pos)
+            body, n, a = self.inner(self.unary, pos)
+            return self.built(Neg(body), n + 1, a + 1, pos)
         if kind == "KNOW":
             self.take()
-            body, n = self.inner(self.unary, pos)
-            return Know(text, body), self.level(n + 1, pos)
+            body, n, a = self.inner(self.unary, pos)
+            return self.built(Know(text, body), n + 1, a + 1, pos)
         if kind in ("LBRACK", "LT"):
             self.take()
-            ann, n = self.inner(self.formula, pos)
+            ann, n, a = self.inner(self.formula, pos)
             self.expect("RBRACK" if kind == "LBRACK" else "GT")
-            body, m = self.inner(self.unary, pos)
+            body, m, b = self.inner(self.unary, pos)
             ctor = Announce if kind == "LBRACK" else Diamond
-            return ctor(ann, body), self.level(1 + max(n, m), pos)
+            return self.built(ctor(ann, body), 1 + max(n, m), 1 + a + b, pos)
         if kind == "LPAREN":
             self.take()
-            f, n = self.inner(self.formula, pos)
+            f, n, a = self.inner(self.formula, pos)
             self.expect("RPAREN")
-            return f, self.level(n + 1, pos)
+            return f, self.level(n + 1, pos), a
         if kind == "TOP":
             self.take()
-            return TOP, 0
+            return TOP, 0, 1
         if kind == "BOT":
             self.take()
-            return BOT, 0
+            return BOT, 0, 1
         if kind == "IDENT":
             self.take()
-            return Atom(text), 0
+            return Atom(text), 0, 1
         raise ParseError(f"unexpected {text!r}" if kind != "EOF" else "unexpected end of input",
                          pos, ("~", "K{...}", "[", "<", "(", "top", "bot", "ident"))
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(_tokenize(text))
-    f, _ = p.formula()
+    f, _, _ = p.formula()
     kind, text_, pos = p.peek()
     if kind != "EOF":
         raise ParseError(f"trailing input {text_!r}", pos)

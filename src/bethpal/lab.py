@@ -47,6 +47,9 @@ class GenParams:
     def __post_init__(self):
         if min(self.max_nodes_per_world, self.max_worlds, self.num_agents, self.atom_count) < 1:
             raise ValueError("all generation bounds must be >= 1")
+        if self.atom_count > len(ATOM_NAMES) or self.num_agents > len(AGENT_NAMES):
+            raise ValueError(f"at most {len(ATOM_NAMES)} atoms and "
+                             f"{len(AGENT_NAMES)} agents can be named")
 
 
 def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> BethModel:
@@ -114,6 +117,8 @@ def random_formula(rng: random.Random, max_depth: int, atoms: Iterable[str],
                    weights: Optional[dict[str, int]] = None) -> Formula:
     """Grammar-directed sampling with per-connective weights and a hard
     depth cap."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, not {max_depth}")
     atoms = tuple(atoms)
     agents = tuple(agents)
     weights = dict(_DEFAULT_WEIGHTS if weights is None else weights)
@@ -159,21 +164,6 @@ class BoundTooLarge(ValueError):
     pass
 
 
-def _close_int_relation(n: int, rel: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    reach = {i: {i} for i in range(n)}
-    for a, b in rel:
-        reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            extra = set().union(*(reach[b] for b in reach[a]))
-            if not extra <= reach[a]:
-                reach[a] |= extra
-                changed = True
-    return frozenset((a, b) for a in range(n) for b in reach[a] if a != b)
-
-
 def _rooted_posets(n: int) -> list[frozenset[tuple[int, int]]]:
     """All strict orders on 0..n-1 with 0 below everything, one representative
     per isomorphism class, in a deterministic order."""
@@ -186,7 +176,8 @@ def _rooted_posets(n: int) -> list[frozenset[tuple[int, int]]]:
     out: list[frozenset[tuple[int, int]]] = []
     for bits in range(1 << len(optional)):
         chosen = frozenset(optional[k] for k in range(len(optional)) if bits >> k & 1)
-        closed = _close_int_relation(n, base | chosen)
+        closed = frozenset((a, b) for a, b in beth.transitive_closure(range(n), base | chosen)
+                           if a != b)
         canon = min(
             tuple(sorted((perm[a], perm[b]) for a, b in closed))
             for p in itertools.permutations(upper)
@@ -277,16 +268,13 @@ def propositional_pool(atoms: Iterable[str], depth: int) -> list[Formula]:
 
 
 def _semantic_reps(m: BethKripkeModel, pool: Iterable[Formula]) -> list[Formula]:
-    """One representative per truth-vector over every (world, node) of the
-    model.  Sound for announcement-free contexts: such clauses only consult
-    subformula truth at the model's own points."""
-    reps: dict[tuple, Formula] = {}
+    """One representative per extension over every (world, node) of the
+    model, the first of its class in pool order.  Sound for announcement-free
+    contexts: such clauses only consult subformula truth at the model's own
+    points."""
+    reps: dict[int, Formula] = {}
     for f in pool:
-        vec = tuple(
-            dynamic.forces(m, s, n, f).value
-            for s in m.world_order for n in m.worlds[s].node_order
-        )
-        reps.setdefault(vec, f)
+        reps.setdefault(dynamic._ext(m, f), f)
     return list(reps.values())
 
 
@@ -522,36 +510,14 @@ def nontranslatability_witness(max_depth: int = 4) -> WitnessReport:
     bare_leaf = dynamic.forces(wrapped, "w", "c", Atom("p")).value
 
     models = list(enumerate_small_beth(3, ("p",)))
-    wrapped_models = [BethKripkeModel({"w": m}, (), {}) for m in models]
-    target = tuple(dynamic.satisfies(bk, "w", diamond).value for bk in wrapped_models)
-
-    def node_vec(f: Formula) -> tuple:
-        return tuple(beth.forces_prop(m, n, f)
-                     for m in models for n in m.node_order)
-
-    def root_vec(f: Formula) -> tuple:
-        return tuple(beth.forces_prop(m, m.root, f) for m in models)
-
-    seen: set[tuple] = set()
-    reps: list[Formula] = []
+    target = tuple(dynamic.satisfies(BethKripkeModel({"w": m}, (), {}), "w", diamond).value
+                   for m in models)
     equivalent: Optional[Formula] = None
     classes = 0
-    frontier: list[Formula] = [Atom("p"), TOP, BOT]
-    for level in range(max_depth + 1):
-        fresh: list[Formula] = []
-        for f in frontier:
-            fp = node_vec(f)
-            if fp in seen:
-                continue
-            seen.add(fp)
-            classes += 1
-            if equivalent is None and root_vec(f) == target:
-                equivalent = f
-            fresh.append(f)
-        reps.extend(fresh)
-        if level == max_depth or not fresh:
-            break
-        frontier = [Neg(r) for r in reps]
-        frontier += [ctor(a, b) for ctor in (And, Or, Imp) for a in reps for b in reps]
+    for f in beth.fingerprint_classes(models, ("p",), max_depth):
+        classes += 1
+        if equivalent is None and target == tuple(
+                beth.forces_prop(m, m.root, f) for m in models):
+            equivalent = f
     return WitnessReport(diamond_at_root, bare_leaf, len(models), classes,
                          max_depth, equivalent)

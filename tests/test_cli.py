@@ -1,10 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from bethpal.cli import main
-from bethpal.formula import MAX_NESTING
+from bethpal.formula import MAX_NESTING, MAX_SIZE
 from bethpal.modeldoc import parse_model_document
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -106,6 +107,26 @@ class TestDeepFormulas:
         assert main(["check", model_file, "s", text, "--explain"]) == 2
         assert "nested deeper" in capsys.readouterr().err
 
+    def test_nested_biconditionals_exit_two_quickly(self, model_file, capsys):
+        # 145 characters whose expansion has about 1.5 million nodes.
+        text = "(" * 18 + "p" + " <-> q)" * 18
+        start = time.perf_counter()
+        assert main(["check", model_file, "s", text, "--explain"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"more than {MAX_SIZE} nodes" in capsys.readouterr().err
+
+    def test_corpus_within_the_size_limit(self):
+        from bethpal.formula import parse_formula, print_formula
+        from bethpal.proofkit import SCHEMAS, parse_proof
+        from bethpal.sep import build_sep
+        for schema in SCHEMAS.values():
+            assert parse_formula(print_formula(schema.pattern)) == schema.pattern
+        scripts = sorted(PROOF_DIR.glob("*.pf"))
+        assert scripts
+        for path in scripts:
+            parse_proof(path.read_text())
+        assert main(["sep"]) == 0
+
 
 class TestAnnounce:
     def test_updated_document_reparses(self, model_file, capsys, tmp_path):
@@ -176,6 +197,31 @@ class TestAxioms:
                      "--trials", "10"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schemas"]["A6"]["verdict"] == "no-counterexample"
+
+
+class TestCounts:
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--agents", "0"],
+        ["axioms", "--agents", "7"],
+        ["axioms", "--atoms", "20"],
+        ["axioms", "--trials", "-1"],
+        ["axioms", "--trials", "0"],
+        ["axioms", "--depth", "-1"],
+        ["axioms", "--max-nodes", "0"],
+        ["axioms", "--max-worlds", "0"],
+        ["axioms", "--hypothesis", "--hyp-depth", "-1"],
+        ["witness", "--depth", "-2"],
+    ])
+    def test_out_of_range_count_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"argument {argv[-2]}: must be at" in captured.err
+        assert captured.out == ""
+
+    def test_largest_counts_accepted(self, capsys):
+        assert main(["axioms", "--schema", "A3", "--trials", "1",
+                     "--atoms", "10", "--agents", "6"]) == 0
+        assert main(["witness", "--depth", "0"]) == 0
 
 
 class TestProve:

@@ -9,7 +9,11 @@ from bethpal.dynamic import (
 from bethpal.formula import (
     And, Announce, Atom, Diamond, Imp, Know, Neg, Or, BOT, TOP, parse_formula,
 )
-from bethpal.lab import GenParams, random_formula, random_model, split_seed
+from bethpal.beth import forces_prop
+from bethpal.lab import (
+    GenParams, enumerate_small_beth, naive_forces, propositional_pool,
+    random_formula, random_model, split_seed,
+)
 from bethpal.sep import build_sep
 
 p, q = Atom("p"), Atom("q")
@@ -308,3 +312,33 @@ class TestTraces:
         first = satisfies(fork_model, "s", f).value
         second = satisfies(fork_model, "s", f).value
         assert first == second
+
+
+class TestLabelingAgainstOracle:
+    """The labeling evaluator behind forces_prop and forces against the
+    path-based oracle lab.naive_forces, at every point."""
+
+    def test_on_all_small_beth_models(self):
+        pool = propositional_pool(("p", "q"), 1)
+        count = 0
+        for m in enumerate_small_beth(4, ("p", "q")):
+            wrapped = BethKripkeModel({"w": m}, (), {})
+            for f in pool:
+                for node in m.node_order:
+                    assert forces_prop(m, node, f) == naive_forces(wrapped, "w", node, f)
+            count += 1
+        assert count == 281
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_on_random_models(self, s5):
+        rng = random.Random(11)
+        for t in range(300):
+            m = random_model(GenParams(seed=split_seed(11, t), s5=s5))
+            agents = sorted(m.agents)
+            for _ in range(4):
+                f = random_formula(rng, 3, ("p", "q"), agents,
+                                   allow_know=True, allow_announce=True)
+                for s in m.world_order:
+                    for node in m.worlds[s].node_order:
+                        assert forces(m, s, node, f).value == naive_forces(m, s, node, f), (
+                            t, s, node, f)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bethpal import formula
 from bethpal.formula import (
     And, Announce, Atom, Diamond, Imp, Know, Neg, Or,
     BOT, MAX_NESTING, TOP, ParseError, UnboundMetavariable, UnknownToken,
@@ -78,6 +79,15 @@ class TestParsing:
         assert depth(parse_formula("(" * n + "p <-> q" + ")" * n)) == 2
         with pytest.raises(ParseError):
             parse_formula("(" * (n + 1) + "p <-> q" + ")" * (n + 1))
+
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(formula, "MAX_SIZE", 7)
+        assert parse_formula("p <-> q") == parse_formula("(p -> q) & (q -> p)")
+        with pytest.raises(ParseError, match="more than 7 nodes") as exc:
+            parse_formula("p <-> ~q")
+        assert exc.value.position == 2
+        with pytest.raises(ParseError, match="more than 7 nodes"):
+            parse_formula("p & q & p & q & p")
 
     def test_trailing_input(self):
         with pytest.raises(ParseError):

@@ -52,6 +52,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             GenParams(max_worlds=0)
 
+    def test_unnameable_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            GenParams(atom_count=len(lab.ATOM_NAMES) + 1)
+        with pytest.raises(ValueError):
+            GenParams(num_agents=len(lab.AGENT_NAMES) + 1)
+
     def test_random_formula_depth_cap(self):
         rng = random.Random(4)
         from bethpal.formula import depth
@@ -59,6 +65,11 @@ class TestGenerators:
             f = random_formula(rng, 3, ("p", "q"), ("a",),
                                allow_know=True, allow_announce=True)
             assert depth(f) <= 3
+
+    def test_negative_formula_depth_rejected(self):
+        # Below depth 0 the generator would only stop drawing by chance.
+        with pytest.raises(ValueError):
+            random_formula(random.Random(0), -1, ("p", "q"))
 
     def test_split_seed_spreads(self):
         outs = {split_seed(0, i) for i in range(1000)}
