@@ -3,7 +3,7 @@ public announcements, over finite Beth models."""
 
 from .beth import (
     BethModel, PointedBeth, avoiding_path, equivalent_up_to_depth, forces_prop,
-    is_bar, leaf_shortcut_forces, maximal_paths, up_set, validate_beth,
+    is_bar, maximal_paths, up_set, validate_beth,
 )
 from .dynamic import (
     BethKripkeModel, EvalResult, announce, check_s5, forces, restrict_world,

@@ -11,7 +11,7 @@ even when the node itself does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
 from .formula import And, Atom, Formula, Imp, Neg, Or, BOT, TOP, is_propositional
 
@@ -52,6 +52,10 @@ class NodeOutsideUpSet(ModelError):
 class NonPropositionalFormula(ModelError):
     def __init__(self, f: Formula):
         super().__init__(f"formula is not propositional: {f}")
+
+
+class BoundTooLarge(ValueError):
+    pass
 
 
 def transitive_closure(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
@@ -245,28 +249,24 @@ def forces_prop(m: BethModel, a: str, f: Formula) -> bool:
     return bool(extension(m, f) >> m.node_order.index(a) & 1)
 
 
-def leaf_shortcut_forces(m: BethModel, a: str, f: Formula) -> bool:
-    """Same contract as :func:`forces_prop`, through the finite-model
-    shortcut: bar conditions for persistent properties reduce to "all leaves
-    above the node satisfy it", which is how the labeling decides them."""
-    return forces_prop(m, a, f)
+MAX_LAYER = 100_000
 
 
-def fingerprint_classes(models: Sequence[BethModel], atoms: Iterable[str],
-                        max_depth: int) -> Iterator[Formula]:
+def fingerprint_classes(fingerprint: Callable[[Formula], Hashable],
+                        atoms: Iterable[str], max_depth: int) -> Iterator[Formula]:
     """The propositional formulas of depth <= ``max_depth`` over ``atoms``,
-    the first of each fingerprint (its extension in each model) in
-    breadth-first order: atoms, top and bot, then layer by layer the
-    negations and binary combinations of the classes found so far.  A layer
-    without fresh classes cannot seed a fresh deeper one, so it ends the
-    search."""
-    seen: set[tuple[int, ...]] = set()
+    the first of each ``fingerprint`` value in breadth-first order: atoms,
+    top and bot, then layer by layer the negations and binary combinations
+    of the classes found so far.  A layer without fresh classes cannot seed
+    a fresh deeper one, so it ends the search.  Raises BoundTooLarge rather
+    than build a layer of more than MAX_LAYER formulas."""
+    seen: set[Hashable] = set()
     reps: list[Formula] = []
     frontier: list[Formula] = [Atom(a) for a in atoms] + [TOP, BOT]
     for level in range(max_depth + 1):
         fresh: list[Formula] = []
         for f in frontier:
-            fp = tuple(extension(m, f) for m in models)
+            fp = fingerprint(f)
             if fp not in seen:
                 seen.add(fp)
                 fresh.append(f)
@@ -274,6 +274,10 @@ def fingerprint_classes(models: Sequence[BethModel], atoms: Iterable[str],
         reps.extend(fresh)
         if level == max_depth or not fresh:
             return
+        size = len(reps) + 3 * len(reps) ** 2
+        if size > MAX_LAYER:
+            raise BoundTooLarge(f"depth {level + 1} needs a layer of {size:,} formulas, "
+                                f"more than {MAX_LAYER:,}")
         frontier = [Neg(r) for r in reps]
         frontier += [ctor(a, b) for ctor in (And, Or, Imp) for a in reps for b in reps]
 
@@ -288,7 +292,8 @@ def equivalent_up_to_depth(x: PointedBeth, y: PointedBeth, d: int,
     semantic fingerprint (see :func:`fingerprint_classes`), so the search
     space stays small even at generous depths.
     """
-    classes = fingerprint_classes((x.model, y.model), sorted(set(atoms)), d)
+    classes = fingerprint_classes(lambda f: (extension(x.model, f), extension(y.model, f)),
+                                  sorted(set(atoms)), d)
     return next((f for f in classes
                  if forces_prop(x.model, x.point, f) != forces_prop(y.model, y.point, f)),
                 None)

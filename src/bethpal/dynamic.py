@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from . import beth
-from .beth import BethModel, validate_beth
+from .beth import BethModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
     print_formula,
@@ -192,12 +192,11 @@ def _ext(m: BethKripkeModel, f: Formula) -> int:
                 if not any(pts.world[t] & missing for t in m.successors(agent, s)):
                     value |= pts.world[s]
         case Announce(ann, body) | Diamond(ann, body):
-            refuted = _ext(m, Neg(ann))
-            executable = [s for s in m.world_order if not pts.root[s] & refuted]
+            updated = announce(m, ann)
+            executable = updated.world_order
             value = 0 if isinstance(f, Diamond) else (
                 pts.all - sum(pts.world[s] for s in executable))
             if executable:
-                updated = announce(m, ann)
                 holds = _ext(updated, body)
                 roots = _layout(updated).root
                 value |= sum(pts.world[s] for s in executable if roots[s] & holds)
@@ -228,31 +227,36 @@ def satisfies(m: BethKripkeModel, s: str, f: Formula,
 
 
 def restrict_world(m: BethKripkeModel, s: str, ann: Formula) -> Optional[BethModel]:
-    """Keep the nodes of world ``s`` that do not force ¬ann (computed in the
-    original model); None when the root itself is dropped."""
-    w = m.world(s)
-    neg = Neg(ann)
-    keep = [n for n in w.node_order if not _eval(m, s, n, neg)]
-    if w.root not in keep:
-        return None
-    kept = set(keep)
-    order = [(a, b) for (a, b) in w.leq_pairs if a != b and a in kept and b in kept]
-    val = {n: w.val[n] for n in keep}
-    return validate_beth(keep, order, w.root, val, atoms=w.atoms)
+    """World ``s`` of the updated model :func:`announce` builds; None when
+    the announcement drops it."""
+    m.world(s)
+    return announce(m, ann).worlds.get(s)
 
 
 def announce(m: BethKripkeModel, ann: Formula) -> BethKripkeModel:
-    """The updated model: surviving worlds restricted, accessibility
-    intersected.  An empty result is a value, not an error; evaluating
-    anything on it raises UnknownWorld."""
+    """The updated model: each world keeps the nodes that do not force ¬ann
+    (in ``m``) and is dropped when its root forces ¬ann; accessibility is
+    intersected with the surviving worlds.  An empty result is a value, not
+    an error; evaluating anything on it raises UnknownWorld.
+
+    ¬ann is persistent, so the kept nodes form a down-set that contains the
+    root.  Restricted to them, the order is still a partial order with the
+    root below every node and the valuation is still monotone, so a kept
+    world needs no re-validation."""
     cached = m._announce.get(ann)
     if cached is not None:
         return cached
+    refuted = _ext(m, Neg(ann))
+    bit = _layout(m).bit
     survivors: dict[str, BethModel] = {}
     for s in m.world_order:
-        restricted = restrict_world(m, s, ann)
-        if restricted is not None:
-            survivors[s] = restricted
+        w = m.worlds[s]
+        if refuted >> bit[s, w.root] & 1:
+            continue
+        keep = tuple(n for n in w.node_order if not refuted >> bit[s, n] & 1)
+        kept = frozenset(keep)
+        leq = frozenset((a, b) for (a, b) in w.leq_pairs if a in kept and b in kept)
+        survivors[s] = BethModel(keep, leq, w.root, {n: w.val[n] for n in keep}, w.atoms)
     access = {
         agent: frozenset((a, b) for (a, b) in pairs if a in survivors and b in survivors)
         for agent, pairs in m.access.items()
@@ -274,34 +278,23 @@ class RelationReport:
 
 
 def check_s5(m: BethKripkeModel) -> dict[str, RelationReport]:
+    """Each failed property's witness is the first missing pair in the
+    order of world names, then of sorted successors."""
     reports: dict[str, RelationReport] = {}
     for agent in sorted(m.agents):
         rel = m.access[agent]
+        succ = {s: m.successors(agent, s) for s in m.world_order}
+        gaps = {
+            "reflexive": ((s, s) for s in m.world_order),
+            "transitive": ((a, c) for a in m.world_order for b in succ[a] for c in succ[b]),
+            "euclidean": ((b, c) for a in m.world_order for b in succ[a] for c in succ[a]),
+        }
         witnesses: dict[str, tuple[str, str]] = {}
-        reflexive = True
-        for s in m.world_order:
-            if (s, s) not in rel:
-                reflexive = False
-                witnesses["reflexive"] = (s, s)
-                break
-        transitive = True
-        for (a, b) in sorted(rel):
-            for (b2, c) in sorted(rel):
-                if b == b2 and (a, c) not in rel:
-                    transitive = False
-                    witnesses["transitive"] = (a, c)
-                    break
-            if not transitive:
-                break
-        euclidean = True
-        for (a, b) in sorted(rel):
-            for (a2, c) in sorted(rel):
-                if a == a2 and (b, c) not in rel:
-                    euclidean = False
-                    witnesses["euclidean"] = (b, c)
-                    break
-            if not euclidean:
-                break
+        for prop, pairs in gaps.items():
+            gap = next((pair for pair in pairs if pair not in rel), None)
+            if gap is not None:
+                witnesses[prop] = gap
+        reflexive, transitive, euclidean = (prop not in witnesses for prop in gaps)
         reports[agent] = RelationReport(
             reflexive, transitive, euclidean,
             reflexive and transitive and euclidean, witnesses,
@@ -377,13 +370,12 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
                          f"holds at every node of accessible worlds {_fmt_nodes(succ, max_items)}"
                          if succ else "no accessible worlds")
         case Announce(ann, body) | Diamond(ann, body):
-            dual = isinstance(f, Diamond)
-            rule = "diamond" if dual else "announce"
-            if _eval(m, s, w.root, Neg(ann)):
+            rule = "diamond" if isinstance(f, Diamond) else "announce"
+            updated = announce(m, ann)
+            if s not in updated.worlds:
                 note = "announcement not executable: root forces the negation"
                 return Trace(s, node, f, rule, value, note,
                              (sub(w.root, Neg(ann)),))
-            updated = announce(m, ann)
             dropped = sorted(set(w.node_order) - set(updated.world(s).node_order))
             note = (f"announcement executable; dropped nodes {_fmt_nodes(dropped, max_items)}"
                     if dropped else "announcement executable; no node dropped")

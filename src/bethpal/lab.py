@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Union
 
 from . import beth, dynamic, modeldoc
-from .beth import BethModel, validate_beth
+from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
@@ -160,10 +160,6 @@ def random_formula(rng: random.Random, max_depth: int, atoms: Iterable[str],
 # ---------------------------------------------------------------------------
 # Exhaustive small-model enumeration
 
-class BoundTooLarge(ValueError):
-    pass
-
-
 def _rooted_posets(n: int) -> list[frozenset[tuple[int, int]]]:
     """All strict orders on 0..n-1 with 0 below everything, one representative
     per isomorphism class, in a deterministic order."""
@@ -254,24 +250,19 @@ class SchemaInstanceSpace:
 
 def propositional_pool(atoms: Iterable[str], depth: int) -> list[Formula]:
     """Every propositional formula up to the given depth, deterministic order."""
-    pool: list[Formula] = [Atom(a) for a in sorted(set(atoms))] + [TOP, BOT]
-    seen: set[Formula] = set(pool)
-    for _ in range(depth):
-        prev = list(pool)
-        fresh: list[Formula] = [Neg(f) for f in prev]
-        fresh += [ctor(a, b) for ctor in (And, Or, Imp) for a in prev for b in prev]
-        for f in fresh:
-            if f not in seen:
-                seen.add(f)
-                pool.append(f)
-    return pool
+    return list(fingerprint_classes(lambda f: f, sorted(set(atoms)), depth))
 
 
 def _semantic_reps(m: BethKripkeModel, pool: Iterable[Formula]) -> list[Formula]:
     """One representative per extension over every (world, node) of the
-    model, the first of its class in pool order.  Sound for announcement-free
-    contexts: such clauses only consult subformula truth at the model's own
-    points."""
+    model, the first of its class in pool order.
+
+    Sound in every context, announcements included: every formula is
+    persistent and holds at a node iff it holds at every leaf above it, so a
+    node survives an update only if some leaf above it survives, and an
+    update never creates a leaf.  A propositional instance's extension in
+    any updated model is therefore fixed by its classical values at the
+    original leaves, which formulas of one class share."""
     reps: dict[int, Formula] = {}
     for f in pool:
         reps.setdefault(dynamic._ext(m, f), f)
@@ -514,7 +505,8 @@ def nontranslatability_witness(max_depth: int = 4) -> WitnessReport:
                    for m in models)
     equivalent: Optional[Formula] = None
     classes = 0
-    for f in beth.fingerprint_classes(models, ("p",), max_depth):
+    for f in fingerprint_classes(lambda f: tuple(beth.extension(m, f) for m in models),
+                                 ("p",), max_depth):
         classes += 1
         if equivalent is None and target == tuple(
                 beth.forces_prop(m, m.root, f) for m in models):

@@ -14,9 +14,10 @@ UTF-8, ``#`` line comments.  Example::
     access student: (s, s)
 
 ``order`` may list covering edges only; the transitive closure is computed on
-load.  A node without a ``val`` entry has the empty valuation.  Serialization
-is canonical (sorted names, covering edges only), so serialize-parse-serialize
-is byte identical.
+load.  A node without a ``val`` entry has the empty valuation.  Atom names
+start with a letter and are neither ``top`` nor ``bot``, so that a formula
+can name every atom.  Serialization is canonical (sorted names, covering
+edges only), so serialize-parse-serialize is byte identical.
 """
 from __future__ import annotations
 
@@ -189,7 +190,11 @@ def _parse_world(p: _DocParser, name: str) -> BethModel:
             p.expect("{")
             if node in val:
                 raise DocumentError(f"duplicate valuation for node {node!r}", lineno)
-            val[node] = set(p.ident_list("atom name")) if p.peek() != "}" else set()
+            atoms = p.ident_list("atom name") if p.peek() != "}" else []
+            for atom in atoms:
+                if atom in ("top", "bot") or not atom[0].isalpha():
+                    raise DocumentError(f"atom {atom!r} cannot be named in a formula", lineno)
+            val[node] = set(atoms)
             p.expect("}")
         else:
             raise DocumentError(f"unknown world entry {key!r}", lineno)

@@ -3,6 +3,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bethpal.cli import main
 from bethpal.formula import MAX_NESTING, MAX_SIZE
@@ -128,6 +129,51 @@ class TestDeepFormulas:
         assert main(["sep"]) == 0
 
 
+_FORMULA_PIECES = [
+    "p", "q", "P", "top", "bot", "K{i}", "K{zz}", "K{", "K", "~", "&", "|", "->",
+    "<->", "<", ">", "[", "]", "(", ")", "{", "}", " ",
+    "¬", "∧", "∨", "→", "↔", "⊤", "⊥",
+    "%", "$", "_", "0", "-", "\\", "\n", "é", "\x00",
+]
+_noise = st.lists(st.sampled_from(_FORMULA_PIECES), max_size=40).map("".join)
+_well_formed = st.recursive(
+    st.sampled_from(["p", "q", "P", "top", "bot", "⊤", "⊥"]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["~", "¬", "K{i}", "K{zz}"]), sub).map("".join),
+        st.tuples(sub, st.sampled_from(["&", "∧", "|", "∨", "->", "→", "<->", "↔"]), sub)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["[{}]{}", "<{}>{}"]), sub, sub)
+        .map(lambda t: t[0].format(t[1], t[2])),
+    ),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def shared_model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("docs") / "fork.model"
+    path.write_text(FORK_DOC)
+    return str(path)
+
+
+class TestTotality:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_noise, _well_formed, st.tuples(_well_formed, _noise).map("".join)))
+    def test_any_formula_string_exits_zero_one_or_two(self, shared_model_file, text):
+        for argv in (["check", shared_model_file, "s", text],
+                     ["check", "--explain", shared_model_file, "s", text],
+                     ["announce", shared_model_file, text]):
+            assert main(argv) in (0, 1, 2)
+
+
+class TestAtomNames:
+    def test_uppercase_atom_checks(self, tmp_path, capsys):
+        path = tmp_path / "m.model"
+        path.write_text("agents:\nworld s { root: a; nodes: a; val a: {P}; }\n")
+        assert main(["check", str(path), "s", "P"]) == 0
+        assert main(["check", str(path), "s", "p"]) == 1
+
+
 class TestAnnounce:
     def test_updated_document_reparses(self, model_file, capsys, tmp_path):
         out = tmp_path / "updated.model"
@@ -222,6 +268,17 @@ class TestCounts:
         assert main(["axioms", "--schema", "A3", "--trials", "1",
                      "--atoms", "10", "--agents", "6"]) == 0
         assert main(["witness", "--depth", "0"]) == 0
+
+    def test_unbounded_instance_pool_exits_two_quickly(self, capsys):
+        # Depth 3 would build about 269 million formulas before any trial.
+        start = time.perf_counter()
+        assert main(["axioms", "--depth", "3", "--trials", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "more than 100,000" in capsys.readouterr().err
+
+    def test_semantic_search_stops_at_its_classes(self, capsys):
+        assert main(["witness", "--depth", "50"]) == 0
+        assert "4 semantic classes" in capsys.readouterr().out
 
 
 class TestProve:

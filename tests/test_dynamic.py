@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from bethpal.dynamic import (
 from bethpal.formula import (
     And, Announce, Atom, Diamond, Imp, Know, Neg, Or, BOT, TOP, parse_formula,
 )
-from bethpal.beth import forces_prop
+from bethpal.beth import forces_prop, validate_beth
 from bethpal.lab import (
     GenParams, enumerate_small_beth, naive_forces, propositional_pool,
     random_formula, random_model, split_seed,
@@ -155,6 +156,23 @@ class TestS5Check:
         assert not report.equivalence
         assert not m.is_s5
 
+    def test_first_witness_of_each_failure(self, world_p):
+        rel = {("s", "t"), ("t", "t"), ("t", "u"), ("u", "s")}
+        m = BethKripkeModel({w: world_p for w in "stu"}, ("i",), {"i": rel})
+        report = check_s5(m)["i"]
+        assert not (report.reflexive or report.transitive or report.euclidean)
+        assert report.witnesses == {"reflexive": ("s", "s"), "transitive": ("s", "u"),
+                                    "euclidean": ("u", "t")}
+
+    def test_large_universal_relation(self, world_p):
+        # Re-sorting the relation inside the pair loops took seconds here.
+        names = [f"w{i:02d}" for i in range(40)]
+        m = BethKripkeModel({w: world_p for w in names}, ("i",),
+                            {"i": {(a, b) for a in names for b in names}})
+        start = time.perf_counter()
+        assert check_s5(m)["i"].equivalence
+        assert time.perf_counter() - start < 1.0
+
 
 def _models(seed, count, **kw):
     for t in range(count):
@@ -223,6 +241,32 @@ class TestModelProperties:
                 kept = restricted.nodes
                 for b in kept:
                     assert all(a in kept for a in w.node_order if w.leq(a, b))
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_restriction_matches_validation(self, s5):
+        # announce builds each kept world without re-validating it; the
+        # validated model of the same nodes, order, valuation and atoms is
+        # the reference.
+        rng = random.Random(28)
+        shrunk = 0
+        for m in _models(28, 150, s5=s5):
+            agents = sorted(m.agents)
+            ann = random_formula(rng, 2, ("p", "q"), agents,
+                                 allow_know=True, allow_announce=True)
+            for s in m.world_order:
+                w = m.worlds[s]
+                keep = [n for n in w.node_order if not naive_forces(m, s, n, Neg(ann))]
+                restricted = restrict_world(m, s, ann)
+                if w.root not in keep:
+                    assert restricted is None
+                    continue
+                order = [(a, b) for (a, b) in w.leq_pairs if a in keep and b in keep]
+                ref = validate_beth(keep, order, w.root, {n: w.val[n] for n in keep}, w.atoms)
+                for attr in ("node_order", "leq_pairs", "root", "val", "atoms",
+                             "covers", "leaves"):
+                    assert getattr(restricted, attr) == getattr(ref, attr), attr
+                shrunk += len(keep) < len(w.node_order)
+        assert shrunk > 10
 
     def test_diamond_box_duality(self):
         rng = random.Random(26)

@@ -111,6 +111,7 @@ class TestEnumeration:
     def test_pool_size(self):
         assert len(propositional_pool(("p", "q"), 0)) == 4
         assert len(propositional_pool(("p", "q"), 1)) == 56
+        assert len(propositional_pool(("p", "q"), 2)) == 9468
 
 
 class TestValidityTrials:
@@ -148,6 +149,46 @@ class TestValidityTrials:
         from bethpal.modeldoc import parse_model_document
         replayed = parse_model_document(serialize_model(verdict.model))
         assert not satisfies(replayed, verdict.world, verdict.instance).value
+
+
+class TestDedupSoundness:
+    """Instance dedup keeps one formula per extension; announcements inside
+    a schema do not split those classes, since an update never creates a
+    leaf and a propositional formula's extension is fixed by its values at
+    the leaves."""
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_classes_survive_updates(self, s5):
+        rng = random.Random(31)
+        pool = propositional_pool(("p", "q"), 1)
+        for t in range(100):
+            m = random_model(GenParams(seed=split_seed(31, t), s5=s5))
+            agents = sorted(m.agents)
+            classes: dict[int, list] = {}
+            for f in pool:
+                classes.setdefault(lab.dynamic._ext(m, f), []).append(f)
+            for _ in range(3):
+                ann = random_formula(rng, 2, ("p", "q"), agents,
+                                     allow_know=True, allow_announce=True)
+                updated = lab.dynamic.announce(m, ann)
+                for s in updated.world_order:
+                    assert updated.worlds[s].leaves <= m.worlds[s].leaves
+                for members in classes.values():
+                    assert len({lab.dynamic._ext(updated, f) for f in members}) == 1
+
+    @pytest.mark.parametrize("s5", [True, False])
+    @pytest.mark.parametrize("schema", ["[X]Y -> (X -> Y)", "<X>Y -> Y"])
+    def test_dedup_matches_full_sweep(self, schema, s5, monkeypatch):
+        space = SchemaInstanceSpace(parse_formula(schema))
+        gen = GenParams(seed=3, s5=s5)
+
+        def verdict():
+            v = lab.test_validity(space, gen, 1)
+            return (type(v), getattr(v, "world", None), getattr(v, "instance", None))
+
+        deduplicated = verdict()
+        monkeypatch.setattr(lab, "_semantic_reps", lambda m, pool: list(pool))
+        assert verdict() == deduplicated
 
 
 class TestHypothesisExperiment:

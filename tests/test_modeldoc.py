@@ -78,6 +78,15 @@ class TestParsing:
             parse_model_document("agents: i\nworld s { root: a; nodes: a; % }")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("name", ["top", "bot", "_x"])
+    def test_unnameable_atom_rejected(self, name):
+        with pytest.raises(DocumentError) as exc:
+            parse_model_document(
+                f"agents:\nworld s {{ root: a; nodes: a, b; order: a < b;\n"
+                f"val b: {{p, {name}}}; }}")
+        assert exc.value.line == 3
+        assert repr(name) in str(exc.value)
+
     def test_validation_errors_propagate(self):
         with pytest.raises(NonMonotoneValuation):
             parse_model_document(
