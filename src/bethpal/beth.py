@@ -144,9 +144,9 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
     if root not in node_set:
         raise UnknownNode(root)
     closed = transitive_closure(node_tuple, order)
-    for a, b in closed:
-        if a != b and (b, a) in closed:
-            raise NotAPartialOrder((a, b))
+    cycle = [(a, b) for a, b in closed if a != b and (b, a) in closed]
+    if cycle:
+        raise NotAPartialOrder(min(cycle))
     for b in node_tuple:
         if (root, b) not in closed:
             raise NoRoot((root, b))
@@ -156,11 +156,10 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
             if a not in node_set:
                 raise UnknownNode(a)
             valuation[a] = frozenset(atoms_at)
-    for a, b in closed:
-        if a != b:
-            missing = valuation[a] - valuation[b]
-            if missing:
-                raise NonMonotoneValuation(a, b, sorted(missing)[0])
+    lost = [(a, b) for a, b in closed if not valuation[a] <= valuation[b]]
+    if lost:
+        a, b = min(lost)
+        raise NonMonotoneValuation(a, b, min(valuation[a] - valuation[b]))
     universe = frozenset(atoms) | frozenset().union(*valuation.values())
     return BethModel(node_tuple, closed, root, valuation, universe)
 

@@ -16,7 +16,7 @@ finite models a bar for it exists exactly when every leaf above forces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from . import beth
 from .beth import BethModel
@@ -53,13 +53,12 @@ class BethKripkeModel:
             if agent not in self.agents:
                 raise UnknownAgent(agent)
             pairs = frozenset(pairs)
-            for s, t in pairs:
-                if s not in self.worlds:
-                    raise UnknownWorld(s)
-                if t not in self.worlds:
-                    raise UnknownWorld(t)
+            stray = [(s, t) for s, t in pairs if s not in self.worlds or t not in self.worlds]
+            if stray:
+                s, t = min(stray)
+                raise UnknownWorld(s if s not in self.worlds else t)
             self.access[agent] = pairs
-        self._succ: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._succ: dict[str, dict[str, tuple[str, ...]]] = {}     # agent -> world -> successors
         self._points: Optional[_Points] = None      # built on first evaluation
         self._labels: dict[Formula, int] = {}
         self._announce: dict[Formula, "BethKripkeModel"] = {}
@@ -72,14 +71,17 @@ class BethKripkeModel:
             raise UnknownWorld(s) from None
 
     def successors(self, agent: str, s: str) -> tuple[str, ...]:
-        if agent not in self.agents:
-            raise UnknownAgent(agent)
-        key = (agent, s)
-        hit = self._succ.get(key)
-        if hit is None:
-            hit = tuple(sorted(t for (u, t) in self.access[agent] if u == s))
-            self._succ[key] = hit
-        return hit
+        """The worlds ``agent`` considers possible at ``s``, sorted.  The
+        first call for an agent indexes all its pairs in one pass."""
+        index = self._succ.get(agent)
+        if index is None:
+            if agent not in self.agents:
+                raise UnknownAgent(agent)
+            grouped: dict[str, list[str]] = {}
+            for u, t in self.access[agent]:
+                grouped.setdefault(u, []).append(t)
+            index = self._succ[agent] = {u: tuple(sorted(ts)) for u, ts in grouped.items()}
+        return index.get(s, ())
 
     @property
     def is_empty(self) -> bool:
@@ -163,47 +165,54 @@ def _avoiding(masks: list[tuple[int, int]], x: int) -> int:
 
 def _ext(m: BethKripkeModel, f: Formula) -> int:
     """The points of ``m`` that force ``f``, as a bitmask (see :class:`_Points`),
-    memoized per model.  Atoms and ∨ hold where every leaf above is in the
-    set, → and ¬ where the up-set avoids the counterexamples, K and the
-    announcement operators world by world."""
+    memoized per model."""
     hit = m._labels.get(f)
     if hit is not None:
         return hit
+    value = m._labels[f] = _label(m, f, _ext)
+    return value
+
+
+def _label(m: BethKripkeModel, f: Formula,
+           ext: Callable[[BethKripkeModel, Formula], int]) -> int:
+    """The clauses of the labeling: the extension of ``f`` in ``m`` from the
+    extensions ``ext`` gives its arguments.  Atoms and ∨ hold where every
+    leaf above is in the set, → and ¬ where the up-set avoids the
+    counterexamples, K and the announcement operators world by world."""
     pts = _layout(m)
     match f:
         case Top():
-            value = pts.all
+            return pts.all
         case Bot():
-            value = 0
+            return 0
         case Atom(name):
-            value = _avoiding(pts.leaves, ~pts.atoms.get(name, 0))
+            return _avoiding(pts.leaves, ~pts.atoms.get(name, 0))
         case And(x, y):
-            value = _ext(m, x) & _ext(m, y)
+            return ext(m, x) & ext(m, y)
         case Or(x, y):
-            value = _avoiding(pts.leaves, ~(_ext(m, x) | _ext(m, y)))
+            return _avoiding(pts.leaves, ~(ext(m, x) | ext(m, y)))
         case Imp(x, y):
-            value = _avoiding(pts.up, _ext(m, x) & ~_ext(m, y))
+            return _avoiding(pts.up, ext(m, x) & ~ext(m, y))
         case Neg(x):
-            value = _avoiding(pts.up, _ext(m, x))
+            return _avoiding(pts.up, ext(m, x))
         case Know(agent, body):
-            missing = ~_ext(m, body)
+            missing = ~ext(m, body)
             value = 0
             for s in m.world_order:
                 if not any(pts.world[t] & missing for t in m.successors(agent, s)):
                     value |= pts.world[s]
+            return value
         case Announce(ann, body) | Diamond(ann, body):
             updated = announce(m, ann)
             executable = updated.world_order
             value = 0 if isinstance(f, Diamond) else (
                 pts.all - sum(pts.world[s] for s in executable))
             if executable:
-                holds = _ext(updated, body)
+                holds = ext(updated, body)
                 roots = _layout(updated).root
                 value |= sum(pts.world[s] for s in executable if roots[s] & holds)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    m._labels[f] = value
-    return value
+            return value
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _eval(m: BethKripkeModel, s: str, node: str, f: Formula) -> bool:
@@ -314,6 +323,18 @@ def _fmt_nodes(nodes: Iterable[str], max_items: int) -> str:
     return "{" + ", ".join(nodes) + "}"
 
 
+def _first_above(m: BethKripkeModel, s: str, node: str, points: int) -> Optional[str]:
+    """The first node in ``node_order`` of world ``s`` that is above ``node``
+    and whose point is in ``points``; None when there is none."""
+    pts = _layout(m)
+    hits = pts.up[pts.bit[s, node]][1] & points
+    if not hits:
+        return None
+    w = m.worlds[s]
+    lowest = (hits & -hits).bit_length() - 1
+    return w.node_order[lowest - pts.bit[s, w.node_order[0]]]
+
+
 def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) -> Trace:
     w = m.world(s)
     value = _eval(m, s, node, f)
@@ -345,17 +366,17 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
             return Trace(s, node, f, "or-bar", value, note,
                          children=(sub(node, x), sub(node, y)))
         case Imp(x, y):
-            for b in w.up[node]:
-                if _eval(m, s, b, x) and not _eval(m, s, b, y):
-                    return Trace(s, node, f, "implies", value,
-                                 f"fails above at {b!r}", (sub(b, x), sub(b, y)))
+            b = _first_above(m, s, node, _ext(m, x) & ~_ext(m, y))
+            if b is not None:
+                return Trace(s, node, f, "implies", value,
+                             f"fails above at {b!r}", (sub(b, x), sub(b, y)))
             return Trace(s, node, f, "implies", value,
                          f"holds at every node of {_fmt_nodes(w.up[node], max_items)}")
         case Neg(x):
-            for b in w.up[node]:
-                if _eval(m, s, b, x):
-                    return Trace(s, node, f, "not", value,
-                                 f"body forced above at {b!r}", (sub(b, x),))
+            b = _first_above(m, s, node, _ext(m, x))
+            if b is not None:
+                return Trace(s, node, f, "not", value,
+                             f"body forced above at {b!r}", (sub(b, x),))
             return Trace(s, node, f, "not", value,
                          f"body fails at every node of {_fmt_nodes(w.up[node], max_items)}")
         case Know(agent, body):

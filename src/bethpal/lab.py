@@ -8,17 +8,18 @@ and serial runs of a suite see the same models.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from . import beth, dynamic, modeldoc
 from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    BOT, TOP, metavariables, print_formula, subformulas, substitute,
+    BOT, TOP, is_metavariable, metavariables, print_formula, subformulas, substitute,
 )
 
 ATOM_NAMES = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z")
@@ -248,9 +249,18 @@ class SchemaInstanceSpace:
     atoms: tuple[str, ...] = ("p", "q")
 
 
+POOL_CACHE_SIZE = 8
+
+
 def propositional_pool(atoms: Iterable[str], depth: int) -> list[Formula]:
-    """Every propositional formula up to the given depth, deterministic order."""
-    return list(fingerprint_classes(lambda f: f, sorted(set(atoms)), depth))
+    """Every propositional formula up to the given depth, deterministic order.
+    Computed once per atom set and depth; each call returns a fresh list."""
+    return list(_pool(tuple(sorted(set(atoms))), depth))
+
+
+@functools.lru_cache(maxsize=POOL_CACHE_SIZE)
+def _pool(atoms: tuple[str, ...], depth: int) -> tuple[Formula, ...]:
+    return tuple(fingerprint_classes(lambda f: f, atoms, depth))
 
 
 def _semantic_reps(m: BethKripkeModel, pool: Iterable[Formula]) -> list[Formula]:
@@ -273,15 +283,37 @@ def _agent_metavariables(schema: Formula) -> tuple[str, ...]:
     return tuple(sorted({g.agent for g in subformulas(schema) if isinstance(g, Know)}))
 
 
+def _instance_ext(m: BethKripkeModel, f: Formula, binding: Mapping[str, Formula]) -> int:
+    """The extension of the instance ``substitute(f, binding)`` in ``m``,
+    labeled through the clauses of :func:`dynamic._label` without building
+    the instance.  A formula metavariable reads its bound formula's memoized
+    extension, and ``K`` takes its bound agent.  An announcement is labeled
+    on its built instance, since the updated model is keyed by the announced
+    formula."""
+    match f:
+        case Atom(name) if is_metavariable(name):
+            return dynamic._ext(m, binding[name])
+        case Know(agent, body):
+            f = Know(binding[agent].name, body)
+        case Announce() | Diamond():
+            return dynamic._ext(m, substitute(f, binding))
+    return dynamic._label(m, f, lambda model, g: _instance_ext(model, g, binding))
+
+
 def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Verdict:
     """Draw ``trials`` models; check every (deduplicated) schema instance at
-    every world.  First failure wins."""
+    the root of every world.  First failure wins.
+
+    An instance is labeled through the evaluator's clauses under its binding
+    (see :func:`_instance_ext`) and built only when it fails; the pool of
+    candidate formulas is computed once per atom set and depth."""
     pool = propositional_pool(space.atoms, space.depth)
     fvars = sorted(metavariables(space.schema))
     avars = _agent_metavariables(space.schema)
     for t in range(trials):
         m = random_model(replace(gen, seed=split_seed(gen.seed, t)))
         reps = _semantic_reps(m, pool)
+        roots = dynamic._layout(m).root
         agents = sorted(m.agents)
         for agent_choice in itertools.product(agents, repeat=len(avars)):
             binding: dict[str, Formula] = {
@@ -289,10 +321,10 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
             }
             for formula_choice in itertools.product(reps, repeat=len(fvars)):
                 binding.update(zip(fvars, formula_choice))
-                instance = substitute(space.schema, binding)
+                holds = _instance_ext(m, space.schema, binding)
                 for s in m.world_order:
-                    if not dynamic.satisfies(m, s, instance).value:
-                        return Counterexample(m, s, instance)
+                    if not holds & roots[s]:
+                        return Counterexample(m, s, substitute(space.schema, binding))
     return NoCounterexample(trials)
 
 

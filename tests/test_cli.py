@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from bethpal.formula import MAX_NESTING, MAX_SIZE
 from bethpal.modeldoc import parse_model_document
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 FORK_DOC = """\
 agents: i
@@ -335,3 +339,80 @@ class TestEnumerateAndWitness:
 
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2
+
+
+FIVE_LEAVES_DOC = """\
+agents: i
+world s {
+  root: r;
+  nodes: r, b, c, d, e, f;
+  order: r < b, r < c, r < d, r < e, r < f;
+  val b: {p}; val c: {p}; val d: {p}; val e: {p};
+}
+access i: (s, s)
+"""
+
+CYCLE_DOC = """\
+agents:
+world s { root: a; nodes: a, b, c, d, e; order: a < b, b < c, c < d, d < e, e < a; }
+"""
+
+NON_MONOTONE_DOC = """\
+agents:
+world s { root: a; nodes: a, b, c, d; order: a < b, b < c, c < d; val a: {p, q, r}; }
+"""
+
+# Runs each argument list through cli.main and prints exit code, standard
+# output and standard error; then one API error that names a world.
+_RUN_ALL = """\
+import contextlib, io, json, sys
+from bethpal.beth import validate_beth
+from bethpal.cli import main
+from bethpal.dynamic import BethKripkeModel, UnknownWorld
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(code, out.getvalue(), err.getvalue(), sep="\\n")
+try:
+    BethKripkeModel({"s": validate_beth(("a",), (), "a")}, ("i",),
+                    {"i": {("s", t) for t in "vwxyz"}})
+except UnknownWorld as e:
+    print(e)
+"""
+
+
+class TestHashSeedIndependence:
+    """Witnesses and error messages are the first in a fixed order, so the
+    output bytes do not depend on PYTHONHASHSEED."""
+
+    def test_same_bytes_under_every_hash_seed(self, tmp_path):
+        docs = {"five.model": FIVE_LEAVES_DOC, "cycle.model": CYCLE_DOC,
+                "chain.model": NON_MONOTONE_DOC}
+        for name, text in docs.items():
+            (tmp_path / name).write_text(text)
+        five = str(tmp_path / "five.model")
+        runs = [
+            ["check", five, "s", "~p", "--explain"],
+            ["check", five, "s", "p -> q", "--explain"],
+            ["--format", "json", "check", five, "s", "~~p -> q", "--explain"],
+            ["check", str(tmp_path / "cycle.model"), "s", "p"],
+            ["check", str(tmp_path / "chain.model"), "s", "p"],
+            ["sep"],
+            ["witness", "--depth", "3"],
+            ["--seed", "3", "axioms", "--schema", "A6", "--trials", "30",
+             "--hypothesis", "--hyp-depth", "2"],
+        ]
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
+                                  env=env, capture_output=True, timeout=120, check=True)
+            outputs.add(done.stdout)
+        (text,) = {out.decode() for out in outputs}
+        assert "body forced above at 'b'" in text
+        assert "fails above at 'b'" in text
+        assert "cycle through 'a' and 'b'" in text
+        assert "atom 'p' holds at 'a' but not at 'b'" in text
+        assert text.endswith("unknown world 'v'\n")

@@ -4,8 +4,8 @@ import time
 import pytest
 
 from bethpal.dynamic import (
-    BethKripkeModel, UnknownAgent, UnknownWorld, announce, check_s5, forces,
-    render_trace, restrict_world, satisfies,
+    BethKripkeModel, RelationReport, UnknownAgent, UnknownWorld, announce,
+    check_s5, forces, render_trace, restrict_world, satisfies,
 )
 from bethpal.formula import (
     And, Announce, Atom, Diamond, Imp, Know, Neg, Or, BOT, TOP, parse_formula,
@@ -172,6 +172,44 @@ class TestS5Check:
         start = time.perf_counter()
         assert check_s5(m)["i"].equivalence
         assert time.perf_counter() - start < 1.0
+
+    def test_witnesses_match_the_pair_scan(self, world_p):
+        """Against the construction that found each world's successors by
+        scanning all of the agent's pairs."""
+        rng = random.Random(17)
+        for _ in range(500):
+            names = [f"w{i}" for i in range(rng.randint(1, 5))]
+            density = rng.random()
+            rel = {(a, b) for a in names for b in names if rng.random() < density}
+            m = BethKripkeModel({w: world_p for w in names}, ("i",), {"i": rel})
+            assert check_s5(m)["i"] == _scanning_check_s5(m, "i")
+
+    def test_first_knowledge_check_on_320_worlds(self, world_p):
+        # Scanning every pair for every world took over a second here.
+        names = [f"w{i:03d}" for i in range(320)]
+        m = BethKripkeModel({w: world_p for w in names}, ("i",),
+                            {"i": {(a, b) for a in names for b in names}})
+        start = time.perf_counter()
+        assert satisfies(m, names[0], parse_formula("K{i}p")).value
+        assert time.perf_counter() - start < 0.5
+
+
+def _scanning_check_s5(m, agent):
+    rel = m.access[agent]
+    succ = {s: tuple(sorted(t for (u, t) in rel if u == s)) for s in m.world_order}
+    gaps = {
+        "reflexive": ((s, s) for s in m.world_order),
+        "transitive": ((a, c) for a in m.world_order for b in succ[a] for c in succ[b]),
+        "euclidean": ((b, c) for a in m.world_order for b in succ[a] for c in succ[a]),
+    }
+    witnesses = {}
+    for prop, pairs in gaps.items():
+        gap = next((pair for pair in pairs if pair not in rel), None)
+        if gap is not None:
+            witnesses[prop] = gap
+    reflexive, transitive, euclidean = (prop not in witnesses for prop in gaps)
+    return RelationReport(reflexive, transitive, euclidean,
+                          reflexive and transitive and euclidean, witnesses)
 
 
 def _models(seed, count, **kw):

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from bethpal.beth import validate_beth
+from bethpal.beth import fingerprint_classes, validate_beth
 from bethpal.dynamic import BethKripkeModel, check_s5, forces, satisfies
-from bethpal.formula import TOP, parse_formula
+from bethpal.formula import TOP, Atom, metavariables, parse_formula, substitute
 from bethpal import lab
 from bethpal.lab import (
     BoundTooLarge, Counterexample, GenParams, NoCounterexample,
@@ -113,6 +114,23 @@ class TestEnumeration:
         assert len(propositional_pool(("p", "q"), 1)) == 56
         assert len(propositional_pool(("p", "q"), 2)) == 9468
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_pool_is_the_shared_search(self, depth):
+        search = list(fingerprint_classes(lambda f: f, ("p", "q"), depth))
+        assert propositional_pool(("p", "q"), depth) == search
+        assert propositional_pool(("q", "p", "q"), depth) == search
+
+    def test_pool_copies_are_independent(self):
+        first = propositional_pool(("p", "q"), 1)
+        expected = list(first)
+        first.clear()
+        assert propositional_pool(("p", "q"), 1) == expected
+
+    def test_pool_bound_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(BoundTooLarge):
+                propositional_pool(("p", "q"), 3)
+
 
 class TestValidityTrials:
     def test_factivity_on_s5(self):
@@ -149,6 +167,35 @@ class TestValidityTrials:
         from bethpal.modeldoc import parse_model_document
         replayed = parse_model_document(serialize_model(verdict.model))
         assert not satisfies(replayed, verdict.world, verdict.instance).value
+
+
+class TestInstanceLabeling:
+    """Labeling a schema under a binding gives the extension of the instance
+    that substitution builds."""
+
+    EXTRA = ("[X]Y -> (X -> Y)", "<X>Y -> Y", "K{i}[X]Y -> [X]K{i}Y",
+             "[K{i}X]K{j}Y -> K{j}X")
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_matches_the_built_instance(self, s5):
+        schemas = [a.pattern for a in SCHEMAS.values()]
+        schemas += [parse_formula(text) for text in self.EXTRA]
+        pool = propositional_pool(("p", "q"), 1)
+        rng = random.Random(43)
+        for t in range(150):
+            m = random_model(GenParams(seed=split_seed(43, t), s5=s5))
+            reps = lab._semantic_reps(m, pool)
+            for schema in schemas:
+                fvars = sorted(metavariables(schema))
+                avars = lab._agent_metavariables(schema)
+                for agents in itertools.product(sorted(m.agents), repeat=len(avars)):
+                    for pair in itertools.product(reps, repeat=min(2, len(fvars))):
+                        chosen = pair + tuple(rng.choice(reps) for _ in fvars[2:])
+                        binding = dict(zip(avars, map(Atom, agents)))
+                        binding.update(zip(fvars, chosen))
+                        labeled = lab._instance_ext(m, schema, binding)
+                        built = lab.dynamic._ext(m, substitute(schema, binding))
+                        assert labeled == built, (t, schema, binding)
 
 
 class TestDedupSoundness:
