@@ -146,6 +146,17 @@ class _Points:
             self.world[s] = sum(local.values())
             self.root[s] = local[w.root]
         self.all = (1 << len(self.bit)) - 1
+        self._knows: dict[str, list[tuple[int, int]]] = {}
+
+    def knows(self, m: BethKripkeModel, agent: str) -> list[tuple[int, int]]:
+        """(a world's points, its successors' points) for each world of
+        ``m``, the masks the K clause reads; built on first use per agent."""
+        masks = self._knows.get(agent)
+        if masks is None:
+            masks = self._knows[agent] = [
+                (self.world[s], sum(self.world[t] for t in m.successors(agent, s)))
+                for s in m.world_order]
+        return masks
 
 
 def _layout(m: BethKripkeModel) -> _Points:
@@ -197,11 +208,7 @@ def _label(m: BethKripkeModel, f: Formula,
             return _avoiding(pts.up, ext(m, x))
         case Know(agent, body):
             missing = ~ext(m, body)
-            value = 0
-            for s in m.world_order:
-                if not any(pts.world[t] & missing for t in m.successors(agent, s)):
-                    value |= pts.world[s]
-            return value
+            return _avoiding(pts.knows(m, agent), missing)
         case Announce(ann, body) | Diamond(ann, body):
             updated = announce(m, ann)
             executable = updated.world_order
@@ -288,19 +295,26 @@ class RelationReport:
 
 def check_s5(m: BethKripkeModel) -> dict[str, RelationReport]:
     """Each failed property's witness is the first missing pair in the
-    order of world names, then of sorted successors."""
+    order of world names, then of sorted successors.
+
+    Successor sets are bitmasks over ``world_order``: (a, b) misses a pair
+    (a, c) for transitivity where ``succ[b] & ~succ[a]`` has a bit, and
+    (b, c) for euclideanness where ``succ[a] & ~succ[b]`` has one; the
+    lowest bit is the first such c, since ``world_order`` is sorted."""
+    order = m.world_order
+    bit = {s: 1 << i for i, s in enumerate(order)}
     reports: dict[str, RelationReport] = {}
     for agent in sorted(m.agents):
-        rel = m.access[agent]
-        succ = {s: m.successors(agent, s) for s in m.world_order}
-        gaps = {
-            "reflexive": ((s, s) for s in m.world_order),
-            "transitive": ((a, c) for a in m.world_order for b in succ[a] for c in succ[b]),
-            "euclidean": ((b, c) for a in m.world_order for b in succ[a] for c in succ[a]),
+        succ = {s: m.successors(agent, s) for s in order}
+        mask = {s: sum(bit[t] for t in ts) for s, ts in succ.items()}
+        gaps = {    # (first world of the missing pair, the second worlds it misses)
+            "reflexive": ((s, bit[s] & ~mask[s]) for s in order),
+            "transitive": ((a, mask[b] & ~mask[a]) for a in order for b in succ[a]),
+            "euclidean": ((b, mask[a] & ~mask[b]) for a in order for b in succ[a]),
         }
         witnesses: dict[str, tuple[str, str]] = {}
-        for prop, pairs in gaps.items():
-            gap = next((pair for pair in pairs if pair not in rel), None)
+        for prop, misses in gaps.items():
+            gap = next(((s, order[(c & -c).bit_length() - 1]) for s, c in misses if c), None)
             if gap is not None:
                 witnesses[prop] = gap
         reflexive, transitive, euclidean = (prop not in witnesses for prop in gaps)

@@ -127,6 +127,34 @@ class Diamond:
 
 Formula = Union[Atom, Top, Bot, Neg, And, Or, Imp, Know, Announce, Diamond]
 
+
+def _cached_hash(self) -> int:
+    """The hash of the node's class name and fields, computed once per node,
+    since memo tables hash the same formulas over and over.  The class name
+    keeps ``p & q``, ``p | q`` and ``p -> q`` apart; a hash of the fields
+    alone gives about 27 formulas of the depth-2 instance pool each hash
+    value, and every memo lookup then compares them all."""
+    value = self._hash
+    if value is None:
+        value = hash((type(self).__name__,
+                      *(getattr(self, name) for name in self.__match_args__)))
+        # Set as an attribute, not through ``__dict__``: reading ``__dict__``
+        # would give every node a dict object of its own.
+        object.__setattr__(self, "_hash", value)
+    return value
+
+
+def _fields_only(self) -> dict:
+    """Pickle and copy state without the cached hash: string hashes differ
+    between processes, so it must not travel."""
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
+for _node in (Atom, Top, Bot, Neg, And, Or, Imp, Know, Announce, Diamond):
+    _node._hash = None          # until the node's first hash shadows it
+    _node.__hash__ = _cached_hash
+    _node.__getstate__ = _fields_only
+
 TOP = Top()
 BOT = Bot()
 

@@ -263,20 +263,42 @@ def _pool(atoms: tuple[str, ...], depth: int) -> tuple[Formula, ...]:
     return tuple(fingerprint_classes(lambda f: f, atoms, depth))
 
 
+CLASS_CACHE_SIZE = 128
+
+
 def _semantic_reps(m: BethKripkeModel, pool: Iterable[Formula]) -> list[Formula]:
     """One representative per extension over every (world, node) of the
     model, the first of its class in pool order.
 
-    Sound in every context, announcements included: every formula is
-    persistent and holds at a node iff it holds at every leaf above it, so a
-    node survives an update only if some leaf above it survives, and an
-    update never creates a leaf.  A propositional instance's extension in
-    any updated model is therefore fixed by its classical values at the
-    original leaves, which formulas of one class share."""
+    Every formula is persistent and holds at a node iff it holds at every
+    leaf above it, so two pool formulas have the same extension iff they
+    agree classically on every leaf valuation of the model: the classes
+    depend only on the set of distinct leaf valuations, and are computed
+    once per pool and set (see :func:`_classes`).
+
+    Sound in every context, announcements included: a node survives an
+    update only if some leaf above it survives, and an update never creates
+    a leaf.  A propositional instance's extension in any updated model is
+    therefore fixed by its classical values at the original leaves, which
+    formulas of one class share."""
+    valuations = frozenset(w.val[leaf] for w in m.worlds.values() for leaf in w.leaves)
+    return list(_classes(tuple(pool), valuations))
+
+
+@functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
+def _classes(pool: tuple[Formula, ...],
+             valuations: frozenset[frozenset[str]]) -> tuple[Formula, ...]:
+    """The first formula of each extension of ``pool`` on the valuation
+    model: one world, a root below one leaf per valuation (sorted), where a
+    leaf's point separates two formulas iff its valuation does."""
+    leaves = [f"v{i}" for i in range(len(valuations))]
+    world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
+                          dict(zip(leaves, sorted(valuations, key=sorted))))
+    model = BethKripkeModel({"w": world}, (), {})
     reps: dict[int, Formula] = {}
     for f in pool:
-        reps.setdefault(dynamic._ext(m, f), f)
-    return list(reps.values())
+        reps.setdefault(dynamic._ext(model, f), f)
+    return tuple(reps.values())
 
 
 def _agent_metavariables(schema: Formula) -> tuple[str, ...]:

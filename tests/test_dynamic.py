@@ -87,6 +87,16 @@ class TestKnowledge:
         with pytest.raises(UnknownAgent):
             satisfies(fork_model, "s", parse_formula("K{nobody}p"))
 
+    def test_unknown_agent_under_a_false_conjunct(self, fork_model):
+        with pytest.raises(UnknownAgent):
+            satisfies(fork_model, "s", parse_formula("bot & K{zz}p"))
+
+    def test_nested_unknown_agents_name_the_inner_one(self, fork_model):
+        # The body is labeled before the agent's successors are read.
+        with pytest.raises(UnknownAgent) as err:
+            satisfies(fork_model, "s", parse_formula("K{zz}K{yy}p"))
+        assert err.value.agent == "yy"
+
     def test_unknown_world(self, fork_model):
         with pytest.raises(UnknownWorld):
             satisfies(fork_model, "zz", p)
@@ -192,6 +202,18 @@ class TestS5Check:
         start = time.perf_counter()
         assert satisfies(m, names[0], parse_formula("K{i}p")).value
         assert time.perf_counter() - start < 0.5
+
+    def test_160_world_universal_relation(self, world_p):
+        # Walking every (a, b, c) triple took about 1.5 s here.
+        names = [f"w{i:03d}" for i in range(160)]
+        pairs = {(a, b) for a in names for b in names}
+        times = []
+        for _ in range(3):
+            m = BethKripkeModel({w: world_p for w in names}, ("i",), {"i": pairs})
+            start = time.perf_counter()
+            assert check_s5(m)["i"].equivalence
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05
 
 
 def _scanning_check_s5(m, agent):

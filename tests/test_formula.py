@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +12,7 @@ from bethpal.formula import (
     agent_names, atom_names, classify, depth, is_metavariable, metavariables,
     parse_formula, print_formula, substitute,
 )
+from bethpal.lab import propositional_pool
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -193,3 +198,49 @@ class TestAttributes:
     def test_is_metavariable(self):
         assert is_metavariable("X")
         assert not is_metavariable("x")
+
+
+class TestHashing:
+    TEXTS = ("p", "~p", "bot -> top", "K{a}(p -> q)", "[p | q]<~r>K{b}top", "p <-> q")
+
+    def test_equal_trees_hash_equal(self):
+        for text in self.TEXTS:
+            a, b = parse_formula(text), parse_formula(text)
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+        assert hash(And(Atom("p"), Neg(Atom("q")))) == hash(parse_formula("p & ~q"))
+
+    def test_connectives_do_not_collide(self):
+        binary = [ctor(p, q) for ctor in (And, Or, Imp, Announce, Diamond)]
+        assert len({hash(f) for f in binary}) == len(binary)
+        pool = propositional_pool(("p", "q"), 2)
+        assert len({hash(f) for f in pool}) == len(pool)
+
+    def test_pickle_round_trip(self):
+        for f in [TOP, BOT, *map(parse_formula, self.TEXTS)]:
+            h = hash(f)
+            data = pickle.dumps(f)
+            assert b"_hash" not in data
+            back = pickle.loads(data)
+            assert back == f and hash(back) == h
+
+    def test_copies_do_not_carry_the_hash(self):
+        f = parse_formula("K{a}(p -> [q]~r)")
+        hash(f)
+        for c in (copy.copy(f), copy.deepcopy(f)):
+            assert "_hash" not in vars(c)
+            assert c == f and hash(c) == hash(f)
+
+    def test_repr_fields_and_match_unchanged(self):
+        f = parse_formula("K{a}(p -> q)")
+        hash(f)
+        assert repr(f) == ("Know(agent='a', body=Imp(left=Atom(name='p'), "
+                           "right=Atom(name='q')))")
+        assert [x.name for x in dataclasses.fields(f)] == ["agent", "body"]
+        match f:
+            case Know(agent, Imp(x, y)):
+                assert (agent, x, y) == ("a", p, q)
+            case _:
+                pytest.fail("no match")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.agent = "b"

@@ -238,6 +238,67 @@ class TestDedupSoundness:
         assert verdict() == deduplicated
 
 
+def _extension_dedup(m, pool):
+    """The reference: label every pool formula on the model itself and keep
+    the first formula of each extension."""
+    reps = {}
+    for f in pool:
+        reps.setdefault(lab.dynamic._ext(m, f), f)
+    return list(reps.values())
+
+
+class TestClassesByValuations:
+    """The dedup reads classes cached per set of leaf valuations; they must
+    be those the model's own extensions give."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_matches_extension_dedup_on_small_models(self, depth):
+        pool = propositional_pool(("p", "q"), depth)
+        for w in enumerate_small_beth(4, ("p", "q")):
+            m = BethKripkeModel({"w": w}, (), {})
+            assert lab._semantic_reps(m, pool) == _extension_dedup(m, pool)
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_matches_extension_dedup_on_random_models(self, s5):
+        # With three atoms the valuations carry r, which the pool never reads.
+        pool = propositional_pool(("p", "q"), 1)
+        for t in range(150):
+            gen = GenParams(seed=split_seed(53, t), s5=s5, atom_count=1 + t % 3)
+            m = random_model(gen)
+            assert lab._semantic_reps(m, pool) == _extension_dedup(m, pool)
+
+    def test_same_valuations_hit_the_cache(self):
+        pool = propositional_pool(("p", "q"), 1)
+        fork = validate_beth(("a", "b", "c"), (("a", "b"), ("a", "c")), "a",
+                             {"b": {"p"}, "c": {"q"}})
+        chain = validate_beth(("x", "y", "z"), (("x", "y"), ("y", "z")), "x",
+                              {"z": {"q"}})
+        lab._classes.cache_clear()
+        first = lab._semantic_reps(BethKripkeModel({"u": fork}, (), {}), pool)
+        # A different model whose leaves carry the same two valuations.
+        second = lab._semantic_reps(
+            BethKripkeModel({"u": chain, "v": fork}, ("i",), {"i": {("u", "v")}}), pool)
+        info = lab._classes.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert first == second
+
+    def test_cache_is_bounded(self):
+        atoms = ("p", "q", "r", "s")
+        pool = propositional_pool(atoms, 0)
+        lab._classes.cache_clear()
+        for bits in range(lab.CLASS_CACHE_SIZE + 10):
+            # One world, one leaf per set bit of ``bits``; leaf k carries the
+            # atoms of the bits of k.
+            leaves = [f"l{k}" for k in range(16) if bits >> k & 1] or ["l"]
+            val = {f"l{k}": {a for i, a in enumerate(atoms) if k >> i & 1}
+                   for k in range(16) if bits >> k & 1}
+            w = validate_beth(["r", *leaves], [("r", v) for v in leaves], "r", val)
+            lab._semantic_reps(BethKripkeModel({"w": w}, (), {}), pool)
+        info = lab._classes.cache_info()
+        assert info.maxsize == lab.CLASS_CACHE_SIZE
+        assert info.currsize == lab.CLASS_CACHE_SIZE
+
+
 class TestHypothesisExperiment:
     def test_known_consistent_instance(self, fork_model):
         # On the fork, announcing p and concluding ~q matches the conditional.
