@@ -174,14 +174,18 @@ def cmd_sep(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    atoms = [a.strip() for a in args.atoms.split(",") if a.strip()]
+    atoms = sorted({a.strip() for a in args.atoms.split(",") if a.strip()})
+    for atom in atoms:
+        if not modeldoc.is_atom_name(atom):
+            print(f"error: atom {atom!r} cannot be named in a formula", file=sys.stderr)
+            return 2
     models = list(lab.enumerate_small_beth(args.max_nodes, atoms))
     if args.format == "json":
         _emit_json({"count": len(models),
                     "models": [modeldoc.serialize_beth(m) for m in models]})
         return 0
     print(f"# {len(models)} models (up to {args.max_nodes} nodes, "
-          f"atoms {{{', '.join(sorted(atoms))}}})")
+          f"atoms {{{', '.join(atoms)}}})")
     for i, m in enumerate(models):
         print(f"# model {i}")
         print(modeldoc.serialize_beth(m), end="")

@@ -13,10 +13,16 @@ Grammar (ASCII; unicode aliases accepted on input):
 the AST.  Identifiers starting with a lowercase letter are object atoms or
 agent names; identifiers starting with an uppercase letter are metavariables
 and only appear in axiom schemas.  Unicode aliases: ¬ ∧ ∨ → ↔ ⊤ ⊥.
+
+:func:`children` is the one structural walk: ``str``, :func:`subformulas`,
+:func:`depth`, :func:`substitute` and ``proofkit.match_schema`` treat every
+connective alike through it.  Only the printer, the evaluators and the
+random generator spell out a clause per connective.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping, Union
 
 
@@ -47,28 +53,20 @@ class UnboundMetavariable(KeyError):
 class Atom:
     name: str
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @dataclass(frozen=True)
 class Top:
-    def __str__(self) -> str:
-        return "top"
+    pass
 
 
 @dataclass(frozen=True)
 class Bot:
-    def __str__(self) -> str:
-        return "bot"
+    pass
 
 
 @dataclass(frozen=True)
 class Neg:
     body: Formula
-
-    def __str__(self) -> str:
-        return print_formula(self)
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,11 @@ class And:
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @dataclass(frozen=True)
 class Or:
     left: Formula
     right: Formula
-
-    def __str__(self) -> str:
-        return print_formula(self)
 
 
 @dataclass(frozen=True)
@@ -94,17 +86,11 @@ class Imp:
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @dataclass(frozen=True)
 class Know:
     agent: str
     body: Formula
-
-    def __str__(self) -> str:
-        return print_formula(self)
 
 
 @dataclass(frozen=True)
@@ -112,17 +98,11 @@ class Announce:
     announced: Formula
     body: Formula
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @dataclass(frozen=True)
 class Diamond:
     announced: Formula
     body: Formula
-
-    def __str__(self) -> str:
-        return print_formula(self)
 
 
 Formula = Union[Atom, Top, Bot, Neg, And, Or, Imp, Know, Announce, Diamond]
@@ -154,6 +134,10 @@ for _node in (Atom, Top, Bot, Neg, And, Or, Imp, Know, Announce, Diamond):
     _node._hash = None          # until the node's first hash shadows it
     _node.__hash__ = _cached_hash
     _node.__getstate__ = _fields_only
+    _node.__str__ = lambda self: print_formula(self)    # the printer is defined below
+    # The fields that hold subformulas: all but an atom's name and K's agent.
+    _node._children = tuple(n for n in _node.__match_args__
+                            if _node.__annotations__[n] == "Formula")
 
 TOP = Top()
 BOT = Bot()
@@ -167,26 +151,21 @@ def is_metavariable(name: str) -> bool:
     return name[:1].isupper()
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of ``f``, left to right.  An atom's name and
+    K's agent are strings, not subformulas."""
+    return tuple(map(f.__getattribute__, f._children))
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Yield f and every proper subformula, preorder."""
     yield f
-    match f:
-        case Neg(body) | Know(_, body):
-            yield from subformulas(body)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Announce(a, b) | Diamond(a, b):
-            yield from subformulas(a)
-            yield from subformulas(b)
+    for g in children(f):
+        yield from subformulas(g)
 
 
 def depth(f: Formula) -> int:
-    match f:
-        case Atom() | Top() | Bot():
-            return 0
-        case Neg(body) | Know(_, body):
-            return 1 + depth(body)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Announce(a, b) | Diamond(a, b):
-            return 1 + max(depth(a), depth(b))
-    raise TypeError(f"not a formula: {f!r}")
+    return 1 + max(map(depth, children(f)), default=-1)
 
 
 def atom_names(f: Formula) -> frozenset[str]:
@@ -354,27 +333,21 @@ class _Parser:
         return left, n, a
 
     def imp(self) -> tuple[Formula, int, int]:
-        left, n, a = self.or_()
+        left, n, a = self.chain("OR", Or, partial(self.chain, "AND", And, self.unary))
         if self.peek()[0] == "IMP":
             at = self.take()[2]
             right, m, b = self.inner(self.imp, at)
             return self.built(Imp(left, right), 1 + max(n, m), 1 + a + b, at)
         return left, n, a
 
-    def or_(self) -> tuple[Formula, int, int]:
-        f, n, a = self.and_()
-        while self.peek()[0] == "OR":
+    def chain(self, kind: str, ctor, operand) -> tuple[Formula, int, int]:
+        """The left-associative ``or`` and ``and`` rules: ``operand`` joined
+        by tokens of ``kind`` into ``ctor`` nodes."""
+        f, n, a = operand()
+        while self.peek()[0] == kind:
             at = self.take()[2]
-            g, m, b = self.and_()
-            f, n, a = self.built(Or(f, g), 1 + max(n, m), 1 + a + b, at)
-        return f, n, a
-
-    def and_(self) -> tuple[Formula, int, int]:
-        f, n, a = self.unary()
-        while self.peek()[0] == "AND":
-            at = self.take()[2]
-            g, m, b = self.unary()
-            f, n, a = self.built(And(f, g), 1 + max(n, m), 1 + a + b, at)
+            g, m, b = operand()
+            f, n, a = self.built(ctor(f, g), 1 + max(n, m), 1 + a + b, at)
         return f, n, a
 
     def unary(self) -> tuple[Formula, int, int]:
@@ -472,39 +445,19 @@ def substitute(schema: Formula, binding: Mapping[str, Formula]) -> Formula:
     its bound formula.  Agent names bound in the mapping are replaced too; the
     bound value must then be an Atom naming the concrete agent."""
 
-    def agent_of(name: str) -> str:
-        if name in binding:
-            v = binding[name]
-            if not isinstance(v, Atom):
-                raise UnboundMetavariable(name)
-            return v.name
-        return name
-
     def walk(f: Formula) -> Formula:
         match f:
-            case Atom(name):
-                if is_metavariable(name):
-                    try:
-                        return binding[name]
-                    except KeyError:
-                        raise UnboundMetavariable(name) from None
-                return f
-            case Top() | Bot():
-                return f
-            case Neg(body):
-                return Neg(walk(body))
-            case And(a, b):
-                return And(walk(a), walk(b))
-            case Or(a, b):
-                return Or(walk(a), walk(b))
-            case Imp(a, b):
-                return Imp(walk(a), walk(b))
+            case Atom(name) if is_metavariable(name):
+                try:
+                    return binding[name]
+                except KeyError:
+                    raise UnboundMetavariable(name) from None
             case Know(agent, body):
-                return Know(agent_of(agent), walk(body))
-            case Announce(a, b):
-                return Announce(walk(a), walk(b))
-            case Diamond(a, b):
-                return Diamond(walk(a), walk(b))
-        raise TypeError(f"not a formula: {f!r}")
+                bound = binding.get(agent, Atom(agent))
+                if not isinstance(bound, Atom):
+                    raise UnboundMetavariable(agent)
+                return Know(bound.name, walk(body))
+        kids = children(f)
+        return type(f)(*map(walk, kids)) if kids else f
 
     return walk(schema)

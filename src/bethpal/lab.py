@@ -19,7 +19,8 @@ from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    BOT, TOP, is_metavariable, metavariables, print_formula, subformulas, substitute,
+    BOT, TOP, agent_names, atom_names, is_metavariable, metavariables, print_formula,
+    substitute,
 )
 
 ATOM_NAMES = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z")
@@ -273,16 +274,24 @@ def _semantic_reps(m: BethKripkeModel, pool: Iterable[Formula]) -> list[Formula]
     Every formula is persistent and holds at a node iff it holds at every
     leaf above it, so two pool formulas have the same extension iff they
     agree classically on every leaf valuation of the model: the classes
-    depend only on the set of distinct leaf valuations, and are computed
-    once per pool and set (see :func:`_classes`).
+    depend only on the set of distinct leaf valuations restricted to the
+    atoms the pool reads, and are computed once per pool and set (see
+    :func:`_classes`).
 
     Sound in every context, announcements included: a node survives an
     update only if some leaf above it survives, and an update never creates
     a leaf.  A propositional instance's extension in any updated model is
     therefore fixed by its classical values at the original leaves, which
     formulas of one class share."""
-    valuations = frozenset(w.val[leaf] for w in m.worlds.values() for leaf in w.leaves)
-    return list(_classes(tuple(pool), valuations))
+    pool = tuple(pool)
+    atoms = _atoms(pool)
+    valuations = frozenset(w.val[leaf] & atoms for w in m.worlds.values() for leaf in w.leaves)
+    return list(_classes(pool, valuations))
+
+
+@functools.lru_cache(maxsize=POOL_CACHE_SIZE)
+def _atoms(pool: tuple[Formula, ...]) -> frozenset[str]:
+    return frozenset().union(*map(atom_names, pool))
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
@@ -299,10 +308,6 @@ def _classes(pool: tuple[Formula, ...],
     for f in pool:
         reps.setdefault(dynamic._ext(model, f), f)
     return tuple(reps.values())
-
-
-def _agent_metavariables(schema: Formula) -> tuple[str, ...]:
-    return tuple(sorted({g.agent for g in subformulas(schema) if isinstance(g, Know)}))
 
 
 def _instance_ext(m: BethKripkeModel, f: Formula, binding: Mapping[str, Formula]) -> int:
@@ -329,9 +334,9 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
     An instance is labeled through the evaluator's clauses under its binding
     (see :func:`_instance_ext`) and built only when it fails; the pool of
     candidate formulas is computed once per atom set and depth."""
-    pool = propositional_pool(space.atoms, space.depth)
+    pool = _pool(tuple(sorted(set(space.atoms))), space.depth)
     fvars = sorted(metavariables(space.schema))
-    avars = _agent_metavariables(space.schema)
+    avars = sorted(agent_names(space.schema))
     for t in range(trials):
         m = random_model(replace(gen, seed=split_seed(gen.seed, t)))
         reps = _semantic_reps(m, pool)

@@ -37,6 +37,13 @@ class DocumentError(ValueError):
 _PUNCT = "{}():;,<"
 
 
+def is_atom_name(name: str) -> bool:
+    """Whether ``name`` can name an atom: a letter, then letters, digits and
+    ``_``, and neither ``top`` nor ``bot``, so that a formula can name it."""
+    return (name[:1].isalpha() and name.replace("_", "").isalnum()
+            and name not in ("top", "bot"))
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
     toks: list[tuple[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -192,7 +199,7 @@ def _parse_world(p: _DocParser, name: str) -> BethModel:
                 raise DocumentError(f"duplicate valuation for node {node!r}", lineno)
             atoms = p.ident_list("atom name") if p.peek() != "}" else []
             for atom in atoms:
-                if atom in ("top", "bot") or not atom[0].isalpha():
+                if not is_atom_name(atom):
                     raise DocumentError(f"atom {atom!r} cannot be named in a formula", lineno)
             val[node] = set(atoms)
             p.expect("}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .formula import (
-    And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    UnboundMetavariable, is_metavariable, parse_formula, print_formula, substitute,
+    Atom, Formula, Imp, Know, UnboundMetavariable, children, is_metavariable,
+    parse_formula, print_formula, substitute,
 )
 
 
@@ -65,36 +65,13 @@ def match_schema(schema: AxiomSchema, f: Formula) -> Optional[dict[str, Formula]
     def unify(pat: Formula, g: Formula) -> bool:
         match pat:
             case Atom(name) if is_metavariable(name):
-                if name in binding:
-                    return binding[name] == g
-                binding[name] = g
-                return True
+                return binding.setdefault(name, g) == g
             case Atom():
                 return pat == g
-            case Top() | Bot():
-                return pat == g
-            case Neg(b):
-                return isinstance(g, Neg) and unify(b, g.body)
-            case And(a, b):
-                return isinstance(g, And) and unify(a, g.left) and unify(b, g.right)
-            case Or(a, b):
-                return isinstance(g, Or) and unify(a, g.left) and unify(b, g.right)
-            case Imp(a, b):
-                return isinstance(g, Imp) and unify(a, g.left) and unify(b, g.right)
-            case Know(agent, b):
-                if not isinstance(g, Know):
+            case Know(agent, _) if isinstance(g, Know):
+                if binding.setdefault(agent, Atom(g.agent)) != Atom(g.agent):
                     return False
-                bound = binding.get(agent)
-                if bound is None:
-                    binding[agent] = Atom(g.agent)
-                elif bound != Atom(g.agent):
-                    return False
-                return unify(b, g.body)
-            case Announce(a, b):
-                return isinstance(g, Announce) and unify(a, g.announced) and unify(b, g.body)
-            case Diamond(a, b):
-                return isinstance(g, Diamond) and unify(a, g.announced) and unify(b, g.body)
-        raise TypeError(f"not a formula: {pat!r}")
+        return type(pat) is type(g) and all(map(unify, children(pat), children(g)))
 
     return binding if unify(schema.pattern, f) else None
 

@@ -331,6 +331,26 @@ class TestEnumerateAndWitness:
     def test_enumerate_bound_error(self, capsys):
         assert main(["enumerate", "--max-nodes", "9"]) == 2
 
+    @pytest.mark.parametrize("atoms", ["p", "p,q", "q, p,p", "P,x_1"])
+    def test_enumerated_documents_parse_back(self, capsys, atoms):
+        assert main(["enumerate", "--max-nodes", "3", "--atoms", atoms]) == 0
+        header, *chunks = capsys.readouterr().out.split("# model ")
+        names = sorted({a.strip() for a in atoms.split(",")})
+        assert header.endswith(f"atoms {{{', '.join(names)}}})\n")
+        for chunk in chunks:
+            parse_model_document(chunk.split("\n", 1)[1])
+        assert main(["--format", "json", "enumerate", "--max-nodes", "2",
+                     "--atoms", atoms]) == 0
+        for document in json.loads(capsys.readouterr().out)["models"]:
+            parse_model_document(document)
+
+    @pytest.mark.parametrize("atoms", ["top", "p q", "1p", "p-q", "p,bot"])
+    def test_enumerate_rejects_unnameable_atoms(self, capsys, atoms):
+        assert main(["enumerate", "--max-nodes", "2", "--atoms", atoms]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot be named in a formula" in captured.err
+
     def test_witness_report(self, capsys):
         assert main(["witness", "--depth", "3"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +10,8 @@ from bethpal import formula
 from bethpal.formula import (
     And, Announce, Atom, Diamond, Imp, Know, Neg, Or,
     BOT, MAX_NESTING, TOP, ParseError, UnboundMetavariable, UnknownToken,
-    agent_names, atom_names, classify, depth, is_metavariable, metavariables,
-    parse_formula, print_formula, substitute,
+    Formula, agent_names, atom_names, children, classify, depth, is_metavariable,
+    metavariables, parse_formula, print_formula, substitute,
 )
 from bethpal.lab import propositional_pool
 
@@ -173,6 +174,11 @@ class TestSubstitute:
         with pytest.raises(UnboundMetavariable):
             substitute(parse_formula("X -> Y"), {"X": p})
 
+    def test_agent_bound_to_a_compound_formula(self):
+        with pytest.raises(UnboundMetavariable) as exc:
+            substitute(parse_formula("K{i}X"), {"X": p, "i": Neg(p)})
+        assert exc.value.name == "i"
+
     def test_unbound_agents_stay(self):
         out = substitute(parse_formula("K{i}X"), {"X": p})
         assert out == Know("i", p)
@@ -244,3 +250,33 @@ class TestHashing:
                 pytest.fail("no match")
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.agent = "b"
+
+
+class TestChildren:
+    # One instance of every class in Formula.
+    INSTANCES = (p, TOP, BOT, Neg(p), And(p, q), Or(p, q), Imp(p, q), Know("a", p),
+                 Announce(p, q), Diamond(p, q))
+
+    def test_one_instance_per_class(self):
+        assert [type(f) for f in self.INSTANCES] == list(typing.get_args(Formula))
+
+    def test_str_is_print_formula(self):
+        for f in self.INSTANCES:
+            assert str(f) == print_formula(f)
+        assert (str(TOP), str(BOT)) == ("top", "bot")
+
+    def test_children_are_the_formula_fields(self):
+        for f in self.INSTANCES:
+            fields = [getattr(f, x.name) for x in dataclasses.fields(f)]
+            assert children(f) == tuple(v for v in fields if not isinstance(v, str))
+            assert all(isinstance(g, typing.get_args(Formula)) for g in children(f))
+        assert children(Know("a", p)) == (p,)
+        assert children(Announce(p, q)) == (p, q)
+        assert children(p) == children(TOP) == ()
+
+    def test_depth_and_subformulas_follow_children(self):
+        f = parse_formula("K{a}(p -> [q]~r) | <p>top")
+        assert depth(f) == 5
+        assert [print_formula(g) for g in formula.subformulas(f)] == [
+            "K{a} (p -> [q]~r) | <p>top", "K{a} (p -> [q]~r)", "p -> [q]~r", "p",
+            "[q]~r", "q", "~r", "r", "<p>top", "p", "top"]

@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from bethpal.beth import fingerprint_classes, validate_beth
 from bethpal.dynamic import BethKripkeModel, check_s5, forces, satisfies
-from bethpal.formula import TOP, Atom, metavariables, parse_formula, substitute
+from bethpal.formula import TOP, Atom, agent_names, metavariables, parse_formula, substitute
 from bethpal import lab
 from bethpal.lab import (
     BoundTooLarge, Counterexample, GenParams, NoCounterexample,
@@ -187,7 +188,7 @@ class TestInstanceLabeling:
             reps = lab._semantic_reps(m, pool)
             for schema in schemas:
                 fvars = sorted(metavariables(schema))
-                avars = lab._agent_metavariables(schema)
+                avars = sorted(agent_names(schema))
                 for agents in itertools.product(sorted(m.agents), repeat=len(avars)):
                     for pair in itertools.product(reps, repeat=min(2, len(fvars))):
                         chosen = pair + tuple(rng.choice(reps) for _ in fvars[2:])
@@ -385,3 +386,24 @@ class TestWitness:
         assert report.equivalent is None
         assert report.models_checked == 14
         assert "no propositional equivalent" in report.render()
+
+
+class TestClassCache:
+    def test_few_small_entries_on_extra_atoms(self):
+        """The class cache keys on the pool itself and on the leaf valuations
+        restricted to the pool's atoms: an atom the pool never reads (``r``
+        on three-atom models, under a p, q pool) makes no new entry, and no
+        entry holds a copy of the 9,468-formula depth-2 pool."""
+        space = SchemaInstanceSpace(SCHEMAS["A3"].pattern, depth=2)
+        gen = GenParams(atom_count=3, seed=7)
+        lab.test_validity(space, gen, 1)          # builds and hashes the pool
+        lab._classes.cache_clear()
+        tracemalloc.start()
+        try:
+            verdict = lab.test_validity(space, gen, 400)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == NoCounterexample(400)
+        assert lab._classes.cache_info().misses <= 15
+        assert held < 1_000_000

@@ -1,12 +1,15 @@
+import random
 from pathlib import Path
 
 import pytest
 
 from bethpal.dynamic import satisfies
-from bethpal.formula import Atom, Know, parse_formula
-from bethpal.lab import GenParams, random_model, split_seed
+from bethpal.formula import (
+    Atom, Know, agent_names, metavariables, parse_formula, substitute,
+)
+from bethpal.lab import GenParams, random_formula, random_model, split_seed
 from bethpal.proofkit import (
-    AxiomRef, NecRef, ProofLine, ProofParseError, ProofScript,
+    AxiomRef, AxiomSchema, NecRef, ProofLine, ProofParseError, ProofScript,
     SCHEMAS, check_proof, match_schema, parse_proof,
 )
 
@@ -51,6 +54,24 @@ class TestMatchSchema:
         for sid, schema in SCHEMAS.items():
             binding = match_schema(schema, schema.pattern)
             assert binding is not None, sid
+
+
+    def test_match_inverts_substitute(self):
+        """Matching an instance gives back the binding that built it, for
+        every schema and for a pattern with every other connective, under
+        bindings that contain announcements and knowledge."""
+        schemas = list(SCHEMAS.values())
+        schemas.append(AxiomSchema("local", parse_formula("[X]~(Y | K{i}<Y>X) -> top & bot")))
+        rng = random.Random(11)
+        for schema in schemas:
+            for _ in range(40):
+                binding = {v: Atom(rng.choice("ab")) for v in agent_names(schema.pattern)}
+                binding.update(
+                    (v, random_formula(rng, 2, ("p", "q"), ("a", "b"),
+                                       allow_know=True, allow_announce=True))
+                    for v in metavariables(schema.pattern))
+                instance = substitute(schema.pattern, binding)
+                assert match_schema(schema, instance) == binding, (schema.id, instance)
 
 
 class TestCheckProof:
