@@ -10,6 +10,7 @@ even when the node itself does not.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
@@ -77,33 +78,87 @@ def transitive_closure(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) -
     return frozenset((a, b) for a in nodes for b in reach[a])
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _up_masks(succ: list[set[int]]) -> Optional[list[int]]:
+    """Each node's up-set as a bitmask (bit j of entry i is set iff j is
+    reachable from i), given each node's successors; None when the edges
+    have a cycle.  Kahn's algorithm finds a topological order, and in reverse
+    of it every node ORs its successors' masks into its own, one OR per edge
+    (Purdom, "A transitive closure algorithm", BIT 1970)."""
+    indegree = [0] * len(succ)
+    for targets in succ:
+        for j in targets:
+            indegree[j] += 1
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:                     # the list grows as nodes are freed
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < len(succ):
+        return None
+    up = [0] * len(succ)
+    for i in reversed(order):
+        mask = 1 << i
+        for j in succ[i]:
+            mask |= up[j]
+        up[i] = mask
+    return up
+
+
 class BethModel:
     """Validated finite rooted Beth model.  Immutable after construction;
-    build instances through :func:`validate_beth`."""
+    build instances through :func:`validate_beth`.
 
-    def __init__(self, nodes: tuple[str, ...], leq: frozenset[tuple[str, str]],
-                 root: str, val: Mapping[str, frozenset[str]], atoms: frozenset[str]):
+    The order is kept as bitmasks over ``node_order``: bit j of
+    ``up_mask[i]`` is set iff node i is below or equal to node j, and bit i of
+    ``leaf_mask`` iff node i is a leaf.  ``up`` and ``leq_pairs`` spell the
+    same relation out as sets; they take space quadratic in the number of
+    nodes, so they are built on first use."""
+
+    def __init__(self, nodes: tuple[str, ...], up_mask: tuple[int, ...],
+                 covers: Mapping[str, tuple[str, ...]], root: str,
+                 val: Mapping[str, frozenset[str]], atoms: frozenset[str]):
         self.node_order = nodes                      # sorted, deterministic iteration
         self.nodes = frozenset(nodes)
-        self.leq_pairs = leq                         # reflexive-transitive closure
+        self.index = {a: i for i, a in enumerate(nodes)}
+        self.up_mask = up_mask
+        self.covers = dict(covers)                   # sorted immediate successors
+        self.leaves = frozenset(a for a in nodes if not covers[a])
+        self.leaf_mask = sum(1 << self.index[a] for a in self.leaves)
         self.root = root
         self.val = dict(val)
         self.atoms = atoms
-        self.up: dict[str, frozenset[str]] = {
-            a: frozenset(b for b in nodes if (a, b) in leq) for a in nodes
-        }
-        self.covers: dict[str, tuple[str, ...]] = {}
-        for a in nodes:
-            above = [b for b in self.up[a] if b != a]
-            self.covers[a] = tuple(sorted(
-                b for b in above
-                if not any(c != b and (c, b) in leq for c in above)
-            ))
-        self.leaves = frozenset(a for a in nodes if not self.covers[a])
-        self._kripke = None         # this model as a one-world BethKripkeModel
+        # The labeling of :func:`extension`: its memo and point layout.
+        # Neither refers back to the model.
+        self._labels: dict[Formula, int] = {}
+        self._points = None
+
+    def names(self, mask: int) -> tuple[str, ...]:
+        """The nodes whose bits are set in ``mask``, in ``node_order``."""
+        nodes = self.node_order
+        return tuple(nodes[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+    @functools.cached_property
+    def up(self) -> dict[str, frozenset[str]]:
+        return {a: frozenset(self.names(u)) for a, u in zip(self.node_order, self.up_mask)}
+
+    @functools.cached_property
+    def leq_pairs(self) -> frozenset[tuple[str, str]]:
+        """The reflexive-transitive order as pairs."""
+        return frozenset((a, b) for a, u in zip(self.node_order, self.up_mask)
+                         for b in self.names(u))
 
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq_pairs
+        i, j = self.index.get(a), self.index.get(b)
+        return i is not None and j is not None and bool(self.up_mask[i] >> j & 1)
 
     def ensure_node(self, a: str) -> None:
         if a not in self.nodes:
@@ -129,44 +184,77 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
 
     ``order`` may list covering edges only; the stored relation is the
     reflexive-transitive closure.  Raises NotAPartialOrder, NoRoot,
-    NonMonotoneValuation, or UnknownNode.
+    NonMonotoneValuation, or UnknownNode, each naming the first witness in
+    the order of node names.
+
+    The closure takes one OR per listed edge (see :func:`_up_masks`), and
+    the covers are read off the listed edges, since a cover is always
+    listed: a longer path to it would pass through a node in between.
     """
     node_tuple = tuple(sorted(set(nodes)))
     if not node_tuple:
         raise ModelError("a model needs at least one node")
-    node_set = set(node_tuple)
+    index = {a: i for i, a in enumerate(node_tuple)}
     order = list(order)
     for a, b in order:
-        if a not in node_set:
+        if a not in index:
             raise UnknownNode(a)
-        if b not in node_set:
+        if b not in index:
             raise UnknownNode(b)
-    if root not in node_set:
+    if root not in index:
         raise UnknownNode(root)
-    closed = transitive_closure(node_tuple, order)
-    cycle = [(a, b) for a, b in closed if a != b and (b, a) in closed]
-    if cycle:
-        raise NotAPartialOrder(min(cycle))
-    for b in node_tuple:
-        if (root, b) not in closed:
-            raise NoRoot((root, b))
+    succ: list[set[int]] = [set() for _ in node_tuple]     # self-loops add nothing
+    for a, b in order:
+        if a != b:
+            succ[index[a]].add(index[b])
+    up = _up_masks(succ)
+    if up is None:
+        closed = transitive_closure(node_tuple, order)
+        raise NotAPartialOrder(min((a, b) for a, b in closed if a != b and (b, a) in closed))
+    missing = ((1 << len(node_tuple)) - 1) & ~up[index[root]]
+    if missing:
+        raise NoRoot((root, node_tuple[next(_bits(missing))]))
     valuation: dict[str, frozenset[str]] = {a: frozenset() for a in node_tuple}
     if val:
         for a, atoms_at in val.items():
-            if a not in node_set:
+            if a not in index:
                 raise UnknownNode(a)
             valuation[a] = frozenset(atoms_at)
-    lost = [(a, b) for a, b in closed if not valuation[a] <= valuation[b]]
-    if lost:
-        a, b = min(lost)
-        raise NonMonotoneValuation(a, b, min(valuation[a] - valuation[b]))
-    universe = frozenset(atoms) | frozenset().union(*valuation.values())
-    return BethModel(node_tuple, closed, root, valuation, universe)
+    vals = [valuation[a] for a in node_tuple]
+    # Inclusion is transitive, so the listed edges decide monotonicity; the
+    # witness is the first lost pair of the whole order.
+    if not all(vals[i] <= vals[j] for i, targets in enumerate(succ) for j in targets):
+        a, b = next((i, j) for i in range(len(node_tuple)) for j in _bits(up[i])
+                    if not vals[i] <= vals[j])
+        raise NonMonotoneValuation(node_tuple[a], node_tuple[b], min(vals[a] - vals[b]))
+    covers: dict[str, tuple[str, ...]] = {}
+    for i, targets in enumerate(succ):
+        through = 0         # reached through another listed successor
+        for j in targets:
+            through |= up[j] ^ 1 << j
+        covers[node_tuple[i]] = tuple(node_tuple[j] for j in sorted(targets)
+                                      if not through >> j & 1)
+    universe = frozenset(atoms) | frozenset().union(*vals)
+    return BethModel(node_tuple, tuple(up), covers, root, valuation, universe)
+
+
+def restrict(m: BethModel, keep: int) -> BethModel:
+    """The sub-model of ``m`` on the nodes of the bitmask ``keep`` (over
+    ``node_order``), a down-set that contains the root.
+
+    Every node below a kept node is kept, so a cover between kept nodes is
+    a cover of ``m``, the root stays below every node and the valuation
+    stays monotone: the sub-model needs no re-validation."""
+    nodes = m.names(keep)
+    index = {a: i for i, a in enumerate(nodes)}
+    covers = {a: tuple(b for b in m.covers[a] if b in index) for a in nodes}
+    up = _up_masks([{index[b] for b in covers[a]} for a in nodes])
+    return BethModel(nodes, tuple(up), covers, m.root, {a: m.val[a] for a in nodes}, m.atoms)
 
 
 def up_set(m: BethModel, a: str) -> frozenset[str]:
     m.ensure_node(a)
-    return m.up[a]
+    return frozenset(m.names(m.up_mask[m.index[a]]))
 
 
 def maximal_paths(m: BethModel, a: str) -> tuple[tuple[str, ...], ...]:
@@ -232,20 +320,29 @@ def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
 def extension(m: BethModel, f: Formula) -> int:
     """The nodes of ``m`` forcing the propositional formula ``f``, as a
     bitmask (bit i is ``m.node_order[i]``), read from the labeling of
-    :mod:`bethpal.dynamic` on ``m`` as a world of its own."""
+    :mod:`bethpal.dynamic` on ``m`` as a world of its own.
+
+    The one-world model is built around the memo and point layout that
+    ``m`` keeps, on every call that misses the memo, so that nothing ``m``
+    holds refers back to ``m``."""
     if not is_propositional(f):
         raise NonPropositionalFormula(f)
+    hit = m._labels.get(f)
+    if hit is not None:
+        return hit
     from .dynamic import BethKripkeModel, _ext     # dynamic builds on this module
-    if m._kripke is None:
-        m._kripke = BethKripkeModel({"w": m}, (), {})
-    return _ext(m._kripke, f)
+    world = BethKripkeModel({"w": m}, (), {})
+    world._labels, world._points = m._labels, m._points
+    value = _ext(world, f)
+    m._points = world._points
+    return value
 
 
 def forces_prop(m: BethModel, a: str, f: Formula) -> bool:
     """Propositional forcing at a node: atoms and ∨ through bars, → and ¬ by
     quantifying over the up-set."""
     m.ensure_node(a)
-    return bool(extension(m, f) >> m.node_order.index(a) & 1)
+    return bool(extension(m, f) >> m.index[a] & 1)
 
 
 MAX_LAYER = 100_000

@@ -122,10 +122,13 @@ class EvalResult:
 
 class _Points:
     """The masks the labeling reads; point i, the i-th of ``world_order`` ×
-    ``node_order``, is bit i of every extension."""
+    ``node_order``, is bit i of every extension.  A world's points are its
+    nodes' bits shifted by the world's offset, so its masks are its own
+    bitmasks shifted likewise."""
 
     def __init__(self, m: BethKripkeModel):
         self.bit: dict[tuple[str, str], int] = {}
+        self.offset: dict[str, int] = {}    # the world's first point
         self.world: dict[str, int] = {}     # all points of the world
         self.root: dict[str, int] = {}      # the world's root point
         self.up: list[tuple[int, int]] = []         # (point, its up-set)
@@ -133,18 +136,16 @@ class _Points:
         self.atoms: dict[str, int] = {}     # leaves carrying the atom
         for s in m.world_order:
             w = m.worlds[s]
-            local: dict[str, int] = {}
-            for n in w.node_order:
-                self.bit[s, n] = len(self.bit)
-                local[n] = 1 << self.bit[s, n]
-            for n in w.node_order:
-                self.up.append((local[n], sum(local[b] for b in w.up[n])))
-                self.leaves.append((local[n], sum(local[b] for b in w.up[n] & w.leaves)))
+            offset = self.offset[s] = len(self.bit)
+            for i, n in enumerate(w.node_order):
+                self.bit[s, n] = offset + i
+                self.up.append((1 << offset + i, w.up_mask[i] << offset))
+                self.leaves.append((1 << offset + i, (w.up_mask[i] & w.leaf_mask) << offset))
             for leaf in w.leaves:
                 for atom in w.val[leaf]:
-                    self.atoms[atom] = self.atoms.get(atom, 0) | local[leaf]
-            self.world[s] = sum(local.values())
-            self.root[s] = local[w.root]
+                    self.atoms[atom] = self.atoms.get(atom, 0) | 1 << self.bit[s, leaf]
+            self.world[s] = ((1 << len(w.node_order)) - 1) << offset
+            self.root[s] = 1 << self.bit[s, w.root]
         self.all = (1 << len(self.bit)) - 1
         self._knows: dict[str, list[tuple[int, int]]] = {}
 
@@ -263,16 +264,12 @@ def announce(m: BethKripkeModel, ann: Formula) -> BethKripkeModel:
     if cached is not None:
         return cached
     refuted = _ext(m, Neg(ann))
-    bit = _layout(m).bit
+    pts = _layout(m)
     survivors: dict[str, BethModel] = {}
     for s in m.world_order:
-        w = m.worlds[s]
-        if refuted >> bit[s, w.root] & 1:
-            continue
-        keep = tuple(n for n in w.node_order if not refuted >> bit[s, n] & 1)
-        kept = frozenset(keep)
-        leq = frozenset((a, b) for (a, b) in w.leq_pairs if a in kept and b in kept)
-        survivors[s] = BethModel(keep, leq, w.root, {n: w.val[n] for n in keep}, w.atoms)
+        if not refuted & pts.root[s]:
+            kept = (pts.world[s] & ~refuted) >> pts.offset[s]
+            survivors[s] = beth.restrict(m.worlds[s], kept)
     access = {
         agent: frozenset((a, b) for (a, b) in pairs if a in survivors and b in survivors)
         for agent, pairs in m.access.items()
@@ -344,14 +341,14 @@ def _first_above(m: BethKripkeModel, s: str, node: str, points: int) -> Optional
     hits = pts.up[pts.bit[s, node]][1] & points
     if not hits:
         return None
-    w = m.worlds[s]
     lowest = (hits & -hits).bit_length() - 1
-    return w.node_order[lowest - pts.bit[s, w.node_order[0]]]
+    return m.worlds[s].node_order[lowest - pts.offset[s]]
 
 
 def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) -> Trace:
     w = m.world(s)
     value = _eval(m, s, node, f)
+    up = beth.up_set(w, node)
 
     def sub(n: str, g: Formula) -> Trace:
         return _explain(m, s, n, g, max_items)
@@ -360,7 +357,7 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
         case Top() | Bot():
             return Trace(s, node, f, "constant", value)
         case Atom(name):
-            candidate = {b for b in w.up[node] if name in w.val[b]}
+            candidate = {b for b in up if name in w.val[b]}
             if value:
                 note = f"bar {_fmt_nodes(candidate, max_items)} settles the atom"
             else:
@@ -370,8 +367,7 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
         case And(x, y):
             return Trace(s, node, f, "and", value, children=(sub(node, x), sub(node, y)))
         case Or(x, y):
-            candidate = {b for b in w.up[node]
-                         if _eval(m, s, b, x) or _eval(m, s, b, y)}
+            candidate = {b for b in up if _eval(m, s, b, x) or _eval(m, s, b, y)}
             if value:
                 note = f"bar {_fmt_nodes(candidate, max_items)} settles a disjunct"
             else:
@@ -385,14 +381,14 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
                 return Trace(s, node, f, "implies", value,
                              f"fails above at {b!r}", (sub(b, x), sub(b, y)))
             return Trace(s, node, f, "implies", value,
-                         f"holds at every node of {_fmt_nodes(w.up[node], max_items)}")
+                         f"holds at every node of {_fmt_nodes(up, max_items)}")
         case Neg(x):
             b = _first_above(m, s, node, _ext(m, x))
             if b is not None:
                 return Trace(s, node, f, "not", value,
                              f"body forced above at {b!r}", (sub(b, x),))
             return Trace(s, node, f, "not", value,
-                         f"body fails at every node of {_fmt_nodes(w.up[node], max_items)}")
+                         f"body fails at every node of {_fmt_nodes(up, max_items)}")
         case Know(agent, body):
             succ = m.successors(agent, s)
             for t in succ:

@@ -259,9 +259,21 @@ def propositional_pool(atoms: Iterable[str], depth: int) -> list[Formula]:
     return list(_pool(tuple(sorted(set(atoms))), depth))
 
 
+class _Pool(tuple):
+    """A pool of formulas that keeps its hash.  The class caches below key
+    on the pool, and hashing it again on every trial would go through every
+    formula's hash: about a millisecond for the depth-2 pool."""
+    _hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = tuple.__hash__(self)
+        return self._hash
+
+
 @functools.lru_cache(maxsize=POOL_CACHE_SIZE)
-def _pool(atoms: tuple[str, ...], depth: int) -> tuple[Formula, ...]:
-    return tuple(fingerprint_classes(lambda f: f, atoms, depth))
+def _pool(atoms: tuple[str, ...], depth: int) -> _Pool:
+    return _Pool(fingerprint_classes(lambda f: f, atoms, depth))
 
 
 CLASS_CACHE_SIZE = 128
@@ -283,19 +295,19 @@ def _semantic_reps(m: BethKripkeModel, pool: Iterable[Formula]) -> list[Formula]
     a leaf.  A propositional instance's extension in any updated model is
     therefore fixed by its classical values at the original leaves, which
     formulas of one class share."""
-    pool = tuple(pool)
+    pool = pool if isinstance(pool, _Pool) else _Pool(pool)
     atoms = _atoms(pool)
     valuations = frozenset(w.val[leaf] & atoms for w in m.worlds.values() for leaf in w.leaves)
     return list(_classes(pool, valuations))
 
 
 @functools.lru_cache(maxsize=POOL_CACHE_SIZE)
-def _atoms(pool: tuple[Formula, ...]) -> frozenset[str]:
+def _atoms(pool: _Pool) -> frozenset[str]:
     return frozenset().union(*map(atom_names, pool))
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _classes(pool: tuple[Formula, ...],
+def _classes(pool: _Pool,
              valuations: frozenset[frozenset[str]]) -> tuple[Formula, ...]:
     """The first formula of each extension of ``pool`` on the valuation
     model: one world, a root below one leaf per valuation (sorted), where a

@@ -47,3 +47,60 @@ def classical_eval(true_atoms: frozenset[str] | set[str], f: Formula) -> bool:
         case Imp(x, y):
             return (not classical_eval(true_atoms, x)) or classical_eval(true_atoms, y)
     raise TypeError(f"not propositional: {f!r}")
+
+
+def reference_beth(nodes, order, root, val=None, atoms=()):
+    """The set-based construction of a Beth model that ``validate_beth``
+    used before the order became bitmasks: a fixpoint closure over sets, the
+    up-sets and covers by testing every pair and triple, the leaves as the
+    nodes without covers.  Cubic in the number of nodes.  Returns the model's
+    fields as a dict; raises the errors ``validate_beth`` raises, with the
+    same witnesses."""
+    from bethpal.beth import (
+        ModelError, NoRoot, NonMonotoneValuation, NotAPartialOrder, UnknownNode,
+        transitive_closure,
+    )
+    node_tuple = tuple(sorted(set(nodes)))
+    if not node_tuple:
+        raise ModelError("a model needs at least one node")
+    node_set = set(node_tuple)
+    order = list(order)
+    for a, b in order:
+        if a not in node_set:
+            raise UnknownNode(a)
+        if b not in node_set:
+            raise UnknownNode(b)
+    if root not in node_set:
+        raise UnknownNode(root)
+    closed = transitive_closure(node_tuple, order)
+    cycle = [(a, b) for a, b in closed if a != b and (b, a) in closed]
+    if cycle:
+        raise NotAPartialOrder(min(cycle))
+    for b in node_tuple:
+        if (root, b) not in closed:
+            raise NoRoot((root, b))
+    valuation = {a: frozenset() for a in node_tuple}
+    for a, atoms_at in (val or {}).items():
+        if a not in node_set:
+            raise UnknownNode(a)
+        valuation[a] = frozenset(atoms_at)
+    lost = [(a, b) for a, b in closed if not valuation[a] <= valuation[b]]
+    if lost:
+        a, b = min(lost)
+        raise NonMonotoneValuation(a, b, min(valuation[a] - valuation[b]))
+    up = {a: frozenset(b for b in node_tuple if (a, b) in closed) for a in node_tuple}
+    covers = {}
+    for a in node_tuple:
+        above = [b for b in up[a] if b != a]
+        covers[a] = tuple(sorted(b for b in above
+                                 if not any(c != b and (c, b) in closed for c in above)))
+    return {
+        "node_order": node_tuple,
+        "leq_pairs": closed,
+        "up": up,
+        "covers": covers,
+        "leaves": frozenset(a for a in node_tuple if not covers[a]),
+        "root": root,
+        "val": valuation,
+        "atoms": frozenset(atoms) | frozenset().union(*valuation.values()),
+    }

@@ -2,6 +2,7 @@ import ast
 import gc
 import itertools
 import random
+import time
 
 import pytest
 
@@ -11,14 +12,15 @@ from bethpal.beth import (
     avoiding_path, equivalent_up_to_depth, forces_prop, is_bar,
     maximal_paths, up_set, validate_beth,
 )
-from bethpal.dynamic import BethKripkeModel, satisfies
+from bethpal.cli import main
+from bethpal.dynamic import BethKripkeModel, announce, satisfies
 from bethpal.formula import And, Atom, Imp, Neg, Or, BOT, TOP, parse_formula
-from bethpal import lab
-from bethpal.lab import enumerate_small_beth, random_beth
+from bethpal import beth, lab, modeldoc
+from bethpal.lab import GenParams, enumerate_small_beth, random_beth, random_model
 from bethpal.proofkit import A1_IDS, SCHEMAS
 from bethpal.formula import substitute
 
-from helpers import brute_maximal_chains, classical_eval
+from helpers import brute_maximal_chains, classical_eval, reference_beth
 
 p, q = Atom("p"), Atom("q")
 
@@ -102,16 +104,21 @@ def _posets_up_to_5_nodes():
         yield validate_beth(names, [(names[a], names[b]) for a, b in rel], "n0")
 
 
-def _ladder(levels: int):
-    """Width-2 ladder: root r, then levels of two nodes each, every node
-    covered by both nodes of the next level (2**levels maximal paths).  x holds
-    at the leaf a<levels>, y at the leaf b<levels>."""
+def _ladder_input(levels: int, x: str = "x", y: str = "y"):
+    """The arguments of ``validate_beth`` for a width-2 ladder: root r, then
+    levels of two nodes each, every node covered by both nodes of the next
+    level (2**levels maximal paths).  x holds at the leaf a<levels>, y at
+    the leaf b<levels>."""
     rows = [("r",)] + [(f"a{i:03d}", f"b{i:03d}") for i in range(1, levels + 1)]
     edges = [(lo, hi) for below, above in zip(rows, rows[1:])
              for lo in below for hi in above]
     top_a, top_b = rows[-1]
-    return validate_beth([n for row in rows for n in row], edges, "r",
-                         {top_a: {"x"}, top_b: {"y"}}, ("x", "y"))
+    return ([n for row in rows for n in row], edges, "r",
+            {top_a: {x}, top_b: {y}}, (x, y))
+
+
+def _ladder(levels: int):
+    return validate_beth(*_ladder_input(levels))
 
 
 class TestAvoidingPath:
@@ -356,3 +363,221 @@ class TestEquivalence:
                                  {"b": {"q"}, "c": {"p"}}, ("p", "q"))
         assert equivalent_up_to_depth(
             PointedBeth(fork_pq, "a"), PointedBeth(mirrored, "a"), 2, ("p", "q")) is None
+
+
+_FIELDS = ("node_order", "leq_pairs", "up", "covers", "leaves", "root", "val", "atoms")
+
+
+def _noisy_input(rng: random.Random, m: BethModel):
+    """Arguments of ``validate_beth`` that describe ``m`` again: its covering
+    edges plus redundant pairs of the order (self-loops among them), a
+    self-loop at the root and duplicated edges, all shuffled."""
+    covering = [(a, b) for a in m.node_order for b in m.covers[a]]
+    redundant = [pair for pair in sorted(m.leq_pairs) if rng.random() < 0.3]
+    order = covering + redundant + [(m.root, m.root)] + rng.sample(covering, len(covering) // 2)
+    rng.shuffle(order)
+    nodes = list(m.node_order)
+    rng.shuffle(nodes)
+    return nodes, order, m.root, {a: v for a, v in m.val.items() if v}, m.atoms
+
+
+def _assert_matches_reference(args):
+    ref = reference_beth(*args)
+    m = validate_beth(*args)
+    for name in _FIELDS:
+        assert getattr(m, name) == ref[name], name
+    assert m.up_mask == tuple(sum(1 << m.node_order.index(b) for b in ref["up"][a])
+                              for a in m.node_order)
+    assert m.leaf_mask == sum(1 << m.node_order.index(a) for a in ref["leaves"])
+
+
+class TestConstructionMatchesReference:
+    """The bitmask construction against the set-based one it replaced."""
+
+    def test_small_models(self):
+        rng = random.Random(41)
+        models = list(enumerate_small_beth(4, ("p", "q")))
+        assert len(models) == 281
+        for m in models:
+            _assert_matches_reference(_noisy_input(rng, m))
+
+    def test_random_model_worlds(self):
+        rng = random.Random(42)
+        worlds = []
+        seed = 0
+        while len(worlds) < 600:
+            gen = GenParams(max_nodes_per_world=7, atom_count=3, seed=seed)
+            worlds.extend(random_model(gen).worlds.values())
+            seed += 1
+        for w in worlds[:600]:
+            _assert_matches_reference(_noisy_input(rng, w))
+
+    def test_ladder_of_201_nodes(self):
+        args = _ladder_input(100)
+        _assert_matches_reference(args)
+        nodes, order, root, val, atoms = args
+        noisy = order + [("r", "a050"), ("a010", "b090"), ("b020", "b020"), order[7]]
+        _assert_matches_reference((nodes, noisy, root, val, atoms))
+
+
+def _outcome(build, args):
+    try:
+        m = build(*args)
+    except beth.ModelError as e:
+        return type(e), str(e), getattr(e, "witness", getattr(e, "node", None))
+    if isinstance(m, dict):
+        return {name: m[name] for name in _FIELDS}
+    return {name: getattr(m, name) for name in _FIELDS}
+
+
+_ERROR_CORPUS = [
+    # cycles of two, three and five nodes
+    (("a", "b"), [("a", "b"), ("b", "a")], "a", {}),
+    (("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "a")], "a", {}),
+    (("a", "b", "c", "d", "e"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+     "a", {}),
+    (("e", "d", "c", "b", "a"), [("c", "d"), ("d", "e"), ("e", "a"), ("a", "b"), ("b", "c")],
+     "c", {}),
+    # a cycle the root does not reach, one above the root, one with a self-loop
+    (("r", "x", "y"), [("x", "y"), ("y", "x")], "r", {}),
+    (("r", "x", "y", "z"), [("r", "x"), ("z", "y"), ("y", "z")], "r", {"x": {"p"}}),
+    (("r", "a", "b", "c"), [("r", "a"), ("a", "b"), ("b", "c"), ("c", "b")], "r", {}),
+    (("a", "b"), [("a", "a"), ("a", "b"), ("b", "a")], "a", {}),
+    # no root
+    (("a", "b"), [], "a", {}),
+    (("a", "b", "c"), [("a", "c")], "a", {}),
+    (("a", "b", "c"), [("b", "a"), ("b", "c")], "a", {}),
+    # monotonicity: on an edge, and on a chain; the first lost pair (a, b) is
+    # transitive, through z, though only the edge a < z loses an atom
+    (("a", "b"), [("a", "b")], "a", {"a": {"p"}}),
+    (("a", "b", "c", "d"), [("a", "b"), ("b", "c"), ("c", "d")], "a", {"a": {"p", "q", "r"}}),
+    (("a", "b", "z"), [("a", "z"), ("z", "b")], "a", {"a": {"p"}, "b": {"q"}}),
+    (("a", "b", "c", "z"), [("a", "z"), ("z", "b"), ("z", "c")], "a",
+     {"a": {"q"}, "z": {"q"}, "b": {"p"}, "c": {"p", "q"}}),
+    # unknown nodes, and no nodes
+    (("a",), [("a", "z")], "a", {}),
+    (("a",), [("z", "a")], "a", {}),
+    (("a",), [], "z", {}),
+    (("a",), [], "a", {"z": {"p"}}),
+    ((), [], "a", {}),
+]
+
+
+class TestErrorsMatchReference:
+    """Every error and its witness are those of the set-based construction."""
+
+    @pytest.mark.parametrize("args", _ERROR_CORPUS)
+    def test_corpus(self, args):
+        expected = _outcome(reference_beth, args)
+        assert isinstance(expected, tuple)
+        assert _outcome(validate_beth, args) == expected
+
+    def test_documents_of_the_hash_seed_test(self, monkeypatch):
+        from test_cli import CYCLE_DOC, FIVE_LEAVES_DOC, NON_MONOTONE_DOC
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return validate_beth(*args)
+
+        monkeypatch.setattr(modeldoc, "validate_beth", record)
+        for text in (FIVE_LEAVES_DOC, CYCLE_DOC, NON_MONOTONE_DOC):
+            try:
+                modeldoc.parse_model_document(text)
+            except beth.ModelError:
+                pass
+        assert len(calls) == 3
+        outcomes = [_outcome(validate_beth, args) for args in calls]
+        assert outcomes == [_outcome(reference_beth, args) for args in calls]
+        assert [type(o) for o in outcomes] == [dict, tuple, tuple]
+
+    def test_random_descriptions(self):
+        rng = random.Random(43)
+        kinds = set()
+        for _ in range(3000):
+            names = [f"n{i}" for i in range(rng.randint(1, 6))]
+            order = [(rng.choice(names), rng.choice(names))
+                     for _ in range(rng.randint(0, 8))]
+            if rng.random() < 0.05:
+                order.append((rng.choice(names), "zz"))
+            val = {a: {x for x in ("p", "q") if rng.random() < 0.4}
+                   for a in names if rng.random() < 0.5}
+            args = (names, order, rng.choice(names), val, ())
+            expected = _outcome(reference_beth, args)
+            assert _outcome(validate_beth, args) == expected
+            kinds.add(expected[0] if isinstance(expected, tuple) else dict)
+        assert kinds == {dict, NotAPartialOrder, NoRoot, NonMonotoneValuation, UnknownNode}
+
+
+def _ladder_document(levels: int) -> str:
+    nodes, edges, root, val, _ = _ladder_input(levels, "p", "q")
+    return "\n".join([
+        "agents: a",
+        "world u {",
+        f"  root: {root};",
+        "  nodes: " + ", ".join(nodes) + ";",
+        "  order: " + ", ".join(f"{lo} < {hi}" for lo, hi in edges) + ";",
+        *(f"  val {n}: {{{', '.join(sorted(atoms))}}};" for n, atoms in sorted(val.items())),
+        "}",
+        "access a: (u, u)",
+        "",
+    ])
+
+
+class TestScale:
+    """An 801-node ladder loads, and is checked and updated, in time close
+    to linear in its size."""
+
+    def test_validation_of_801_nodes(self):
+        args = _ladder_input(400)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            m = validate_beth(*args)
+            times.append(time.perf_counter() - start)
+        assert len(m.nodes) == 801 and m.leaves == {"a400", "b400"}
+        assert min(times) < 0.05
+
+    def test_first_knowledge_check(self):
+        m = BethKripkeModel({"u": _ladder(400)}, ("a",), {"a": {("u", "u")}})
+        start = time.perf_counter()
+        assert satisfies(m, "u", parse_formula("K{a}(x | y)")).value
+        assert time.perf_counter() - start < 0.05
+
+    def test_cli_check_and_announce(self, tmp_path, capsys):
+        doc = tmp_path / "ladder.model"
+        doc.write_text(_ladder_document(400))
+        start = time.perf_counter()
+        assert main(["check", str(doc), "u", "K{a}(p | q)"]) == 0
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out.startswith("true")
+        start = time.perf_counter()
+        assert main(["announce", str(doc), "~q"]) == 0
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr().out
+        assert "b400" not in out and "a400" in out
+
+    def test_announcement_on_801_nodes(self):
+        m = BethKripkeModel({"u": _ladder(400)}, ("a",), {"a": {("u", "u")}})
+        start = time.perf_counter()
+        updated = announce(m, parse_formula("~y"))
+        assert time.perf_counter() - start < 1
+        w = updated.worlds["u"]
+        assert len(w.nodes) == 800 and w.leaves == {"a400"}
+        assert w.covers["b399"] == ("a400",)
+
+
+def test_extension_leaves_no_cyclic_garbage(fork_pq):
+    m = validate_beth(fork_pq.node_order, [("a", "b"), ("a", "c")], "a", fork_pq.val)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert forces_prop(m, "a", parse_formula("p | q"))
+        assert equivalent_up_to_depth(PointedBeth(m, "a"), PointedBeth(fork_pq, "b"), 1,
+                                      ("p", "q")) == p
+        del m
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

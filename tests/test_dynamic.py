@@ -322,8 +322,8 @@ class TestModelProperties:
                     continue
                 order = [(a, b) for (a, b) in w.leq_pairs if a in keep and b in keep]
                 ref = validate_beth(keep, order, w.root, {n: w.val[n] for n in keep}, w.atoms)
-                for attr in ("node_order", "leq_pairs", "root", "val", "atoms",
-                             "covers", "leaves"):
+                for attr in ("node_order", "leq_pairs", "up", "root", "val", "atoms",
+                             "covers", "leaves", "up_mask", "leaf_mask"):
                     assert getattr(restricted, attr) == getattr(ref, attr), attr
                 shrunk += len(keep) < len(w.node_order)
         assert shrunk > 10

@@ -299,6 +299,21 @@ class TestClassesByValuations:
         assert info.maxsize == lab.CLASS_CACHE_SIZE
         assert info.currsize == lab.CLASS_CACHE_SIZE
 
+    def test_cached_pool_is_not_rehashed(self, monkeypatch):
+        """Both caches key on the pool; the cached pool keeps its hash, so a
+        call that hits them hashes none of its formulas."""
+        pool = lab._pool(("p", "q"), 1)
+        m = BethKripkeModel({"u": validate_beth(("a", "b", "c"), (("a", "b"), ("a", "c")),
+                                                 "a", {"b": {"p"}, "c": {"q"}})}, (), {})
+        first = lab._semantic_reps(m, pool)
+        calls = []
+        for cls in {type(f) for f in pool}:
+            monkeypatch.setattr(cls, "__hash__",
+                                lambda f, h=cls.__hash__: calls.append(f) or h(f))
+        assert lab._semantic_reps(m, pool) == first
+        assert lab._semantic_reps(m, pool) == first
+        assert len(pool) == 56 and calls == []
+
 
 class TestHypothesisExperiment:
     def test_known_consistent_instance(self, fork_model):
