@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw irreflexive random relations instead of equivalences")
     p.add_argument("--hypothesis", action="store_true",
                    help="also run the [phi]psi <-> (phi -> psi) experiment")
-    p.add_argument("--hyp-depth", type=_count(0), default=2)
+    p.add_argument("--hyp-depth", type=_count(0, lab.MAX_HYPOTHESIS_DEPTH), default=2)
     p.add_argument("--hyp-announcements", action="store_true",
                    help="allow nested announcements in sampled formulas")
     p.add_argument("--hyp-out", help="write the experiment report to this file")

@@ -21,6 +21,7 @@ random generator spell out a clause per connective.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Mapping, Union
@@ -198,67 +199,43 @@ def is_propositional(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {
+_TOKEN = re.compile(r"<->|->|K\{(\w*)(\}?)|\w+|\S")
+"""One token per match, skipping whitespace.  A word character is
+``str.isalnum`` or ``_``; a ``K{`` match captures the agent name and the
+closing brace, if present."""
+
+_KINDS = {
     "&": "AND", "∧": "AND",
     "|": "OR", "∨": "OR",
     "~": "NOT", "¬": "NOT",
     "(": "LPAREN", ")": "RPAREN",
     "[": "LBRACK", "]": "RBRACK",
-    ">": "GT",
-    "→": "IMP", "↔": "IFF",
-    "⊤": "TOP", "⊥": "BOT",
+    "<": "LT", ">": "GT",
+    "->": "IMP", "→": "IMP",
+    "<->": "IFF", "↔": "IFF",
+    "top": "TOP", "⊤": "TOP",
+    "bot": "BOT", "⊥": "BOT",
 }
-
-
-def _scan_ident(text: str, i: int) -> tuple[str, int]:
-    j = i + 1
-    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-        j += 1
-    return text[i:j], j
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            toks.append(("IFF", "<->", i))
-            i += 3
-        elif text.startswith("->", i):
-            toks.append(("IMP", "->", i))
-            i += 2
-        elif c == "<":
-            toks.append(("LT", "<", i))
-            i += 1
-        elif c in _PUNCT:
-            toks.append((_PUNCT[c], c, i))
-            i += 1
-        elif c.isalpha():
-            ident, j = _scan_ident(text, i)
-            if ident == "top":
-                toks.append(("TOP", ident, i))
-            elif ident == "bot":
-                toks.append(("BOT", ident, i))
-            elif ident == "K" and j < n and text[j] == "{":
-                k = j + 1
-                if k >= n or not text[k].isalpha():
-                    raise ParseError("missing agent name after 'K{'", k, ("ident",))
-                agent, k = _scan_ident(text, k)
-                if k >= n or text[k] != "}":
-                    raise ParseError("unterminated agent name", k, ("}",))
-                toks.append(("KNOW", agent, i))
-                i = k + 1
-                continue
-            else:
-                toks.append(("IDENT", ident, i))
-            i = j
+    for m in _TOKEN.finditer(text):
+        tok, at = m.group(), m.start()
+        agent, close = m.group(1, 2)
+        if agent is not None:
+            if not agent[:1].isalpha():
+                raise ParseError("missing agent name after 'K{'", m.start(1), ("ident",))
+            if not close:
+                raise ParseError("unterminated agent name", m.end(1), ("}",))
+            toks.append(("KNOW", agent, at))
+        elif tok in _KINDS:
+            toks.append((_KINDS[tok], tok, at))
+        elif tok[0].isalpha():
+            toks.append(("IDENT", tok, at))
         else:
-            raise UnknownToken(f"stray character {c!r}", i)
-    toks.append(("EOF", "", n))
+            raise UnknownToken(f"stray character {tok[0]!r}", at)
+    toks.append(("EOF", "", len(text)))
     return toks
 
 

@@ -22,6 +22,7 @@ edges only), so serialize-parse-serialize is byte identical.
 from __future__ import annotations
 
 import hashlib
+import re
 from typing import Iterable
 
 from .beth import BethModel, validate_beth
@@ -44,26 +45,19 @@ def is_atom_name(name: str) -> bool:
             and name not in ("top", "bot"))
 
 
+_TOKEN = re.compile(r"\w+|\S")
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Words and single characters with their line numbers, ended by a
+    ``("", line)`` marker on the line of the last token."""
     toks: list[tuple[str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        i = 0
-        while i < len(line):
-            c = line[i]
-            if c.isspace():
-                i += 1
-            elif c in _PUNCT:
-                toks.append((c, lineno))
-                i += 1
-            elif c.isalpha() or c == "_":
-                j = i + 1
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                toks.append((line[i:j], lineno))
-                i = j
-            else:
-                raise DocumentError(f"stray character {c!r}", lineno)
+        for tok in _TOKEN.findall(raw.split("#", 1)[0]):
+            if not (tok[0].isalpha() or tok[0] == "_" or tok in _PUNCT):
+                raise DocumentError(f"stray character {tok[0]!r}", lineno)
+            toks.append((tok, lineno))
+    toks.append(("", toks[-1][1] if toks else 1))
     return toks
 
 
@@ -71,33 +65,27 @@ class _DocParser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.last = 1           # line of the last token taken
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos][0] if not self.at_end() else None
-
-    def line(self) -> int:
-        return self.toks[self.pos][1] if not self.at_end() else (
-            self.toks[-1][1] if self.toks else 1)
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
     def take(self) -> str:
-        if self.at_end():
-            raise DocumentError("unexpected end of document", self.line())
-        tok = self.toks[self.pos][0]
+        tok, self.last = self.toks[self.pos]
+        if not tok:
+            raise DocumentError("unexpected end of document", self.last)
         self.pos += 1
         return tok
 
     def expect(self, tok: str) -> None:
         got = self.take()
         if got != tok:
-            raise DocumentError(f"expected {tok!r}, found {got!r}", self.toks[self.pos - 1][1])
+            raise DocumentError(f"expected {tok!r}, found {got!r}", self.last)
 
     def ident(self, what: str) -> str:
         got = self.take()
-        if not (got[0].isalpha() or got[0] == "_") or got in _PUNCT:
-            raise DocumentError(f"expected {what}, found {got!r}", self.toks[self.pos - 1][1])
+        if got in _PUNCT:
+            raise DocumentError(f"expected {what}, found {got!r}", self.last)
         return got
 
     def ident_list(self, what: str) -> list[str]:
@@ -113,15 +101,16 @@ def parse_model_document(text: str) -> BethKripkeModel:
     agents: list[str] | None = None
     worlds: dict[str, BethModel] = {}
     access: dict[str, set[tuple[str, str]]] = {}
+    access_line: dict[str, int] = {}    # each agent's first access statement
 
-    while not p.at_end():
+    while p.peek():
         head = p.take()
-        lineno = p.toks[p.pos - 1][1]
+        lineno = p.last
         if head == "agents":
             if agents is not None:
                 raise DocumentError("duplicate agents declaration", lineno)
             p.expect(":")
-            agents = p.ident_list("agent name") if p.peek() not in (None, "world", "access") else []
+            agents = p.ident_list("agent name") if p.peek() not in ("", "world", "access") else []
         elif head == "world":
             name = p.ident("world name")
             if name in worlds:
@@ -131,6 +120,7 @@ def parse_model_document(text: str) -> BethKripkeModel:
             agent = p.ident("agent name")
             p.expect(":")
             pairs = access.setdefault(agent, set())
+            access_line.setdefault(agent, lineno)
             while p.peek() == "(":
                 p.take()
                 a = p.ident("world name")
@@ -153,11 +143,12 @@ def parse_model_document(text: str) -> BethKripkeModel:
     declared = set(agents)
     for agent, pairs in access.items():
         if agent not in declared:
-            raise DocumentError(f"access for undeclared agent {agent!r}", 1)
+            raise DocumentError(f"access for undeclared agent {agent!r}", access_line[agent])
         for a, b in sorted(pairs):
             if a not in worlds or b not in worlds:
                 missing = a if a not in worlds else b
-                raise DocumentError(f"access pair names unknown world {missing!r}", 1)
+                raise DocumentError(f"access pair names unknown world {missing!r}",
+                                    access_line[agent])
     return BethKripkeModel(worlds, agents, {a: frozenset(ps) for a, ps in access.items()})
 
 
@@ -169,7 +160,7 @@ def _parse_world(p: _DocParser, name: str) -> BethModel:
     val: dict[str, set[str]] = {}
     while p.peek() != "}":
         key = p.ident("'root', 'nodes', 'order', or 'val'")
-        lineno = p.toks[p.pos - 1][1]
+        lineno = p.last
         if key == "root":
             p.expect(":")
             if root is not None:
@@ -207,7 +198,7 @@ def _parse_world(p: _DocParser, name: str) -> BethModel:
             raise DocumentError(f"unknown world entry {key!r}", lineno)
         p.expect(";")
     p.expect("}")
-    lineno = p.toks[p.pos - 1][1]
+    lineno = p.last
     if root is None:
         raise DocumentError(f"world {name!r} has no root", lineno)
     if nodes is None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bethpal.cli import main
 from bethpal.formula import MAX_NESTING, MAX_SIZE
+from bethpal.lab import MAX_HYPOTHESIS_DEPTH
 from bethpal.modeldoc import parse_model_document
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -151,6 +152,12 @@ _well_formed = st.recursive(
     ),
     max_leaves=8,
 )
+_DOC_PIECES = [
+    "agents", "world", "access", "root", "nodes", "order", "val", "{", "}", "(",
+    ")", ":", ";", ",", "<", "s", "t", "a", "b", "p", "i", "top", "_x", "#",
+    "\n", " ", "%", "1", "é",
+]
+_doc_noise = st.lists(st.sampled_from(_DOC_PIECES), max_size=60).map("".join)
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +175,17 @@ class TestTotality:
                      ["check", "--explain", shared_model_file, "s", text],
                      ["announce", shared_model_file, text]):
             assert main(argv) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        _doc_noise,
+        st.tuples(st.integers(0, len(FORK_DOC)), _doc_noise)
+        .map(lambda t: FORK_DOC[:t[0]] + t[1] + FORK_DOC[t[0]:]),
+    ))
+    def test_any_document_exits_zero_one_or_two(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("doc") / "m.model"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path), "s", "p"]) in (0, 1, 2)
 
 
 class TestAtomNames:
@@ -260,6 +278,8 @@ class TestCounts:
         ["axioms", "--max-nodes", "0"],
         ["axioms", "--max-worlds", "0"],
         ["axioms", "--hypothesis", "--hyp-depth", "-1"],
+        ["axioms", "--hypothesis", "--hyp-depth", str(MAX_HYPOTHESIS_DEPTH + 1)],
+        ["axioms", "--hypothesis", "--hyp-depth", "3000"],
         ["witness", "--depth", "-2"],
     ])
     def test_out_of_range_count_exits_two(self, argv, capsys):
@@ -271,6 +291,8 @@ class TestCounts:
     def test_largest_counts_accepted(self, capsys):
         assert main(["axioms", "--schema", "A3", "--trials", "1",
                      "--atoms", "10", "--agents", "6"]) == 0
+        assert main(["axioms", "--schema", "A3", "--trials", "1", "--hypothesis",
+                     "--hyp-depth", str(MAX_HYPOTHESIS_DEPTH)]) == 0
         assert main(["witness", "--depth", "0"]) == 0
 
     def test_unbounded_instance_pool_exits_two_quickly(self, capsys):

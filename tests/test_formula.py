@@ -103,6 +103,45 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_formula("K{a p")
 
+    @pytest.mark.parametrize("text, cls, message, position, expected", [
+        ("K{", ParseError, "missing agent name after 'K{'", 2, ("ident",)),
+        ("K{1a}", ParseError, "missing agent name after 'K{'", 2, ("ident",)),
+        ("K{_a}", ParseError, "missing agent name after 'K{'", 2, ("ident",)),
+        ("K{a b}", ParseError, "unterminated agent name", 3, ("}",)),
+        ("K{a p", ParseError, "unterminated agent name", 3, ("}",)),
+        ("K {a}p", UnknownToken, "stray character '{'", 2, ()),
+        ("_x", UnknownToken, "stray character '_'", 0, ()),
+        ("0p", UnknownToken, "stray character '0'", 0, ()),
+        ("<-p", UnknownToken, "stray character '-'", 1, ()),
+        ("p $ q", UnknownToken, "stray character '$'", 2, ()),
+        # Every str.isspace character separates tokens.
+        ("p q", ParseError, "trailing input 'q'", 2, ()),
+        ("p q", ParseError, "trailing input 'q'", 2, ()),
+        # A lexer error anywhere wins over a parse error before it.
+        ("p p $", UnknownToken, "stray character '$'", 4, ()),
+    ])
+    def test_lexer_errors(self, text, cls, message, position, expected):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert type(exc.value) is cls
+        hint = f" (expected {', '.join(expected)})" if expected else ""
+        assert str(exc.value) == f"{message} at position {position}{hint}"
+        assert exc.value.position == position
+        assert exc.value.expected == expected
+
+    @pytest.mark.parametrize("text, tree", [
+        ("topx", Atom("topx")),
+        ("Kx", Atom("Kx")),
+        ("a_1", Atom("a_1")),
+        ("K", Atom("K")),
+        ("x²", Atom("x²")),
+        ("K{é}p", Know("é", p)),
+        ("p & q", And(p, q)),
+        ("top&bot", And(TOP, BOT)),
+    ])
+    def test_identifier_trees(self, text, tree):
+        assert parse_formula(text) == tree
+
 
 class TestPrinting:
     def test_negated_atom(self):

@@ -94,6 +94,57 @@ class TestParsing:
                 "val a: {p}; }")
 
 
+WORLD = "world s { root: a; nodes: a; }"
+
+
+class TestErrorLines:
+    """Each ``DocumentError`` raise site in ``modeldoc``: its message and the
+    line it names."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("agents:\n" + WORLD + "\n  %", 3, "stray character '%'"),
+        ("agents:\nworld s {\n root: a;\n# trailing comment\n", 3,
+         "unexpected end of document"),
+        ("agents:\nworld s\n root", 3, "expected '{', found 'root'"),
+        ("agents:\nworld {", 2, "expected world name, found '{'"),
+        ("agents:\n" + WORLD + "\nagents: i", 3, "duplicate agents declaration"),
+        ("agents:\n" + WORLD + "\n" + WORLD, 3, "duplicate world 's'"),
+        ("agents:\n" + WORLD + "\nworlds", 3,
+         "expected 'agents', 'world', or 'access', found 'worlds'"),
+        ("\n" + WORLD, 1, "missing agents declaration"),
+        ("agents: i\n", 1, "a model needs at least one world"),
+        ("agents: i\n" + WORLD + "\n\naccess j: (s, s)", 4,
+         "access for undeclared agent 'j'"),
+        ("agents: i\n" + WORLD + "\naccess i: (s, s)\naccess i: (s, t)", 3,
+         "access pair names unknown world 't'"),
+        ("agents:\nworld s {\n root: a;\n root: b; nodes: a; }", 4,
+         "duplicate root declaration"),
+        ("agents:\nworld s {\n nodes: a;\n nodes: a; root: a; }", 4,
+         "duplicate nodes declaration"),
+        ("agents:\nworld s { root: a; nodes: a;\n val a: {p};\n val a: {q}; }", 4,
+         "duplicate valuation for node 'a'"),
+        ("agents:\nworld s { root: a; nodes: a;\n val a: {p, top}; }", 3,
+         "atom 'top' cannot be named in a formula"),
+        ("agents:\nworld s { root: a;\n edges: a; }", 3, "unknown world entry 'edges'"),
+        ("agents:\nworld s { nodes: a;\n}", 3, "world 's' has no root"),
+        ("agents:\nworld s { root: a;\n}", 3, "world 's' has no nodes"),
+    ])
+    def test_message_and_line(self, text, line, message):
+        with pytest.raises(DocumentError) as exc:
+            parse_model_document(text)
+        assert str(exc.value) == f"line {line}: {message}"
+        assert exc.value.line == line
+
+    def test_access_errors_name_the_first_access_statement(self):
+        with pytest.raises(DocumentError) as exc:
+            parse_model_document("agents: i\n" + WORLD + "\n\naccess j: (s, s)\n"
+                                 "access i: (s, s)\naccess j: (s, s)")
+        assert exc.value.line == 4
+        with pytest.raises(DocumentError) as exc:
+            parse_model_document("agents: i\n" + WORLD + "\naccess i:\n  (s, s),\n  (s, t)")
+        assert exc.value.line == 3
+
+
 class TestSerialization:
     def test_round_trip_fixed_point(self):
         once = serialize_model(parse_model_document(FORK_DOC))
