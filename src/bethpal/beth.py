@@ -136,9 +136,10 @@ class BethModel:
         self.root = root
         self.val = dict(val)
         self.atoms = atoms
-        # The labeling of :func:`extension`: its memo and point layout.
-        # Neither refers back to the model.
-        self._labels: dict[Formula, int] = {}
+        # :func:`extension`'s node masks, and the leaf labels and point layout
+        # of the one-world model it labels; none refers back to the model.
+        self._extensions: dict[Formula, int] = {}
+        self._labels: dict = {}
         self._points = None
 
     def names(self, mask: int) -> tuple[str, ...]:
@@ -319,23 +320,22 @@ def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
 
 def extension(m: BethModel, f: Formula) -> int:
     """The nodes of ``m`` forcing the propositional formula ``f``, as a
-    bitmask (bit i is ``m.node_order[i]``), read from the labeling of
+    bitmask (bit i is ``m.node_order[i]``), lifted from the leaf labeling of
     :mod:`bethpal.dynamic` on ``m`` as a world of its own.
 
-    The one-world model is built around the memo and point layout that
-    ``m`` keeps, on every call that misses the memo, so that nothing ``m``
-    holds refers back to ``m``."""
+    The one-world model is built around the leaf labels and point layout
+    that ``m`` keeps, on every call that misses the memo, so that nothing
+    ``m`` holds refers back to ``m``."""
     if not is_propositional(f):
         raise NonPropositionalFormula(f)
-    hit = m._labels.get(f)
-    if hit is not None:
-        return hit
-    from .dynamic import BethKripkeModel, _ext     # dynamic builds on this module
-    world = BethKripkeModel({"w": m}, (), {})
-    world._labels, world._points = m._labels, m._points
-    value = _ext(world, f)
-    m._points = world._points
-    return value
+    hit = m._extensions.get(f)
+    if hit is None:
+        from .dynamic import BethKripkeModel, _ext, _lift    # dynamic builds on this module
+        world = BethKripkeModel({"w": m}, (), {})
+        world._labels, world._points = m._labels, m._points
+        hit = m._extensions[f] = _lift(m, _ext(world, f))
+        m._points = world._points
+    return hit
 
 
 def forces_prop(m: BethModel, a: str, f: Formula) -> bool:

@@ -7,11 +7,13 @@ and restricts the accessibility relations to the surviving worlds.  The
 announcement operators are root-anchored: every node of a world agrees on
 [φ]ψ and <φ>ψ, which refer to the world's root before and after the update.
 
-Evaluation labels each subformula once per model with its extension, the
-(world, node) points forcing it, as an int bitmask (the labeling algorithm
-of CTL model checking).  Every formula is persistent (the valuation is
-monotone; K, [φ] and <φ> hold at all nodes of a world or at none), so on
-finite models a bar for it exists exactly when every leaf above forces it.
+Every formula is persistent (K, [φ] and <φ> hold at all nodes of a world or
+at none) and every path of a finite model ends in a leaf, so a node forces a
+formula exactly when every leaf above it does.  Evaluation labels the leaves
+(the labeling algorithm of CTL model checking): a subformula's extension is
+the int bitmask of the leaves forcing it, and at a leaf the connectives are
+classical.  An update keeps the leaves where φ holds and creates none, so it
+is a mask of live leaves; only :func:`announce` builds the updated model.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ class BethKripkeModel:
             self.access[agent] = pairs
         self._succ: dict[str, dict[str, tuple[str, ...]]] = {}     # agent -> world -> successors
         self._points: Optional[_Points] = None      # built on first evaluation
-        self._labels: dict[Formula, int] = {}
+        self._labels: dict[tuple[Optional[int], Formula], int] = {}    # see _ext
         self._announce: dict[Formula, "BethKripkeModel"] = {}
         self._s5: Optional[bool] = None
 
@@ -121,36 +123,29 @@ class EvalResult:
 
 
 class _Points:
-    """The masks the labeling reads; point i, the i-th of ``world_order`` ×
-    ``node_order``, is bit i of every extension.  A world's points are its
-    nodes' bits shifted by the world's offset, so its masks are its own
-    bitmasks shifted likewise."""
+    """The masks the labeling reads.  Point i is the i-th of ``world_order``
+    × ``node_order``, bit i of every extension; only leaf points are ever
+    set.  A world's points are its nodes' bits shifted by the world's
+    offset, so its masks are its own bitmasks shifted likewise."""
 
     def __init__(self, m: BethKripkeModel):
-        self.bit: dict[tuple[str, str], int] = {}
         self.offset: dict[str, int] = {}    # the world's first point
-        self.world: dict[str, int] = {}     # all points of the world
-        self.root: dict[str, int] = {}      # the world's root point
-        self.up: list[tuple[int, int]] = []         # (point, its up-set)
-        self.leaves: list[tuple[int, int]] = []     # (point, leaves above it)
+        self.world: dict[str, int] = {}     # the world's leaves
         self.atoms: dict[str, int] = {}     # leaves carrying the atom
+        offset = 0
         for s in m.world_order:
             w = m.worlds[s]
-            offset = self.offset[s] = len(self.bit)
-            for i, n in enumerate(w.node_order):
-                self.bit[s, n] = offset + i
-                self.up.append((1 << offset + i, w.up_mask[i] << offset))
-                self.leaves.append((1 << offset + i, (w.up_mask[i] & w.leaf_mask) << offset))
+            self.offset[s] = offset
+            self.world[s] = w.leaf_mask << offset
             for leaf in w.leaves:
                 for atom in w.val[leaf]:
-                    self.atoms[atom] = self.atoms.get(atom, 0) | 1 << self.bit[s, leaf]
-            self.world[s] = ((1 << len(w.node_order)) - 1) << offset
-            self.root[s] = 1 << self.bit[s, w.root]
-        self.all = (1 << len(self.bit)) - 1
+                    self.atoms[atom] = self.atoms.get(atom, 0) | 1 << offset + w.index[leaf]
+            offset += len(w.node_order)
+        self.all = sum(self.world.values())
         self._knows: dict[str, list[tuple[int, int]]] = {}
 
     def knows(self, m: BethKripkeModel, agent: str) -> list[tuple[int, int]]:
-        """(a world's points, its successors' points) for each world of
+        """(a world's leaves, its successors' leaves) for each world of
         ``m``, the masks the K clause reads; built on first use per agent."""
         masks = self._knows.get(agent)
         if masks is None:
@@ -166,66 +161,67 @@ def _layout(m: BethKripkeModel) -> _Points:
     return m._points
 
 
-def _avoiding(masks: list[tuple[int, int]], x: int) -> int:
-    """The points whose mask shares no point with ``x``."""
-    out = 0
-    for point, mask in masks:
-        if not mask & x:
-            out |= point
-    return out
+def _ext(m: BethKripkeModel, f: Formula, alive: Optional[int] = None) -> int:
+    """The leaves forcing ``f`` in ``m`` updated to the leaves ``alive`` (None:
+    every leaf), as a bitmask (see :class:`_Points`), memoized per model."""
+    key = (alive, f)
+    hit = m._labels.get(key)
+    if hit is None:
+        hit = m._labels[key] = _label(m, f, alive, _ext)
+    return hit
 
 
-def _ext(m: BethKripkeModel, f: Formula) -> int:
-    """The points of ``m`` that force ``f``, as a bitmask (see :class:`_Points`),
-    memoized per model."""
-    hit = m._labels.get(f)
-    if hit is not None:
-        return hit
-    value = m._labels[f] = _label(m, f, _ext)
-    return value
-
-
-def _label(m: BethKripkeModel, f: Formula,
-           ext: Callable[[BethKripkeModel, Formula], int]) -> int:
-    """The clauses of the labeling: the extension of ``f`` in ``m`` from the
-    extensions ``ext`` gives its arguments.  Atoms and ∨ hold where every
-    leaf above is in the set, → and ¬ where the up-set avoids the
-    counterexamples, K and the announcement operators world by world."""
+def _label(m: BethKripkeModel, f: Formula, alive: Optional[int],
+           ext: Callable[[BethKripkeModel, Formula, Optional[int]], int]) -> int:
+    """The clauses of the labeling: the extension of ``f`` in the update of
+    ``m`` to the leaves ``alive``, from the extensions ``ext`` gives its
+    arguments.  At a leaf the connectives are classical; K and the
+    announcement operators hold on all live leaves of a world or on none."""
     pts = _layout(m)
+    live = pts.all if alive is None else alive
     match f:
         case Top():
-            return pts.all
+            return live
         case Bot():
             return 0
         case Atom(name):
-            return _avoiding(pts.leaves, ~pts.atoms.get(name, 0))
+            return live & pts.atoms.get(name, 0)
         case And(x, y):
-            return ext(m, x) & ext(m, y)
+            return ext(m, x, alive) & ext(m, y, alive)
         case Or(x, y):
-            return _avoiding(pts.leaves, ~(ext(m, x) | ext(m, y)))
+            return ext(m, x, alive) | ext(m, y, alive)
         case Imp(x, y):
-            return _avoiding(pts.up, ext(m, x) & ~ext(m, y))
+            return live & ~ext(m, x, alive) | ext(m, y, alive)
         case Neg(x):
-            return _avoiding(pts.up, ext(m, x))
+            return live & ~ext(m, x, alive)
         case Know(agent, body):
-            missing = ~ext(m, body)
-            return _avoiding(pts.knows(m, agent), missing)
+            missing = live & ~ext(m, body, alive)
+            return live & sum(world for world, succ in pts.knows(m, agent)
+                              if not succ & missing)
         case Announce(ann, body) | Diamond(ann, body):
-            updated = announce(m, ann)
-            executable = updated.world_order
-            value = 0 if isinstance(f, Diamond) else (
-                pts.all - sum(pts.world[s] for s in executable))
-            if executable:
-                holds = ext(updated, body)
-                roots = _layout(updated).root
-                value |= sum(pts.world[s] for s in executable if roots[s] & holds)
-            return value
+            # A world without kept leaves is dropped, where [φ] holds and <φ>
+            # does not; a kept world's updated root forces the body when
+            # every kept leaf does.  With no kept leaf the body is not read.
+            kept = ext(m, ann, alive)
+            failed = kept & ~ext(m, body, kept) if kept else 0
+            return live & sum(world for world in pts.world.values()
+                              if not world & failed
+                              and (world & kept or isinstance(f, Announce)))
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _lift(w: BethModel, leaves: int) -> int:
+    """The nodes of ``w`` whose leaves above all lie in ``leaves``, both over
+    ``node_order``: the nodes forcing a formula with that leaf extension."""
+    missing = w.leaf_mask & ~leaves
+    return sum(1 << i for i, up in enumerate(w.up_mask) if not up & missing)
+
+
 def _eval(m: BethKripkeModel, s: str, node: str, f: Formula) -> bool:
-    m.world(s).ensure_node(node)
-    return bool(_ext(m, f) >> _layout(m).bit[s, node] & 1)
+    w = m.world(s)
+    w.ensure_node(node)
+    leaves = (w.up_mask[w.index[node]] & w.leaf_mask) << _layout(m).offset[s]
+    return not leaves & ~_ext(m, f)
 
 
 def forces(m: BethKripkeModel, s: str, node: str, f: Formula,
@@ -252,9 +248,10 @@ def restrict_world(m: BethKripkeModel, s: str, ann: Formula) -> Optional[BethMod
 
 def announce(m: BethKripkeModel, ann: Formula) -> BethKripkeModel:
     """The updated model: each world keeps the nodes that do not force ¬ann
-    (in ``m``) and is dropped when its root forces ¬ann; accessibility is
-    intersected with the surviving worlds.  An empty result is a value, not
-    an error; evaluating anything on it raises UnknownWorld.
+    (in ``m``), those with a leaf above that forces ann, and is dropped when
+    it keeps no leaf; accessibility is intersected with the surviving
+    worlds.  An empty result is a value, not an error; evaluating anything
+    on it raises UnknownWorld.
 
     ¬ann is persistent, so the kept nodes form a down-set that contains the
     root.  Restricted to them, the order is still a partial order with the
@@ -263,13 +260,15 @@ def announce(m: BethKripkeModel, ann: Formula) -> BethKripkeModel:
     cached = m._announce.get(ann)
     if cached is not None:
         return cached
-    refuted = _ext(m, Neg(ann))
+    kept = _ext(m, ann)
     pts = _layout(m)
     survivors: dict[str, BethModel] = {}
     for s in m.world_order:
-        if not refuted & pts.root[s]:
-            kept = (pts.world[s] & ~refuted) >> pts.offset[s]
-            survivors[s] = beth.restrict(m.worlds[s], kept)
+        w = m.worlds[s]
+        leaves = kept >> pts.offset[s] & w.leaf_mask
+        if leaves:
+            survivors[s] = beth.restrict(
+                w, sum(1 << i for i, up in enumerate(w.up_mask) if up & leaves))
     access = {
         agent: frozenset((a, b) for (a, b) in pairs if a in survivors and b in survivors)
         for agent, pairs in m.access.items()
@@ -334,15 +333,13 @@ def _fmt_nodes(nodes: Iterable[str], max_items: int) -> str:
     return "{" + ", ".join(nodes) + "}"
 
 
-def _first_above(m: BethKripkeModel, s: str, node: str, points: int) -> Optional[str]:
-    """The first node in ``node_order`` of world ``s`` that is above ``node``
-    and whose point is in ``points``; None when there is none."""
-    pts = _layout(m)
-    hits = pts.up[pts.bit[s, node]][1] & points
+def _first_above(w: BethModel, node: str, nodes: int) -> Optional[str]:
+    """The first node in ``node_order`` of ``w`` that is above ``node`` and
+    in the node bitmask ``nodes``; None when there is none."""
+    hits = w.up_mask[w.index[node]] & nodes
     if not hits:
         return None
-    lowest = (hits & -hits).bit_length() - 1
-    return m.worlds[s].node_order[lowest - pts.offset[s]]
+    return w.node_order[(hits & -hits).bit_length() - 1]
 
 
 def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) -> Trace:
@@ -352,6 +349,9 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
 
     def sub(n: str, g: Formula) -> Trace:
         return _explain(m, s, n, g, max_items)
+
+    def nodes(g: Formula) -> int:
+        return _lift(w, _ext(m, g) >> _layout(m).offset[s])
 
     match f:
         case Top() | Bot():
@@ -376,14 +376,14 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
             return Trace(s, node, f, "or-bar", value, note,
                          children=(sub(node, x), sub(node, y)))
         case Imp(x, y):
-            b = _first_above(m, s, node, _ext(m, x) & ~_ext(m, y))
+            b = _first_above(w, node, nodes(x) & ~nodes(y))
             if b is not None:
                 return Trace(s, node, f, "implies", value,
                              f"fails above at {b!r}", (sub(b, x), sub(b, y)))
             return Trace(s, node, f, "implies", value,
                          f"holds at every node of {_fmt_nodes(up, max_items)}")
         case Neg(x):
-            b = _first_above(m, s, node, _ext(m, x))
+            b = _first_above(w, node, nodes(x))
             if b is not None:
                 return Trace(s, node, f, "not", value,
                              f"body forced above at {b!r}", (sub(b, x),))

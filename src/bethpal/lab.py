@@ -280,8 +280,8 @@ CLASS_CACHE_SIZE = 128
 
 
 def _semantic_reps(m: BethKripkeModel, pool: Iterable[Formula]) -> list[Formula]:
-    """One representative per extension over every (world, node) of the
-    model, the first of its class in pool order.
+    """One representative per extension in the model, the first of its
+    class in pool order.
 
     Every formula is persistent and holds at a node iff it holds at every
     leaf above it, so two pool formulas have the same extension iff they
@@ -311,7 +311,7 @@ def _classes(pool: _Pool,
              valuations: frozenset[frozenset[str]]) -> tuple[Formula, ...]:
     """The first formula of each extension of ``pool`` on the valuation
     model: one world, a root below one leaf per valuation (sorted), where a
-    leaf's point separates two formulas iff its valuation does."""
+    leaf separates two formulas iff its valuation does."""
     leaves = [f"v{i}" for i in range(len(valuations))]
     world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
                           dict(zip(leaves, sorted(valuations, key=sorted))))
@@ -322,21 +322,18 @@ def _classes(pool: _Pool,
     return tuple(reps.values())
 
 
-def _instance_ext(m: BethKripkeModel, f: Formula, binding: Mapping[str, Formula]) -> int:
-    """The extension of the instance ``substitute(f, binding)`` in ``m``,
-    labeled through the clauses of :func:`dynamic._label` without building
-    the instance.  A formula metavariable reads its bound formula's memoized
-    extension, and ``K`` takes its bound agent.  An announcement is labeled
-    on its built instance, since the updated model is keyed by the announced
-    formula."""
+def _instance_ext(m: BethKripkeModel, f: Formula, binding: Mapping[str, Formula],
+                  alive: Optional[int] = None) -> int:
+    """The extension of the instance ``substitute(f, binding)`` in ``m``
+    updated to the leaves ``alive``, labeled through :func:`dynamic._label`
+    without building the instance: a formula metavariable reads its bound
+    formula's memoized extension, and ``K`` takes its bound agent."""
     match f:
         case Atom(name) if is_metavariable(name):
-            return dynamic._ext(m, binding[name])
+            return dynamic._ext(m, binding[name], alive)
         case Know(agent, body):
             f = Know(binding[agent].name, body)
-        case Announce() | Diamond():
-            return dynamic._ext(m, substitute(f, binding))
-    return dynamic._label(m, f, lambda model, g: _instance_ext(model, g, binding))
+    return dynamic._label(m, f, alive, lambda m, g, live: _instance_ext(m, g, binding, live))
 
 
 def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Verdict:
@@ -352,7 +349,7 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
     for t in range(trials):
         m = random_model(replace(gen, seed=split_seed(gen.seed, t)))
         reps = _semantic_reps(m, pool)
-        roots = dynamic._layout(m).root
+        worlds = dynamic._layout(m).world
         agents = sorted(m.agents)
         for agent_choice in itertools.product(agents, repeat=len(avars)):
             binding: dict[str, Formula] = {
@@ -362,7 +359,7 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
                 binding.update(zip(fvars, formula_choice))
                 holds = _instance_ext(m, space.schema, binding)
                 for s in m.world_order:
-                    if not holds & roots[s]:
+                    if worlds[s] & ~holds:
                         return Counterexample(m, s, substitute(space.schema, binding))
     return NoCounterexample(trials)
 
@@ -423,6 +420,8 @@ def test_announcement_hypothesis(gen: GenParams, trials: int, depth: int = 2,
     forces the biconditional [phi]psi <-> (phi -> psi)."""
     if not gen.s5:
         raise ValueError("the hypothesis is about S5 models; set s5=True")
+    if not 0 <= depth <= MAX_HYPOTHESIS_DEPTH:
+        raise ValueError(f"depth must be between 0 and {MAX_HYPOTHESIS_DEPTH}, not {depth}")
     records: list[str] = []
     divergent = 0
     instances = 0

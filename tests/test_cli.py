@@ -438,6 +438,9 @@ class TestHashSeedIndependence:
             ["check", five, "s", "~p", "--explain"],
             ["check", five, "s", "p -> q", "--explain"],
             ["--format", "json", "check", five, "s", "~~p -> q", "--explain"],
+            ["check", five, "s", "[p]K{i}p", "--explain"],
+            ["check", five, "s", "<~p>top", "--explain"],
+            ["announce", five, "p"],
             ["check", str(tmp_path / "cycle.model"), "s", "p"],
             ["check", str(tmp_path / "chain.model"), "s", "p"],
             ["sep"],

@@ -71,6 +71,11 @@ class TestAnnouncementExamples:
         assert updated.world_order == ("s",)
         assert updated.access["i"] == {("s", "s")}
 
+    def test_evaluation_builds_no_updated_model(self, fork_model):
+        assert satisfies(fork_model, "s", parse_formula("[p]K{i}p")).value
+        assert satisfies(fork_model, "s", parse_formula("<~p>top")).value
+        assert fork_model._announce == {}
+
     def test_nested_announcements_materialize(self, fork_model):
         # <p><q>top fails: after announcing p the q-branch is gone.
         assert not satisfies(fork_model, "s", parse_formula("<p><q>top")).value
@@ -420,7 +425,8 @@ class TestTraces:
 
 class TestLabelingAgainstOracle:
     """The labeling evaluator behind forces_prop and forces against the
-    path-based oracle lab.naive_forces, at every point."""
+    path-based oracle lab.naive_forces, at every node; the oracle, too,
+    forces at a node exactly what every leaf above it forces."""
 
     def test_on_all_small_beth_models(self):
         pool = propositional_pool(("p", "q"), 1)
@@ -428,8 +434,10 @@ class TestLabelingAgainstOracle:
         for m in enumerate_small_beth(4, ("p", "q")):
             wrapped = BethKripkeModel({"w": m}, (), {})
             for f in pool:
+                naive = {node: naive_forces(wrapped, "w", node, f) for node in m.node_order}
                 for node in m.node_order:
-                    assert forces_prop(m, node, f) == naive_forces(wrapped, "w", node, f)
+                    assert forces_prop(m, node, f) == naive[node]
+                    assert naive[node] == all(naive[b] for b in m.up[node] & m.leaves)
             count += 1
         assert count == 281
 
@@ -443,6 +451,8 @@ class TestLabelingAgainstOracle:
                 f = random_formula(rng, 3, ("p", "q"), agents,
                                    allow_know=True, allow_announce=True)
                 for s in m.world_order:
-                    for node in m.worlds[s].node_order:
-                        assert forces(m, s, node, f).value == naive_forces(m, s, node, f), (
-                            t, s, node, f)
+                    w = m.worlds[s]
+                    naive = {node: naive_forces(m, s, node, f) for node in w.node_order}
+                    for node in w.node_order:
+                        assert forces(m, s, node, f).value == naive[node], (t, s, node, f)
+                        assert naive[node] == all(naive[b] for b in w.up[node] & w.leaves)

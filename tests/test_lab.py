@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from bethpal.beth import fingerprint_classes, validate_beth
+from bethpal.beth import fingerprint_classes, forces_prop, validate_beth
 from bethpal.dynamic import BethKripkeModel, check_s5, forces, satisfies
 from bethpal.formula import TOP, Atom, agent_names, metavariables, parse_formula, substitute
 from bethpal import lab
@@ -168,6 +168,27 @@ class TestValidityTrials:
         from bethpal.modeldoc import parse_model_document
         replayed = parse_model_document(serialize_model(verdict.model))
         assert not satisfies(replayed, verdict.world, verdict.instance).value
+
+
+class TestFiniteModelsAreClassical:
+    """Every path of a finite model ends in a classical leaf, so every
+    classical tautology is forced and a lab NoCounterexample speaks for
+    soundness only."""
+
+    TAUTOLOGIES = ["~~p -> p", "((p -> q) -> p) -> p", "p | ~p", "(p -> q) | (q -> p)"]
+
+    def test_tautologies_hold_on_all_small_models(self):
+        formulas = [parse_formula(text) for text in self.TAUTOLOGIES]
+        for m in enumerate_small_beth(4, ("p", "q")):
+            for f in formulas:
+                assert all(forces_prop(m, node, f) for node in m.node_order), (m, f)
+
+    @pytest.mark.parametrize("s5", [True, False])
+    @pytest.mark.parametrize("schema", ["~~X -> X", "((X -> Y) -> X) -> X"])
+    def test_lab_finds_no_counterexample(self, schema, s5):
+        verdict = lab.test_validity(SchemaInstanceSpace(parse_formula(schema)),
+                                    GenParams(seed=12, s5=s5), 300)
+        assert verdict == NoCounterexample(300)
 
 
 class TestInstanceLabeling:
@@ -341,6 +362,11 @@ class TestHypothesisExperiment:
     def test_requires_s5(self):
         with pytest.raises(ValueError):
             lab.test_announcement_hypothesis(GenParams(seed=8, s5=False), 5)
+
+    @pytest.mark.parametrize("depth", [33, 3000])
+    def test_depth_beyond_the_bound_is_refused(self, depth):
+        with pytest.raises(ValueError, match=f"not {depth}"):
+            lab.test_announcement_hypothesis(GenParams(seed=0), 1, depth=depth)
 
     def test_divergence_is_reported_not_asserted(self):
         report = lab.test_announcement_hypothesis(GenParams(seed=8), 40)
