@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
-from .formula import And, Atom, Formula, Imp, Neg, Or, BOT, TOP, is_propositional
+from .formula import And, Atom, Formula, Imp, Neg, Or, BOT, TOP
 
 
 class ModelError(ValueError):
@@ -136,9 +136,8 @@ class BethModel:
         self.root = root
         self.val = dict(val)
         self.atoms = atoms
-        # :func:`extension`'s node masks, and the leaf labels and point layout
-        # of the one-world model it labels; none refers back to the model.
-        self._extensions: dict[Formula, int] = {}
+        # The leaf labels and point layout of dynamic.leaf_extension, which
+        # labels this model as a world of its own; neither refers back to it.
         self._labels: dict = {}
         self._points = None
 
@@ -318,31 +317,13 @@ def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
     return avoiding_path(m, a, bar) is None
 
 
-def extension(m: BethModel, f: Formula) -> int:
-    """The nodes of ``m`` forcing the propositional formula ``f``, as a
-    bitmask (bit i is ``m.node_order[i]``), lifted from the leaf labeling of
-    :mod:`bethpal.dynamic` on ``m`` as a world of its own.
-
-    The one-world model is built around the leaf labels and point layout
-    that ``m`` keeps, on every call that misses the memo, so that nothing
-    ``m`` holds refers back to ``m``."""
-    if not is_propositional(f):
-        raise NonPropositionalFormula(f)
-    hit = m._extensions.get(f)
-    if hit is None:
-        from .dynamic import BethKripkeModel, _ext, _lift    # dynamic builds on this module
-        world = BethKripkeModel({"w": m}, (), {})
-        world._labels, world._points = m._labels, m._points
-        hit = m._extensions[f] = _lift(m, _ext(world, f))
-        m._points = world._points
-    return hit
-
-
 def forces_prop(m: BethModel, a: str, f: Formula) -> bool:
     """Propositional forcing at a node: atoms and ∨ through bars, → and ¬ by
-    quantifying over the up-set."""
+    quantifying over the up-set.  On a finite model that is: every leaf
+    above ``a`` forces ``f``."""
+    from .dynamic import leaf_extension     # dynamic builds on this module
     m.ensure_node(a)
-    return bool(extension(m, f) >> m.index[a] & 1)
+    return not m.up_mask[m.index[a]] & m.leaf_mask & ~leaf_extension(m, f)
 
 
 MAX_LAYER = 100_000
@@ -388,8 +369,10 @@ def equivalent_up_to_depth(x: PointedBeth, y: PointedBeth, d: int,
     semantic fingerprint (see :func:`fingerprint_classes`), so the search
     space stays small even at generous depths.
     """
-    classes = fingerprint_classes(lambda f: (extension(x.model, f), extension(y.model, f)),
-                                  sorted(set(atoms)), d)
+    from .dynamic import leaf_extension
+    classes = fingerprint_classes(
+        lambda f: (leaf_extension(x.model, f), leaf_extension(y.model, f)),
+        sorted(set(atoms)), d)
     return next((f for f in classes
                  if forces_prop(x.model, x.point, f) != forces_prop(y.model, y.point, f)),
                 None)

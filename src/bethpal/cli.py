@@ -19,9 +19,16 @@ from .modeldoc import DocumentError, parse_model_document, serialize_model
 from .proofkit import ProofParseError, SCHEMAS
 
 
+class UnreadableFile(ValueError):
+    pass
+
+
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise UnreadableFile(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _load_model(path: str) -> BethKripkeModel:
@@ -256,10 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-worlds", type=_count(1), default=3)
     p.add_argument("--agents", type=_count(1, len(lab.AGENT_NAMES)), default=2)
     p.add_argument("--atoms", type=_count(1, len(lab.ATOM_NAMES)), default=2)
-    p.add_argument("--no-s5", action="store_true",
-                   help="draw irreflexive random relations instead of equivalences")
-    p.add_argument("--hypothesis", action="store_true",
-                   help="also run the [phi]psi <-> (phi -> psi) experiment")
+    # The experiment is about S5 models only.
+    relations = p.add_mutually_exclusive_group()
+    relations.add_argument("--no-s5", action="store_true",
+                           help="draw irreflexive random relations instead of equivalences")
+    relations.add_argument("--hypothesis", action="store_true",
+                           help="also run the [phi]psi <-> (phi -> psi) experiment")
     p.add_argument("--hyp-depth", type=_count(0, lab.MAX_HYPOTHESIS_DEPTH), default=2)
     p.add_argument("--hyp-announcements", action="store_true",
                    help="allow nested announcements in sampled formulas")
@@ -294,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, ModelError, DocumentError, ProofParseError,
-            lab.BoundTooLarge) as e:
+            lab.BoundTooLarge, UnreadableFile) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -24,7 +24,7 @@ from . import beth
 from .beth import BethModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    print_formula,
+    is_propositional, print_formula,
 )
 
 
@@ -64,7 +64,6 @@ class BethKripkeModel:
         self._points: Optional[_Points] = None      # built on first evaluation
         self._labels: dict[tuple[Optional[int], Formula], int] = {}    # see _ext
         self._announce: dict[Formula, "BethKripkeModel"] = {}
-        self._s5: Optional[bool] = None
 
     def world(self, s: str) -> BethModel:
         try:
@@ -92,9 +91,7 @@ class BethKripkeModel:
     @property
     def is_s5(self) -> bool:
         """Every agent's accessibility is an equivalence relation."""
-        if self._s5 is None:
-            self._s5 = all(report.equivalence for report in check_s5(self).values())
-        return self._s5
+        return all(report.equivalence for report in check_s5(self).values())
 
     def __repr__(self) -> str:
         return f"BethKripkeModel(worlds={self.world_order!r}, agents={sorted(self.agents)!r})"
@@ -128,13 +125,12 @@ class _Points:
     set.  A world's points are its nodes' bits shifted by the world's
     offset, so its masks are its own bitmasks shifted likewise."""
 
-    def __init__(self, m: BethKripkeModel):
+    def __init__(self, worlds: Mapping[str, BethModel]):
         self.offset: dict[str, int] = {}    # the world's first point
         self.world: dict[str, int] = {}     # the world's leaves
         self.atoms: dict[str, int] = {}     # leaves carrying the atom
         offset = 0
-        for s in m.world_order:
-            w = m.worlds[s]
+        for s, w in worlds.items():
             self.offset[s] = offset
             self.world[s] = w.leaf_mask << offset
             for leaf in w.leaves:
@@ -157,13 +153,14 @@ class _Points:
 
 def _layout(m: BethKripkeModel) -> _Points:
     if m._points is None:
-        m._points = _Points(m)
+        m._points = _Points(m.worlds)
     return m._points
 
 
 def _ext(m: BethKripkeModel, f: Formula, alive: Optional[int] = None) -> int:
     """The leaves forcing ``f`` in ``m`` updated to the leaves ``alive`` (None:
-    every leaf), as a bitmask (see :class:`_Points`), memoized per model."""
+    every leaf), as a bitmask (see :class:`_Points`), memoized per model.
+    ``m`` may also be a bare model labeled by :func:`leaf_extension`."""
     key = (alive, f)
     hit = m._labels.get(key)
     if hit is None:
@@ -208,6 +205,23 @@ def _label(m: BethKripkeModel, f: Formula, alive: Optional[int],
                               if not world & failed
                               and (world & kept or isinstance(f, Announce)))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def leaf_extension(w: BethModel, f: Formula) -> int:
+    """The leaves of the bare model ``w`` forcing the propositional formula
+    ``f``, as a bitmask over ``w.node_order``: ``w`` is labeled as the one
+    world of a model without agents.  The propositional clauses read only
+    the memo and the point layout, which ``w`` keeps, so no model is built
+    around ``w``.  The memo holds propositional formulas only, so ``f`` is
+    checked on a miss alone."""
+    hit = w._labels.get((None, f))
+    if hit is None:
+        if not is_propositional(f):
+            raise beth.NonPropositionalFormula(f)
+        if w._points is None:
+            w._points = _Points({"w": w})
+        hit = _ext(w, f)
+    return hit
 
 
 def _lift(w: BethModel, leaves: int) -> int:

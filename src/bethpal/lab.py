@@ -106,7 +106,7 @@ def random_model(p: GenParams) -> BethKripkeModel:
     return BethKripkeModel(worlds, agents, access)
 
 
-_DEFAULT_WEIGHTS = {
+_WEIGHTS = {
     "atom": 5, "top": 1, "bot": 1,
     "neg": 3, "and": 3, "or": 3, "imp": 3,
     "know": 3, "announce": 1, "diamond": 1,
@@ -115,15 +115,14 @@ _DEFAULT_WEIGHTS = {
 
 def random_formula(rng: random.Random, max_depth: int, atoms: Iterable[str],
                    agents: Iterable[str] = (), allow_know: bool = False,
-                   allow_announce: bool = False,
-                   weights: Optional[dict[str, int]] = None) -> Formula:
+                   allow_announce: bool = False) -> Formula:
     """Grammar-directed sampling with per-connective weights and a hard
     depth cap."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, not {max_depth}")
     atoms = tuple(atoms)
     agents = tuple(agents)
-    weights = dict(_DEFAULT_WEIGHTS if weights is None else weights)
+    weights = dict(_WEIGHTS)
     if not (allow_know and agents):
         weights.pop("know", None)
     if not allow_announce:
@@ -132,7 +131,7 @@ def random_formula(rng: random.Random, max_depth: int, atoms: Iterable[str],
 
     def gen(d: int) -> Formula:
         if d == 0:
-            kinds, ws = zip(*[(k, weights.get(k, 1)) for k in ("atom", "top", "bot")])
+            kinds, ws = zip(*[(k, weights[k]) for k in ("atom", "top", "bot")])
         else:
             kinds, ws = zip(*sorted(weights.items()))
         kind = rng.choices(kinds, ws)[0]
@@ -413,9 +412,12 @@ double in size about every eight levels (20 trials: 0.5 s at depth 32, 7 s at
 64), and a depth in the thousands exceeds the recursion limit."""
 
 
+HYPOTHESIS_INSTANCES_PER_TRIAL = 4
+"""(phi, psi) pairs the announcement experiment samples per model."""
+
+
 def test_announcement_hypothesis(gen: GenParams, trials: int, depth: int = 2,
-                                 include_announcements: bool = False,
-                                 instances_per_trial: int = 4) -> HypothesisReport:
+                                 include_announcements: bool = False) -> HypothesisReport:
     """Sample (phi, psi) pairs of bounded depth and test whether every world
     forces the biconditional [phi]psi <-> (phi -> psi)."""
     if not gen.s5:
@@ -432,7 +434,7 @@ def test_announcement_hypothesis(gen: GenParams, trials: int, depth: int = 2,
         digest = modeldoc.model_digest(m)
         rng = random.Random(split_seed(gen.seed ^ 0xA11CE, t))
         agents = sorted(m.agents)
-        for _ in range(instances_per_trial):
+        for _ in range(HYPOTHESIS_INSTANCES_PER_TRIAL):
             phi = random_formula(rng, depth, ATOM_NAMES[:gen.atom_count], agents,
                                  allow_know=True, allow_announce=include_announcements)
             psi = random_formula(rng, depth, ATOM_NAMES[:gen.atom_count], agents,
@@ -581,7 +583,7 @@ def nontranslatability_witness(max_depth: int = 4) -> WitnessReport:
                    for m in models)
     equivalent: Optional[Formula] = None
     classes = 0
-    for f in fingerprint_classes(lambda f: tuple(beth.extension(m, f) for m in models),
+    for f in fingerprint_classes(lambda f: tuple(dynamic.leaf_extension(m, f) for m in models),
                                  ("p",), max_depth):
         classes += 1
         if equivalent is None and target == tuple(

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Iterable
 
 from .beth import BethModel, validate_beth
 from .dynamic import BethKripkeModel
@@ -236,8 +235,7 @@ def model_digest(m: BethKripkeModel) -> str:
     return hashlib.sha256(serialize_model(m).encode()).hexdigest()[:12]
 
 
-def serialize_beth(w: BethModel, world_name: str = "w", agents: Iterable[str] = ()) -> str:
-    """Render a bare Beth model as a one-world document."""
-    agents = tuple(agents)
-    return serialize_model(BethKripkeModel(
-        {world_name: w}, agents, {a: frozenset() for a in agents}))
+def serialize_beth(w: BethModel) -> str:
+    """Render a bare Beth model as a document of one world ``w`` and no
+    agents."""
+    return serialize_model(BethKripkeModel({"w": w}, (), {}))

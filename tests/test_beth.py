@@ -191,6 +191,9 @@ class TestForcing:
         assert forces_prop(fork_pq, "a", Neg(Atom("nope")))
 
     def test_rejects_modal(self, fork_pq):
+        # Formulas labeled first must not let a modal one past the check.
+        assert not forces_prop(fork_pq, "a", p)
+        assert forces_prop(fork_pq, "a", Or(p, q))
         with pytest.raises(NonPropositionalFormula):
             forces_prop(fork_pq, "a", parse_formula("K{a}p"))
         with pytest.raises(NonPropositionalFormula):
@@ -576,6 +579,7 @@ def test_extension_leaves_no_cyclic_garbage(fork_pq):
         assert forces_prop(m, "a", parse_formula("p | q"))
         assert equivalent_up_to_depth(PointedBeth(m, "a"), PointedBeth(fork_pq, "b"), 1,
                                       ("p", "q")) == p
+        assert lab.nontranslatability_witness(2).equivalent is None
         del m
         assert gc.collect() == 0
     finally:

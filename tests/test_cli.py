@@ -157,7 +157,10 @@ _DOC_PIECES = [
     ")", ":", ";", ",", "<", "s", "t", "a", "b", "p", "i", "top", "_x", "#",
     "\n", " ", "%", "1", "é",
 ]
-_doc_noise = st.lists(st.sampled_from(_DOC_PIECES), max_size=60).map("".join)
+# Documents as bytes, so that invalid UTF-8 can be spliced in.
+_doc_noise = st.lists(st.sampled_from([piece.encode() for piece in _DOC_PIECES]
+                                      + [b"\xff", b"\xe9"]), max_size=60).map(b"".join)
+_FORK_BYTES = FORK_DOC.encode()
 
 
 @pytest.fixture(scope="module")
@@ -179,13 +182,24 @@ class TestTotality:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
         _doc_noise,
-        st.tuples(st.integers(0, len(FORK_DOC)), _doc_noise)
-        .map(lambda t: FORK_DOC[:t[0]] + t[1] + FORK_DOC[t[0]:]),
+        st.tuples(st.integers(0, len(_FORK_BYTES)), _doc_noise)
+        .map(lambda t: _FORK_BYTES[:t[0]] + t[1] + _FORK_BYTES[t[0]:]),
     ))
-    def test_any_document_exits_zero_one_or_two(self, tmp_path_factory, text):
+    def test_any_document_exits_zero_one_or_two(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("doc") / "m.model"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         assert main(["check", str(path), "s", "p"]) in (0, 1, 2)
+        assert main(["prove", str(path)]) in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv", [["check", "{}", "s", "p"], ["announce", "{}", "p"],
+                                      ["prove", "{}"]])
+    def test_file_not_utf8_exits_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(FORK_DOC.encode() + b"# caf\xe9\n")
+        assert main([arg.format(path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path} is not UTF-8 text" in captured.err
+        assert captured.out == ""
 
 
 class TestAtomNames:
@@ -251,6 +265,12 @@ class TestAxioms:
 
     def test_unknown_schema(self, capsys):
         assert main(["axioms", "--schema", "A99"]) == 2
+
+    def test_hypothesis_without_s5_exits_two_before_any_trial(self, capsys):
+        assert main(["axioms", "--no-s5", "--hypothesis"]) == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument --no-s5" in captured.err
+        assert captured.out == ""
 
     def test_hypothesis_report_file(self, tmp_path, capsys):
         out = tmp_path / "hyp.log"
