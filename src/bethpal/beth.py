@@ -123,18 +123,18 @@ class BethModel:
     same relation out as sets; they take space quadratic in the number of
     nodes, so they are built on first use."""
 
-    def __init__(self, nodes: tuple[str, ...], up_mask: tuple[int, ...],
-                 covers: Mapping[str, tuple[str, ...]], root: str,
-                 val: Mapping[str, frozenset[str]], atoms: frozenset[str]):
+    def __init__(self, nodes: tuple[str, ...], index: dict[str, int], up_mask: tuple[int, ...],
+                 covers: dict[str, tuple[str, ...]], leaf_mask: int, root: str,
+                 val: dict[str, frozenset[str]], atoms: frozenset[str]):
         self.node_order = nodes                      # sorted, deterministic iteration
         self.nodes = frozenset(nodes)
-        self.index = {a: i for i, a in enumerate(nodes)}
+        self.index = index                           # position in node_order
         self.up_mask = up_mask
-        self.covers = dict(covers)                   # sorted immediate successors
-        self.leaves = frozenset(a for a in nodes if not covers[a])
-        self.leaf_mask = sum(1 << self.index[a] for a in self.leaves)
+        self.covers = covers                         # sorted immediate successors
+        self.leaf_mask = leaf_mask
+        self.leaves = frozenset(self.names(leaf_mask))
         self.root = root
-        self.val = dict(val)
+        self.val = val
         self.atoms = atoms
         # The leaf labels and point layout of dynamic.leaf_extension, which
         # labels this model as a world of its own; neither refers back to it.
@@ -195,32 +195,33 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
     if not node_tuple:
         raise ModelError("a model needs at least one node")
     index = {a: i for i, a in enumerate(node_tuple)}
-    order = list(order)
-    for a, b in order:
-        if a not in index:
-            raise UnknownNode(a)
-        if b not in index:
-            raise UnknownNode(b)
+    succ: list[set[int]] = [set() for _ in node_tuple]     # self-loops add nothing
+    try:
+        for a, b in order:
+            i = index[a]
+            j = index[b]
+            if i != j:
+                succ[i].add(j)
+    except KeyError as e:       # the first unknown node: a, then b, pair by pair
+        raise UnknownNode(e.args[0]) from None
     if root not in index:
         raise UnknownNode(root)
-    succ: list[set[int]] = [set() for _ in node_tuple]     # self-loops add nothing
-    for a, b in order:
-        if a != b:
-            succ[index[a]].add(index[b])
     up = _up_masks(succ)
     if up is None:
-        closed = transitive_closure(node_tuple, order)
+        closed = transitive_closure(node_tuple, ((node_tuple[i], node_tuple[j])
+                                                 for i, targets in enumerate(succ)
+                                                 for j in targets))
         raise NotAPartialOrder(min((a, b) for a, b in closed if a != b and (b, a) in closed))
     missing = ((1 << len(node_tuple)) - 1) & ~up[index[root]]
     if missing:
         raise NoRoot((root, node_tuple[next(_bits(missing))]))
-    valuation: dict[str, frozenset[str]] = {a: frozenset() for a in node_tuple}
+    valuation: dict[str, frozenset[str]] = dict.fromkeys(node_tuple, frozenset())
     if val:
         for a, atoms_at in val.items():
             if a not in index:
                 raise UnknownNode(a)
             valuation[a] = frozenset(atoms_at)
-    vals = [valuation[a] for a in node_tuple]
+    vals = list(valuation.values())
     # Inclusion is transitive, so the listed edges decide monotonicity; the
     # witness is the first lost pair of the whole order.
     if not all(vals[i] <= vals[j] for i, targets in enumerate(succ) for j in targets):
@@ -228,14 +229,17 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
                     if not vals[i] <= vals[j])
         raise NonMonotoneValuation(node_tuple[a], node_tuple[b], min(vals[a] - vals[b]))
     covers: dict[str, tuple[str, ...]] = {}
+    leaf_mask = 0
     for i, targets in enumerate(succ):
+        if not targets:
+            leaf_mask |= 1 << i
         through = 0         # reached through another listed successor
         for j in targets:
             through |= up[j] ^ 1 << j
         covers[node_tuple[i]] = tuple(node_tuple[j] for j in sorted(targets)
                                       if not through >> j & 1)
     universe = frozenset(atoms) | frozenset().union(*vals)
-    return BethModel(node_tuple, tuple(up), covers, root, valuation, universe)
+    return BethModel(node_tuple, index, tuple(up), covers, leaf_mask, root, valuation, universe)
 
 
 def restrict(m: BethModel, keep: int) -> BethModel:
@@ -249,7 +253,9 @@ def restrict(m: BethModel, keep: int) -> BethModel:
     index = {a: i for i, a in enumerate(nodes)}
     covers = {a: tuple(b for b in m.covers[a] if b in index) for a in nodes}
     up = _up_masks([{index[b] for b in covers[a]} for a in nodes])
-    return BethModel(nodes, tuple(up), covers, m.root, {a: m.val[a] for a in nodes}, m.atoms)
+    leaf_mask = sum(1 << i for i, a in enumerate(nodes) if not covers[a])
+    return BethModel(nodes, index, tuple(up), covers, leaf_mask, m.root,
+                     {a: m.val[a] for a in nodes}, m.atoms)
 
 
 def up_set(m: BethModel, a: str) -> frozenset[str]:

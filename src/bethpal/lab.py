@@ -37,6 +37,11 @@ def split_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+# random_beth draws an edge between every pair of nodes, so a world of n
+# nodes costs about n**2 draws: 1,000 nodes take about a second.
+MAX_NODES_PER_WORLD = 1000
+
+
 @dataclass(frozen=True)
 class GenParams:
     max_nodes_per_world: int = 4
@@ -49,6 +54,9 @@ class GenParams:
     def __post_init__(self):
         if min(self.max_nodes_per_world, self.max_worlds, self.num_agents, self.atom_count) < 1:
             raise ValueError("all generation bounds must be >= 1")
+        if self.max_nodes_per_world > MAX_NODES_PER_WORLD:
+            raise ValueError(f"at most {MAX_NODES_PER_WORLD} nodes per world, "
+                             f"not {self.max_nodes_per_world}")
         if self.atom_count > len(ATOM_NAMES) or self.num_agents > len(AGENT_NAMES):
             raise ValueError(f"at most {len(ATOM_NAMES)} atoms and "
                              f"{len(AGENT_NAMES)} agents can be named")
@@ -67,12 +75,12 @@ def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> Bet
                 edges.append((names[i], names[j]))
     # Nodes are indexed in topological order, so inheriting along direct
     # edges is enough to make the valuation monotone.
+    preds: dict[str, list[str]] = {name: [] for name in names}
+    for a, b in edges:
+        preds[b].append(a)
     val: dict[str, set[str]] = {}
     for name in names:
-        inherited: set[str] = set()
-        for a, b in edges:
-            if b == name:
-                inherited |= val[a]
+        inherited: set[str] = set().union(*(val[a] for a in preds[name]))
         fresh = {atom for atom in atoms if rng.random() < 0.3}
         val[name] = inherited | fresh
     return validate_beth(names, edges, "m0", val, atoms)

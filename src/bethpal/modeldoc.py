@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from typing import NoReturn
 
 from .beth import BethModel, validate_beth
 from .dynamic import BethKripkeModel
@@ -45,95 +46,119 @@ def is_atom_name(name: str) -> bool:
 
 
 _TOKEN = re.compile(r"\w+|\S")
+# A comment runs to the end of its line, and a line ends at every boundary
+# of str.splitlines.
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """Words and single characters with their line numbers, ended by a
-    ``("", line)`` marker on the line of the last token."""
-    toks: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        for tok in _TOKEN.findall(raw.split("#", 1)[0]):
-            if not (tok[0].isalpha() or tok[0] == "_" or tok in _PUNCT):
-                raise DocumentError(f"stray character {tok[0]!r}", lineno)
-            toks.append((tok, lineno))
-    toks.append(("", toks[-1][1] if toks else 1))
+def _tokenize(text: str) -> list[str]:
+    """The words and single characters of ``text`` outside comments, ended
+    by a ``""`` marker.  Lines are not recorded: an error finds the line of
+    its token with :func:`_line`."""
+    toks = _TOKEN.findall(_COMMENT.sub("", text))
+    stray = {t for t in set(toks) if not (t[0].isalpha() or t[0] == "_" or t in _PUNCT)}
+    if stray:
+        k = next(k for k, t in enumerate(toks) if t in stray)
+        raise DocumentError(f"stray character {toks[k][0]!r}", _line(text, k))
+    toks.append("")
     return toks
 
 
-class _DocParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.last = 1           # line of the last token taken
+def _line(text: str, k: int) -> int:
+    """The line of token ``k`` of ``_tokenize(text)``; the end marker is on
+    the line of the last token, or on line 1 if there is none.  Only errors
+    ask for a line."""
+    line = 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        n = len(_TOKEN.findall(_COMMENT.sub("", raw)))
+        if n:
+            if k < n:
+                return lineno
+            k -= n
+            line = lineno
+    return line
 
-    def peek(self) -> str:
-        return self.toks[self.pos][0]
 
-    def take(self) -> str:
-        tok, self.last = self.toks[self.pos]
-        if not tok:
-            raise DocumentError("unexpected end of document", self.last)
-        self.pos += 1
-        return tok
+def _fail(text: str, toks: list[str], k: int, what: str) -> NoReturn:
+    """Raise the error for token ``k``, found where ``what`` was expected."""
+    found = toks[k]
+    message = f"expected {what}, found {found!r}" if found else "unexpected end of document"
+    raise DocumentError(message, _line(text, k))
 
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise DocumentError(f"expected {tok!r}, found {got!r}", self.last)
 
-    def ident(self, what: str) -> str:
-        got = self.take()
-        if got in _PUNCT:
-            raise DocumentError(f"expected {what}, found {got!r}", self.last)
-        return got
+# The parser reads the token list by index.  ``tok in _PUNCT`` also holds for
+# the end marker, so that one test rejects both a missing name and the end
+# of the document, and a token that passes it is never the marker.
 
-    def ident_list(self, what: str) -> list[str]:
-        items = [self.ident(what)]
-        while self.peek() == ",":
-            self.take()
-            items.append(self.ident(what))
-        return items
+def _names(text: str, toks: list[str], i: int, what: str) -> tuple[list[str], int]:
+    """The comma-separated names from token ``i`` on, and the index of the
+    token after them."""
+    start = i
+    while True:
+        if toks[i] in _PUNCT:
+            _fail(text, toks, i, what)
+        if toks[i + 1] != ",":
+            return toks[start:i + 1:2], i + 1
+        i += 2
 
 
 def parse_model_document(text: str) -> BethKripkeModel:
-    p = _DocParser(text)
+    toks = _tokenize(text)
+    i = 0
     agents: list[str] | None = None
     worlds: dict[str, BethModel] = {}
     access: dict[str, set[tuple[str, str]]] = {}
-    access_line: dict[str, int] = {}    # each agent's first access statement
+    access_at: dict[str, int] = {}      # each agent's first access statement
 
-    while p.peek():
-        head = p.take()
-        lineno = p.last
+    while toks[i]:
+        head = toks[i]
+        at = i
+        i += 1
         if head == "agents":
             if agents is not None:
-                raise DocumentError("duplicate agents declaration", lineno)
-            p.expect(":")
-            agents = p.ident_list("agent name") if p.peek() not in ("", "world", "access") else []
+                raise DocumentError("duplicate agents declaration", _line(text, at))
+            if toks[i] != ":":
+                _fail(text, toks, i, "':'")
+            i += 1
+            if toks[i] in ("", "world", "access"):
+                agents = []
+            else:
+                agents, i = _names(text, toks, i, "agent name")
         elif head == "world":
-            name = p.ident("world name")
+            name = toks[i]
+            if name in _PUNCT:
+                _fail(text, toks, i, "world name")
             if name in worlds:
-                raise DocumentError(f"duplicate world {name!r}", lineno)
-            worlds[name] = _parse_world(p, name)
+                raise DocumentError(f"duplicate world {name!r}", _line(text, at))
+            worlds[name], i = _parse_world(text, toks, i + 1, name)
         elif head == "access":
-            agent = p.ident("agent name")
-            p.expect(":")
+            agent = toks[i]
+            if agent in _PUNCT:
+                _fail(text, toks, i, "agent name")
+            if toks[i + 1] != ":":
+                _fail(text, toks, i + 1, "':'")
+            i += 2
             pairs = access.setdefault(agent, set())
-            access_line.setdefault(agent, lineno)
-            while p.peek() == "(":
-                p.take()
-                a = p.ident("world name")
-                p.expect(",")
-                b = p.ident("world name")
-                p.expect(")")
+            access_at.setdefault(agent, at)
+            while toks[i] == "(":
+                a = toks[i + 1]
+                if a in _PUNCT:
+                    _fail(text, toks, i + 1, "world name")
+                if toks[i + 2] != ",":
+                    _fail(text, toks, i + 2, "','")
+                b = toks[i + 3]
+                if b in _PUNCT:
+                    _fail(text, toks, i + 3, "world name")
+                if toks[i + 4] != ")":
+                    _fail(text, toks, i + 4, "')'")
                 pairs.add((a, b))
-                if p.peek() == ",":
-                    p.take()
-                else:
+                i += 5
+                if toks[i] != ",":
                     break
+                i += 1
         else:
             raise DocumentError(
-                f"expected 'agents', 'world', or 'access', found {head!r}", lineno)
+                f"expected 'agents', 'world', or 'access', found {head!r}", _line(text, at))
 
     if agents is None:
         raise DocumentError("missing agents declaration", 1)
@@ -142,67 +167,97 @@ def parse_model_document(text: str) -> BethKripkeModel:
     declared = set(agents)
     for agent, pairs in access.items():
         if agent not in declared:
-            raise DocumentError(f"access for undeclared agent {agent!r}", access_line[agent])
+            raise DocumentError(f"access for undeclared agent {agent!r}",
+                                _line(text, access_at[agent]))
         for a, b in sorted(pairs):
             if a not in worlds or b not in worlds:
                 missing = a if a not in worlds else b
                 raise DocumentError(f"access pair names unknown world {missing!r}",
-                                    access_line[agent])
+                                    _line(text, access_at[agent]))
     return BethKripkeModel(worlds, agents, {a: frozenset(ps) for a, ps in access.items()})
 
 
-def _parse_world(p: _DocParser, name: str) -> BethModel:
-    p.expect("{")
+def _parse_world(text: str, toks: list[str], i: int, name: str) -> tuple[BethModel, int]:
+    """The world ``name`` whose body starts at token ``i``, and the index of
+    the token after it."""
+    if toks[i] != "{":
+        _fail(text, toks, i, "'{'")
+    i += 1
     root: str | None = None
     nodes: list[str] | None = None
     order: list[tuple[str, str]] = []
     val: dict[str, set[str]] = {}
-    while p.peek() != "}":
-        key = p.ident("'root', 'nodes', 'order', or 'val'")
-        lineno = p.last
-        if key == "root":
-            p.expect(":")
-            if root is not None:
-                raise DocumentError("duplicate root declaration", lineno)
-            root = p.ident("node name")
-        elif key == "nodes":
-            p.expect(":")
-            if nodes is not None:
-                raise DocumentError("duplicate nodes declaration", lineno)
-            nodes = p.ident_list("node name")
-        elif key == "order":
-            p.expect(":")
-            while True:
-                a = p.ident("node name")
-                p.expect("<")
-                b = p.ident("node name")
-                order.append((a, b))
-                if p.peek() == ",":
-                    p.take()
-                else:
-                    break
-        elif key == "val":
-            node = p.ident("node name")
-            p.expect(":")
-            p.expect("{")
+    while toks[i] != "}":
+        key = toks[i]
+        at = i
+        if key in _PUNCT:
+            _fail(text, toks, i, "'root', 'nodes', 'order', or 'val'")
+        if key == "val":
+            node = toks[i + 1]
+            if node in _PUNCT:
+                _fail(text, toks, i + 1, "node name")
+            if toks[i + 2] != ":":
+                _fail(text, toks, i + 2, "':'")
+            if toks[i + 3] != "{":
+                _fail(text, toks, i + 3, "'{'")
             if node in val:
-                raise DocumentError(f"duplicate valuation for node {node!r}", lineno)
-            atoms = p.ident_list("atom name") if p.peek() != "}" else []
-            for atom in atoms:
-                if not is_atom_name(atom):
-                    raise DocumentError(f"atom {atom!r} cannot be named in a formula", lineno)
+                raise DocumentError(f"duplicate valuation for node {node!r}", _line(text, at))
+            i += 4
+            if toks[i] == "}":
+                atoms = []
+            else:
+                atoms, i = _names(text, toks, i, "atom name")
+                for atom in atoms:
+                    if not is_atom_name(atom):
+                        raise DocumentError(f"atom {atom!r} cannot be named in a formula",
+                                            _line(text, at))
             val[node] = set(atoms)
-            p.expect("}")
+            if toks[i] != "}":
+                _fail(text, toks, i, "'}'")
+            i += 1
+        elif key == "order":
+            if toks[i + 1] != ":":
+                _fail(text, toks, i + 1, "':'")
+            i += 2
+            while True:
+                a = toks[i]
+                if a in _PUNCT:
+                    _fail(text, toks, i, "node name")
+                if toks[i + 1] != "<":
+                    _fail(text, toks, i + 1, "'<'")
+                b = toks[i + 2]
+                if b in _PUNCT:
+                    _fail(text, toks, i + 2, "node name")
+                order.append((a, b))
+                i += 3
+                if toks[i] != ",":
+                    break
+                i += 1
+        elif key == "nodes":
+            if toks[i + 1] != ":":
+                _fail(text, toks, i + 1, "':'")
+            if nodes is not None:
+                raise DocumentError("duplicate nodes declaration", _line(text, at))
+            nodes, i = _names(text, toks, i + 2, "node name")
+        elif key == "root":
+            if toks[i + 1] != ":":
+                _fail(text, toks, i + 1, "':'")
+            if root is not None:
+                raise DocumentError("duplicate root declaration", _line(text, at))
+            root = toks[i + 2]
+            if root in _PUNCT:
+                _fail(text, toks, i + 2, "node name")
+            i += 3
         else:
-            raise DocumentError(f"unknown world entry {key!r}", lineno)
-        p.expect(";")
-    p.expect("}")
-    lineno = p.last
+            raise DocumentError(f"unknown world entry {key!r}", _line(text, at))
+        if toks[i] != ";":
+            _fail(text, toks, i, "';'")
+        i += 1
     if root is None:
-        raise DocumentError(f"world {name!r} has no root", lineno)
+        raise DocumentError(f"world {name!r} has no root", _line(text, i))
     if nodes is None:
-        raise DocumentError(f"world {name!r} has no nodes", lineno)
-    return validate_beth(nodes, order, root, val)
+        raise DocumentError(f"world {name!r} has no nodes", _line(text, i))
+    return validate_beth(nodes, order, root, val), i + 1
 
 
 def _covering_pairs(w: BethModel) -> list[tuple[str, str]]:

@@ -52,6 +52,43 @@ class TestValidation:
         m = validate_beth(("a", "b", "c"), (("a", "b"), ("b", "c")), "a", {})
         assert m.leq("a", "c")
 
+    @pytest.mark.parametrize("order, first", [
+        ([("x", "y")], "x"),
+        ([("a", "y"), ("x", "a")], "y"),
+        ([("a", "a"), ("a", "b"), ("z", "y")], "z"),
+        ([("a", "b"), ("b", "a"), ("b", "y")], "y"),
+    ])
+    def test_first_unknown_node_comes_before_the_root(self, order, first):
+        # The pairs are read in order, a before b, and the unknown root
+        # "r" only after them, before any other check.
+        with pytest.raises(UnknownNode) as exc:
+            validate_beth(("a", "b"), order, "r", {"q": {"p"}})
+        assert exc.value.node == first
+        with pytest.raises(UnknownNode) as exc:
+            validate_beth(("a", "b"), [pair for pair in order if {*pair} <= {"a", "b"}], "r",
+                          {"q": {"p"}})
+        assert exc.value.node == "r"
+
+    def test_restrict_matches_validation(self):
+        # A sub-model from restrict has the attributes validate_beth gives
+        # the same description.
+        rng = random.Random(44)
+        models = list(enumerate_small_beth(4, ("p", "q")))[::5] + [_ladder(5)]
+        for m in models:
+            for _ in range(3):
+                keep = 1 << m.index[m.root]
+                for i in range(len(m.node_order)):
+                    if rng.random() < 0.4:
+                        keep |= sum(1 << j for j, u in enumerate(m.up_mask) if u >> i & 1)
+                sub = beth.restrict(m, keep)
+                names = m.names(keep)
+                built = validate_beth(
+                    names, [(a, b) for a in names for b in m.covers[a] if keep >> m.index[b] & 1],
+                    m.root, {a: m.val[a] for a in names}, m.atoms)
+                for name in ("node_order", "index", "up_mask", "covers", "leaf_mask", "leaves",
+                             "up", "leq_pairs", "root", "val", "atoms"):
+                    assert getattr(sub, name) == getattr(built, name), name
+
 
 class TestPosetMachinery:
     def test_up_set_fork(self, fork_pq):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bethpal.cli import main
 from bethpal.formula import MAX_NESTING, MAX_SIZE
-from bethpal.lab import MAX_HYPOTHESIS_DEPTH
+from bethpal.lab import MAX_HYPOTHESIS_DEPTH, MAX_NODES_PER_WORLD
 from bethpal.modeldoc import parse_model_document
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -296,6 +296,7 @@ class TestCounts:
         ["axioms", "--trials", "0"],
         ["axioms", "--depth", "-1"],
         ["axioms", "--max-nodes", "0"],
+        ["axioms", "--max-nodes", str(MAX_NODES_PER_WORLD + 1)],
         ["axioms", "--max-worlds", "0"],
         ["axioms", "--hypothesis", "--hyp-depth", "-1"],
         ["axioms", "--hypothesis", "--hyp-depth", str(MAX_HYPOTHESIS_DEPTH + 1)],
@@ -311,6 +312,8 @@ class TestCounts:
     def test_largest_counts_accepted(self, capsys):
         assert main(["axioms", "--schema", "A3", "--trials", "1",
                      "--atoms", "10", "--agents", "6"]) == 0
+        assert main(["axioms", "--schema", "A3", "--trials", "1",
+                     "--max-nodes", str(MAX_NODES_PER_WORLD)]) == 0
         assert main(["axioms", "--schema", "A3", "--trials", "1", "--hypothesis",
                      "--hyp-depth", str(MAX_HYPOTHESIS_DEPTH)]) == 0
         assert main(["witness", "--depth", "0"]) == 0

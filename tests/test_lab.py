@@ -14,7 +14,7 @@ from bethpal.lab import (
     nontranslatability_witness, propositional_pool, random_formula,
     random_model, split_seed,
 )
-from bethpal.modeldoc import serialize_model
+from bethpal.modeldoc import model_digest, serialize_model
 from bethpal.proofkit import SCHEMAS
 
 
@@ -53,6 +53,20 @@ class TestGenerators:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             GenParams(max_worlds=0)
+
+    def test_node_bound_rejected(self):
+        GenParams(max_nodes_per_world=lab.MAX_NODES_PER_WORLD)
+        with pytest.raises(ValueError):
+            GenParams(max_nodes_per_world=lab.MAX_NODES_PER_WORLD + 1)
+
+    @pytest.mark.parametrize("nodes, seed, digest", [
+        (4, 1, "7e7b9f4043df"), (12, 2, "2b6488ef1a0a"),
+        (40, 3, "fd7139081b42"), (200, 4, "687b7cca7678"),
+    ])
+    def test_models_are_pinned(self, nodes, seed, digest):
+        # The generator's draws, and so every lab report, stay as they were.
+        p = GenParams(seed=split_seed(seed, 0), max_nodes_per_world=nodes, atom_count=3)
+        assert model_digest(random_model(p)) == digest
 
     def test_unnameable_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,32 @@ class TestErrorLines:
         assert exc.value.line == 3
 
 
+# Every line boundary of str.splitlines.  A comment ends at each of them.
+BOUNDARIES = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("nl", BOUNDARIES)
+class TestBoundaryLines:
+    """Lines are counted only for an error; each line boundary counts as one
+    line break, and ends a comment."""
+
+    @pytest.mark.parametrize("lines, line, message", [
+        (["agents: # i", "world {"], 2, "expected world name, found '{'"),
+        (["agents: i", WORLD + " # % ", "", "%"], 4, "stray character '%'"),
+        (["agents:", "world s {", " root: a;", "# one", "", "# two", ""], 3,
+         "unexpected end of document"),
+        (["agents: i", WORLD, "# access i: (s, s)", "access j: (s, s)"], 4,
+         "access for undeclared agent 'j'"),
+        (["agents: i", WORLD, "access i: # (s, s)", " (s, s),", "access i: (s, t)"], 3,
+         "access pair names unknown world 't'"),
+    ])
+    def test_message_and_line(self, nl, lines, line, message):
+        with pytest.raises(DocumentError) as exc:
+            parse_model_document(nl.join(lines))
+        assert str(exc.value) == f"line {line}: {message}"
+        assert exc.value.line == line
+
+
 class TestSerialization:
     def test_round_trip_fixed_point(self):
         once = serialize_model(parse_model_document(FORK_DOC))
