@@ -74,15 +74,12 @@ def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> Bet
             if rng.random() < 0.4:
                 edges.append((names[i], names[j]))
     # Nodes are indexed in topological order, so inheriting along direct
-    # edges is enough to make the valuation monotone.
-    preds: dict[str, list[str]] = {name: [] for name in names}
+    # edges is enough to make the valuation monotone.  The edges are listed
+    # in order of their lower node, so a node has inherited all it will when
+    # its own edges pass it on.
+    val = {name: {atom for atom in atoms if rng.random() < 0.3} for name in names}
     for a, b in edges:
-        preds[b].append(a)
-    val: dict[str, set[str]] = {}
-    for name in names:
-        inherited: set[str] = set().union(*(val[a] for a in preds[name]))
-        fresh = {atom for atom in atoms if rng.random() < 0.3}
-        val[name] = inherited | fresh
+        val[b] |= val[a]
     return validate_beth(names, edges, "m0", val, atoms)
 
 
