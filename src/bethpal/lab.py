@@ -37,8 +37,8 @@ def split_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-# random_beth draws an edge between every pair of nodes, so a world of n
-# nodes costs about n**2 draws: 1,000 nodes take about a second.
+# random_beth draws an edge between every pair of nodes, so a world costs
+# time and memory in the square of its nodes.
 MAX_NODES_PER_WORLD = 1000
 
 
