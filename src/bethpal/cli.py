@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_count(0), default=1,
                    help="instantiation depth for schema metavariables")
     p.add_argument("--max-nodes", type=_count(1, lab.MAX_NODES_PER_WORLD), default=4)
-    p.add_argument("--max-worlds", type=_count(1), default=3)
+    p.add_argument("--max-worlds", type=_count(1, lab.MAX_WORLDS), default=3)
     p.add_argument("--agents", type=_count(1, len(lab.AGENT_NAMES)), default=2)
     p.add_argument("--atoms", type=_count(1, len(lab.ATOM_NAMES)), default=2)
     # The experiment is about S5 models only.

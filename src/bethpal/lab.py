@@ -19,7 +19,7 @@ from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    BOT, TOP, agent_names, atom_names, is_metavariable, metavariables, print_formula,
+    BOT, TOP, agent_names, is_metavariable, metavariables, print_formula,
     substitute,
 )
 
@@ -38,8 +38,10 @@ def split_seed(seed: int, index: int) -> int:
 
 
 # random_beth draws an edge between every pair of nodes, so a world costs
-# time and memory in the square of its nodes.
+# time and memory in the square of its nodes; an S5 relation costs the same
+# in the square of the worlds.
 MAX_NODES_PER_WORLD = 1000
+MAX_WORLDS = 1000
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class GenParams:
         if self.max_nodes_per_world > MAX_NODES_PER_WORLD:
             raise ValueError(f"at most {MAX_NODES_PER_WORLD} nodes per world, "
                              f"not {self.max_nodes_per_world}")
+        if self.max_worlds > MAX_WORLDS:
+            raise ValueError(f"at most {MAX_WORLDS} worlds, not {self.max_worlds}")
         if self.atom_count > len(ATOM_NAMES) or self.num_agents > len(AGENT_NAMES):
             raise ValueError(f"at most {len(ATOM_NAMES)} atoms and "
                              f"{len(AGENT_NAMES)} agents can be named")
@@ -254,76 +258,51 @@ class SchemaInstanceSpace:
     atoms: tuple[str, ...] = ("p", "q")
 
 
-POOL_CACHE_SIZE = 8
-
-
 def propositional_pool(atoms: Iterable[str], depth: int) -> list[Formula]:
-    """Every propositional formula up to the given depth, deterministic order.
-    Computed once per atom set and depth; each call returns a fresh list."""
-    return list(_pool(tuple(sorted(set(atoms))), depth))
-
-
-class _Pool(tuple):
-    """A pool of formulas that keeps its hash.  The class caches below key
-    on the pool, and hashing it again on every trial would go through every
-    formula's hash: about a millisecond for the depth-2 pool."""
-    _hash = None
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = tuple.__hash__(self)
-        return self._hash
-
-
-@functools.lru_cache(maxsize=POOL_CACHE_SIZE)
-def _pool(atoms: tuple[str, ...], depth: int) -> _Pool:
-    return _Pool(fingerprint_classes(lambda f: f, atoms, depth))
+    """Every propositional formula up to the given depth, deterministic order."""
+    return list(fingerprint_classes(lambda f: f, sorted(set(atoms)), depth))
 
 
 CLASS_CACHE_SIZE = 128
 
 
-def _semantic_reps(m: BethKripkeModel, pool: Iterable[Formula]) -> list[Formula]:
-    """One representative per extension in the model, the first of its
-    class in pool order.
+def _semantic_reps(m: BethKripkeModel,
+                   search: tuple[tuple[str, ...], int]) -> list[Formula]:
+    """One representative per extension in the model, among the
+    propositional formulas over ``atoms`` up to ``depth`` (``search`` is
+    ``(atoms, depth)``): the first of its class in the order of
+    :func:`propositional_pool`.
 
     Every formula is persistent and holds at a node iff it holds at every
-    leaf above it, so two pool formulas have the same extension iff they
-    agree classically on every leaf valuation of the model: the classes
-    depend only on the set of distinct leaf valuations restricted to the
-    atoms the pool reads, and are computed once per pool and set (see
-    :func:`_classes`).
+    leaf above it, so two formulas have the same extension iff they agree
+    classically on every leaf valuation of the model: the classes depend
+    only on the set of distinct leaf valuations restricted to ``atoms``, and
+    are searched once per atoms, depth and set (see :func:`_classes`).
 
     Sound in every context, announcements included: a node survives an
     update only if some leaf above it survives, and an update never creates
     a leaf.  A propositional instance's extension in any updated model is
     therefore fixed by its classical values at the original leaves, which
     formulas of one class share."""
-    pool = pool if isinstance(pool, _Pool) else _Pool(pool)
-    atoms = _atoms(pool)
-    valuations = frozenset(w.val[leaf] & atoms for w in m.worlds.values() for leaf in w.leaves)
-    return list(_classes(pool, valuations))
-
-
-@functools.lru_cache(maxsize=POOL_CACHE_SIZE)
-def _atoms(pool: _Pool) -> frozenset[str]:
-    return frozenset().union(*map(atom_names, pool))
+    atoms, depth = search
+    keep = frozenset(atoms)
+    valuations = frozenset(w.val[leaf] & keep for w in m.worlds.values() for leaf in w.leaves)
+    return list(_classes(atoms, depth, valuations))
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _classes(pool: _Pool,
+def _classes(atoms: tuple[str, ...], depth: int,
              valuations: frozenset[frozenset[str]]) -> tuple[Formula, ...]:
-    """The first formula of each extension of ``pool`` on the valuation
-    model: one world, a root below one leaf per valuation (sorted), where a
-    leaf separates two formulas iff its valuation does."""
+    """The first formula of each class on the valuation model: one world, a
+    root below one leaf per valuation (sorted), where a leaf separates two
+    formulas iff its valuation does.  A connective's extension depends only
+    on its arguments' extensions, so the class search meets the same first
+    formulas as a sweep of :func:`propositional_pool`."""
     leaves = [f"v{i}" for i in range(len(valuations))]
     world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
                           dict(zip(leaves, sorted(valuations, key=sorted))))
     model = BethKripkeModel({"w": world}, (), {})
-    reps: dict[int, Formula] = {}
-    for f in pool:
-        reps.setdefault(dynamic._ext(model, f), f)
-    return tuple(reps.values())
+    return tuple(fingerprint_classes(lambda f: dynamic._ext(model, f), atoms, depth))
 
 
 def _instance_ext(m: BethKripkeModel, f: Formula, binding: Mapping[str, Formula],
@@ -345,14 +324,15 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
     the root of every world.  First failure wins.
 
     An instance is labeled through the evaluator's clauses under its binding
-    (see :func:`_instance_ext`) and built only when it fails; the pool of
-    candidate formulas is computed once per atom set and depth."""
-    pool = _pool(tuple(sorted(set(space.atoms))), space.depth)
+    (see :func:`_instance_ext`) and built only when it fails; the candidate
+    formulas are one per semantic class of the model (see
+    :func:`_semantic_reps`)."""
+    search = (tuple(sorted(set(space.atoms))), space.depth)
     fvars = sorted(metavariables(space.schema))
     avars = sorted(agent_names(space.schema))
     for t in range(trials):
         m = random_model(replace(gen, seed=split_seed(gen.seed, t)))
-        reps = _semantic_reps(m, pool)
+        reps = _semantic_reps(m, search)
         worlds = dynamic._layout(m).world
         agents = sorted(m.agents)
         for agent_choice in itertools.product(agents, repeat=len(avars)):

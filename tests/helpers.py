@@ -29,6 +29,17 @@ def brute_maximal_chains(nodes, leq_pairs, anchor):
     }
 
 
+def every_valuation_model(atoms):
+    """One world: a root below one leaf per valuation of ``atoms``."""
+    from bethpal.beth import validate_beth
+    from bethpal.dynamic import BethKripkeModel
+    leaves = [f"l{k}" for k in range(1 << len(atoms))]
+    val = {leaf: {a for i, a in enumerate(atoms) if k >> i & 1}
+           for k, leaf in enumerate(leaves)}
+    world = validate_beth(["r", *leaves], [("r", v) for v in leaves], "r", val)
+    return BethKripkeModel({"w": world}, (), {})
+
+
 def classical_eval(true_atoms: frozenset[str] | set[str], f: Formula) -> bool:
     """Truth-table evaluation, for the single-node collapse."""
     match f:

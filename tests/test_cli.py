@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from bethpal.cli import main
 from bethpal.formula import MAX_NESTING, MAX_SIZE
-from bethpal.lab import MAX_HYPOTHESIS_DEPTH, MAX_NODES_PER_WORLD
+from bethpal import lab
+from bethpal.lab import MAX_HYPOTHESIS_DEPTH, MAX_NODES_PER_WORLD, MAX_WORLDS
 from bethpal.modeldoc import parse_model_document
+
+from helpers import every_valuation_model
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -298,6 +302,7 @@ class TestCounts:
         ["axioms", "--max-nodes", "0"],
         ["axioms", "--max-nodes", str(MAX_NODES_PER_WORLD + 1)],
         ["axioms", "--max-worlds", "0"],
+        ["axioms", "--max-worlds", str(MAX_WORLDS + 1)],
         ["axioms", "--hypothesis", "--hyp-depth", "-1"],
         ["axioms", "--hypothesis", "--hyp-depth", str(MAX_HYPOTHESIS_DEPTH + 1)],
         ["axioms", "--hypothesis", "--hyp-depth", "3000"],
@@ -314,16 +319,31 @@ class TestCounts:
                      "--atoms", "10", "--agents", "6"]) == 0
         assert main(["axioms", "--schema", "A3", "--trials", "1",
                      "--max-nodes", str(MAX_NODES_PER_WORLD)]) == 0
+        assert main(["axioms", "--schema", "A3", "--trials", "1",
+                     "--max-worlds", str(MAX_WORLDS)]) == 0
         assert main(["axioms", "--schema", "A3", "--trials", "1", "--hypothesis",
                      "--hyp-depth", str(MAX_HYPOTHESIS_DEPTH)]) == 0
         assert main(["witness", "--depth", "0"]) == 0
 
-    def test_unbounded_instance_pool_exits_two_quickly(self, capsys):
-        # Depth 3 would build about 269 million formulas before any trial.
+    @pytest.mark.parametrize("depth", ["3", "50"])
+    def test_deep_instances_stop_at_the_classes(self, depth, capsys):
+        # Over p, q a model has at most 16 classes, however deep the search.
         start = time.perf_counter()
-        assert main(["axioms", "--depth", "3", "--trials", "1"]) == 2
-        assert time.perf_counter() - start < 1.0
-        assert "more than 100,000" in capsys.readouterr().err
+        assert main(["axioms", "--depth", depth, "--trials", "5"]) == 0
+        assert time.perf_counter() - start < 2.0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.endswith(": no counterexample in 5 trials") for line in lines)
+
+    def test_too_many_classes_exit_two(self, monkeypatch, capsys):
+        # A search over four atoms on a model with every valuation of them.
+        atoms = ("p", "q", "r", "s")
+        monkeypatch.setattr(lab, "SchemaInstanceSpace",
+                            functools.partial(lab.SchemaInstanceSpace, atoms=atoms))
+        monkeypatch.setattr(lab, "random_model", lambda gen: every_valuation_model(atoms))
+        assert main(["axioms", "--schema", "A3", "--depth", "3", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "714,920 formulas, more than 100,000" in captured.err
+        assert captured.out == ""
 
     def test_semantic_search_stops_at_its_classes(self, capsys):
         assert main(["witness", "--depth", "50"]) == 0

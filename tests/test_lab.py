@@ -17,6 +17,8 @@ from bethpal.lab import (
 from bethpal.modeldoc import model_digest, serialize_model
 from bethpal.proofkit import SCHEMAS
 
+from helpers import every_valuation_model
+
 
 class TestGenerators:
     def test_reproducible(self):
@@ -58,6 +60,11 @@ class TestGenerators:
         GenParams(max_nodes_per_world=lab.MAX_NODES_PER_WORLD)
         with pytest.raises(ValueError):
             GenParams(max_nodes_per_world=lab.MAX_NODES_PER_WORLD + 1)
+
+    def test_world_bound_rejected(self):
+        GenParams(max_worlds=lab.MAX_WORLDS)
+        with pytest.raises(ValueError, match="at most 1000 worlds"):
+            GenParams(max_worlds=lab.MAX_WORLDS + 1)
 
     @pytest.mark.parametrize("nodes, seed, digest", [
         (4, 1, "7e7b9f4043df"), (12, 2, "2b6488ef1a0a"),
@@ -216,11 +223,10 @@ class TestInstanceLabeling:
     def test_matches_the_built_instance(self, s5):
         schemas = [a.pattern for a in SCHEMAS.values()]
         schemas += [parse_formula(text) for text in self.EXTRA]
-        pool = propositional_pool(("p", "q"), 1)
         rng = random.Random(43)
         for t in range(150):
             m = random_model(GenParams(seed=split_seed(43, t), s5=s5))
-            reps = lab._semantic_reps(m, pool)
+            reps = lab._semantic_reps(m, (("p", "q"), 1))
             for schema in schemas:
                 fvars = sorted(metavariables(schema))
                 avars = sorted(agent_names(schema))
@@ -270,7 +276,7 @@ class TestDedupSoundness:
             return (type(v), getattr(v, "world", None), getattr(v, "instance", None))
 
         deduplicated = verdict()
-        monkeypatch.setattr(lab, "_semantic_reps", lambda m, pool: list(pool))
+        monkeypatch.setattr(lab, "_semantic_reps", lambda m, search: propositional_pool(*search))
         assert verdict() == deduplicated
 
 
@@ -284,43 +290,68 @@ def _extension_dedup(m, pool):
 
 
 class TestClassesByValuations:
-    """The dedup reads classes cached per set of leaf valuations; they must
-    be those the model's own extensions give."""
+    """The dedup reads classes searched once per atoms, depth and set of leaf
+    valuations; they must be those the model's own extensions give to the
+    whole pool."""
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_matches_extension_dedup_on_small_models(self, depth):
         pool = propositional_pool(("p", "q"), depth)
         for w in enumerate_small_beth(4, ("p", "q")):
             m = BethKripkeModel({"w": w}, (), {})
-            assert lab._semantic_reps(m, pool) == _extension_dedup(m, pool)
+            assert lab._semantic_reps(m, (("p", "q"), depth)) == _extension_dedup(m, pool)
 
     @pytest.mark.parametrize("s5", [True, False])
     def test_matches_extension_dedup_on_random_models(self, s5):
-        # With three atoms the valuations carry r, which the pool never reads.
+        # With three atoms the valuations carry r, which the search never reads.
         pool = propositional_pool(("p", "q"), 1)
         for t in range(150):
             gen = GenParams(seed=split_seed(53, t), s5=s5, atom_count=1 + t % 3)
             m = random_model(gen)
-            assert lab._semantic_reps(m, pool) == _extension_dedup(m, pool)
+            assert lab._semantic_reps(m, (("p", "q"), 1)) == _extension_dedup(m, pool)
+
+    def test_depth_three_finds_every_class(self):
+        """Over p, q a formula of depth 3 can pick out any set of leaf
+        valuations (exclusive or is the deepest), so the search finds
+        2 ** k classes on a model with k distinct leaf valuations."""
+        models = list(enumerate_small_beth(4, ("p", "q")))
+        assert len(models) == 281
+        for w in models:
+            k = len({w.val[leaf] for leaf in w.leaves})
+            m = BethKripkeModel({"w": w}, (), {})
+            assert len(lab._semantic_reps(m, (("p", "q"), 3))) == 2 ** k, w
+        shallower = 0
+        for t in range(300):
+            m = random_model(GenParams(seed=split_seed(59, t)))
+            k = len({w.val[leaf] for w in m.worlds.values() for leaf in w.leaves})
+            assert len(lab._semantic_reps(m, (("p", "q"), 50))) == 2 ** k
+            shallower += len(lab._semantic_reps(m, (("p", "q"), 2))) < 2 ** k
+        assert shallower > 0
+
+    def test_too_many_classes_raise(self):
+        """Every valuation of four atoms on its own leaf: 65,536 classes, and
+        the third layer of the search would hold 714,920 formulas."""
+        atoms = ("p", "q", "r", "s")
+        with pytest.raises(BoundTooLarge, match="714,920 formulas"):
+            lab._semantic_reps(every_valuation_model(atoms), (atoms, 3))
 
     def test_same_valuations_hit_the_cache(self):
-        pool = propositional_pool(("p", "q"), 1)
         fork = validate_beth(("a", "b", "c"), (("a", "b"), ("a", "c")), "a",
                              {"b": {"p"}, "c": {"q"}})
         chain = validate_beth(("x", "y", "z"), (("x", "y"), ("y", "z")), "x",
                               {"z": {"q"}})
         lab._classes.cache_clear()
-        first = lab._semantic_reps(BethKripkeModel({"u": fork}, (), {}), pool)
+        first = lab._semantic_reps(BethKripkeModel({"u": fork}, (), {}), (("p", "q"), 1))
         # A different model whose leaves carry the same two valuations.
         second = lab._semantic_reps(
-            BethKripkeModel({"u": chain, "v": fork}, ("i",), {"i": {("u", "v")}}), pool)
+            BethKripkeModel({"u": chain, "v": fork}, ("i",), {"i": {("u", "v")}}),
+            (("p", "q"), 1))
         info = lab._classes.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         assert first == second
 
     def test_cache_is_bounded(self):
         atoms = ("p", "q", "r", "s")
-        pool = propositional_pool(atoms, 0)
         lab._classes.cache_clear()
         for bits in range(lab.CLASS_CACHE_SIZE + 10):
             # One world, one leaf per set bit of ``bits``; leaf k carries the
@@ -329,25 +360,24 @@ class TestClassesByValuations:
             val = {f"l{k}": {a for i, a in enumerate(atoms) if k >> i & 1}
                    for k in range(16) if bits >> k & 1}
             w = validate_beth(["r", *leaves], [("r", v) for v in leaves], "r", val)
-            lab._semantic_reps(BethKripkeModel({"w": w}, (), {}), pool)
+            lab._semantic_reps(BethKripkeModel({"w": w}, (), {}), (atoms, 0))
         info = lab._classes.cache_info()
         assert info.maxsize == lab.CLASS_CACHE_SIZE
         assert info.currsize == lab.CLASS_CACHE_SIZE
 
-    def test_cached_pool_is_not_rehashed(self, monkeypatch):
-        """Both caches key on the pool; the cached pool keeps its hash, so a
-        call that hits them hashes none of its formulas."""
-        pool = lab._pool(("p", "q"), 1)
+    def test_cache_hit_hashes_no_formula(self, monkeypatch):
+        """The class cache keys on atoms, depth and valuations, so a call
+        that hits it hashes no formula."""
         m = BethKripkeModel({"u": validate_beth(("a", "b", "c"), (("a", "b"), ("a", "c")),
                                                  "a", {"b": {"p"}, "c": {"q"}})}, (), {})
-        first = lab._semantic_reps(m, pool)
+        first = lab._semantic_reps(m, (("p", "q"), 1))
         calls = []
-        for cls in {type(f) for f in pool}:
+        for cls in {type(f) for f in propositional_pool(("p", "q"), 1)}:
             monkeypatch.setattr(cls, "__hash__",
                                 lambda f, h=cls.__hash__: calls.append(f) or h(f))
-        assert lab._semantic_reps(m, pool) == first
-        assert lab._semantic_reps(m, pool) == first
-        assert len(pool) == 56 and calls == []
+        assert lab._semantic_reps(m, (("p", "q"), 1)) == first
+        assert lab._semantic_reps(m, (("p", "q"), 1)) == first
+        assert calls == []
 
 
 class TestHypothesisExperiment:
@@ -445,13 +475,13 @@ class TestWitness:
 
 class TestClassCache:
     def test_few_small_entries_on_extra_atoms(self):
-        """The class cache keys on the pool itself and on the leaf valuations
-        restricted to the pool's atoms: an atom the pool never reads (``r``
-        on three-atom models, under a p, q pool) makes no new entry, and no
-        entry holds a copy of the 9,468-formula depth-2 pool."""
+        """The class cache keys on the leaf valuations restricted to the
+        searched atoms: an atom the search never reads (``r`` on three-atom
+        models, under a p, q search) makes no new entry, and an entry holds
+        only the representatives of its classes."""
         space = SchemaInstanceSpace(SCHEMAS["A3"].pattern, depth=2)
         gen = GenParams(atom_count=3, seed=7)
-        lab.test_validity(space, gen, 1)          # builds and hashes the pool
+        lab.test_validity(space, gen, 1)          # warms up outside the traced run
         lab._classes.cache_clear()
         tracemalloc.start()
         try:
