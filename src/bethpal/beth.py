@@ -342,7 +342,10 @@ def fingerprint_classes(fingerprint: Callable[[Formula], Hashable],
     top and bot, then layer by layer the negations and binary combinations
     of the classes found so far.  A layer without fresh classes cannot seed
     a fresh deeper one, so it ends the search.  Raises BoundTooLarge rather
-    than build a layer of more than MAX_LAYER formulas."""
+    than build a layer of more than MAX_LAYER formulas, and ValueError for
+    a negative ``max_depth``, which no formula meets."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, not {max_depth}")
     seen: set[Hashable] = set()
     reps: list[Formula] = []
     frontier: list[Formula] = [Atom(a) for a in atoms] + [TOP, BOT]

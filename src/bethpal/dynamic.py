@@ -18,7 +18,7 @@ is a mask of live leaves; only :func:`announce` builds the updated model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import beth
 from .beth import BethModel
@@ -137,6 +137,7 @@ class _Points:
                 for atom in w.val[leaf]:
                     self.atoms[atom] = self.atoms.get(atom, 0) | 1 << offset + w.index[leaf]
             offset += len(w.node_order)
+        self.size = offset                  # the point count
         self.all = sum(self.world.values())
         self._knows: dict[str, list[tuple[int, int]]] = {}
 
@@ -155,6 +156,68 @@ def _layout(m: BethKripkeModel) -> _Points:
     if m._points is None:
         m._points = _Points(m.worlds)
     return m._points
+
+
+class _Copies:
+    """Disjoint unions of copies of ``m``, one copy per binding of a schema's
+    metavariables, each labeled by :func:`_ext` as a model.  Copy b holds
+    the points of ``m`` shifted by b·P, P being ``m``'s point count.  In a
+    union built from ``leaves`` and ``agents``, formula metavariable X is an
+    atom whose leaves in copy b are ``leaves[X][b]``, and agent
+    metavariable i is an agent with the pairs of agent ``agents[i][b]`` in
+    copy b; the model's own atoms hold in every copy.
+
+    K reads pairs within a copy and an update keeps or drops each world on
+    its own, so copy b of a schema's extension is the extension of its
+    instance under binding b, when ``leaves[X][b]`` is the extension of a
+    propositional formula bound to X: under the live leaves ``alive`` that
+    formula holds on ``alive & leaves[X][b]``, as the atom X does.
+
+    The unions of one model repeat their copy count and, mostly, the agents
+    each agent metavariable takes, so those masks are built once."""
+
+    def __init__(self, m: BethKripkeModel):
+        self.model = m
+        self.base = _layout(m)
+        self._masks: dict = {}      # copy count or agent sequence -> masks
+        self._points: Optional[_Points] = None      # the union labeled last
+        self._labels: dict[tuple[Optional[int], Formula], int] = {}
+
+    def extension(self, f: Formula, copies: int, leaves: Mapping[str, Sequence[int]],
+                  agents: Mapping[str, tuple[str, ...]]) -> int:
+        """The extension of ``f`` in the union of ``copies`` copies."""
+        base, masks = self.base, self._masks
+        shifts = range(0, copies * base.size, base.size)
+        spread = sum(1 << shift for shift in shifts)
+        pts = _Points({})       # given the fields _label reads
+        pts.world = masks.get(copies)
+        if pts.world is None:
+            pts.world = masks[copies] = dict(enumerate(
+                world << shift for shift in shifts for world in base.world.values()))
+        pts.all = base.all * spread
+        pts.atoms = {atom: mask * spread for atom, mask in base.atoms.items()}
+        for var, column in leaves.items():
+            pts.atoms[var] = sum(mask << shift for shift, mask in zip(shifts, column))
+        for var, chosen in agents.items():
+            knows = masks.get(chosen)
+            if knows is None:
+                knows = masks[chosen] = [(world << shift, succ << shift)
+                                         for shift, agent in zip(shifts, chosen)
+                                         for world, succ in base.knows(self.model, agent)]
+            pts._knows[var] = knows
+        self._points, self._labels = pts, {}
+        return _ext(self, f)
+
+    def first_failure(self, holds: int) -> Optional[tuple[int, str]]:
+        """The copy and the world of the lowest leaf outside ``holds``, an
+        extension in the union labeled last: the first copy with a world
+        whose root does not force the formula, and the first such world in
+        ``world_order``.  None when every leaf is in ``holds``."""
+        failed = self._points.all & ~holds
+        if not failed:
+            return None
+        copy, point = divmod((failed & -failed).bit_length() - 1, self.base.size)
+        return copy, next(s for s in self.model.world_order if self.base.world[s] >> point & 1)
 
 
 def _ext(m: BethKripkeModel, f: Formula, alive: Optional[int] = None) -> int:

@@ -12,15 +12,14 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import beth, dynamic, modeldoc
 from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    BOT, TOP, agent_names, is_metavariable, metavariables, print_formula,
-    substitute,
+    BOT, TOP, agent_names, metavariables, print_formula, substitute,
 )
 
 ATOM_NAMES = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z")
@@ -305,46 +304,63 @@ def _classes(atoms: tuple[str, ...], depth: int,
     return tuple(fingerprint_classes(lambda f: dynamic._ext(model, f), atoms, depth))
 
 
-def _instance_ext(m: BethKripkeModel, f: Formula, binding: Mapping[str, Formula],
-                  alive: Optional[int] = None) -> int:
-    """The extension of the instance ``substitute(f, binding)`` in ``m``
-    updated to the leaves ``alive``, labeled through :func:`dynamic._label`
-    without building the instance: a formula metavariable reads its bound
-    formula's memoized extension, and ``K`` takes its bound agent."""
-    match f:
-        case Atom(name) if is_metavariable(name):
-            return dynamic._ext(m, binding[name], alive)
-        case Know(agent, body):
-            f = Know(binding[agent].name, body)
-    return dynamic._label(m, f, alive, lambda m, g, live: _instance_ext(m, g, binding, live))
+UNION_BITS = 1024
+"""Widest union of model copies :func:`test_validity` labels in one pass (see
+:func:`_first_counterexample`).  The K clause sums one mask per world of
+the union, so a pass costs about the square of its width; a union holds at
+least one copy, whatever the model's size."""
+
+
+def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
+                          avars: list[str], reps: list[Formula]) -> Optional[Counterexample]:
+    """The first instance of ``schema`` that fails at the root of a world of
+    ``m``, with its formula metavariables ``fvars`` bound to ``reps`` and its
+    agent metavariables ``avars`` to ``m``'s agents: bindings in the order
+    of the agent choices, then of ``itertools.product(reps, ...)``, and the
+    failing worlds in ``world_order``.
+
+    Consecutive bindings are labeled at once, as the copies of one
+    :class:`dynamic._Copies` union of at most about ``UNION_BITS`` points
+    (at least one copy); the instance is built only when it fails."""
+    ext = {rep: dynamic._ext(m, rep) for rep in reps}
+    bindings = itertools.product(itertools.product(sorted(m.agents), repeat=len(avars)),
+                                 itertools.product(reps, repeat=len(fvars)))
+    copies = dynamic._Copies(m)
+    per_union = max(1, UNION_BITS // copies.base.size)
+    while batch := list(itertools.islice(bindings, per_union)):
+        agent_rows, formula_rows = zip(*batch)
+        holds = copies.extension(
+            schema, len(batch),
+            {v: [ext[f] for f in column] for v, column in zip(fvars, zip(*formula_rows))},
+            dict(zip(avars, zip(*agent_rows))))
+        failure = copies.first_failure(holds)
+        if failure is not None:
+            copy, world = failure
+            agents, choice = batch[copy]
+            binding: dict[str, Formula] = {v: Atom(a) for v, a in zip(avars, agents)}
+            binding.update(zip(fvars, choice))
+            return Counterexample(m, world, substitute(schema, binding))
+    return None
 
 
 def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Verdict:
     """Draw ``trials`` models; check every (deduplicated) schema instance at
     the root of every world.  First failure wins.
 
-    An instance is labeled through the evaluator's clauses under its binding
-    (see :func:`_instance_ext`) and built only when it fails; the candidate
-    formulas are one per semantic class of the model (see
-    :func:`_semantic_reps`)."""
+    The candidate formulas are one per semantic class of the model (see
+    :func:`_semantic_reps`), and all instances are labeled together (see
+    :func:`_first_counterexample`)."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, not {trials}")
     search = (tuple(sorted(set(space.atoms))), space.depth)
     fvars = sorted(metavariables(space.schema))
     avars = sorted(agent_names(space.schema))
     for t in range(trials):
         m = random_model(replace(gen, seed=split_seed(gen.seed, t)))
-        reps = _semantic_reps(m, search)
-        worlds = dynamic._layout(m).world
-        agents = sorted(m.agents)
-        for agent_choice in itertools.product(agents, repeat=len(avars)):
-            binding: dict[str, Formula] = {
-                v: Atom(a) for v, a in zip(avars, agent_choice)
-            }
-            for formula_choice in itertools.product(reps, repeat=len(fvars)):
-                binding.update(zip(fvars, formula_choice))
-                holds = _instance_ext(m, space.schema, binding)
-                for s in m.world_order:
-                    if worlds[s] & ~holds:
-                        return Counterexample(m, s, substitute(space.schema, binding))
+        found = _first_counterexample(m, space.schema, fvars, avars,
+                                      _semantic_reps(m, search))
+        if found is not None:
+            return found
     return NoCounterexample(trials)
 
 
@@ -407,6 +423,8 @@ def test_announcement_hypothesis(gen: GenParams, trials: int, depth: int = 2,
     forces the biconditional [phi]psi <-> (phi -> psi)."""
     if not gen.s5:
         raise ValueError("the hypothesis is about S5 models; set s5=True")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, not {trials}")
     if not 0 <= depth <= MAX_HYPOTHESIS_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_HYPOTHESIS_DEPTH}, not {depth}")
     records: list[str] = []

@@ -385,6 +385,13 @@ class TestEquivalence:
             PointedBeth(world_p, "a"), PointedBeth(fork_pq, "a"), 0, ("p", "q"))
         assert found == p
 
+    def test_negative_depth_is_an_error(self, world_p, world_q):
+        # No formula has a negative depth, so "agree on every formula" would
+        # be vacuous.
+        with pytest.raises(ValueError):
+            equivalent_up_to_depth(
+                PointedBeth(world_p, "a"), PointedBeth(world_q, "a"), -1, ("p", "q"))
+
     def test_identical_models(self, world_p):
         other = validate_beth(("a",), (), "a", {"a": {"p"}}, ("p", "q"))
         assert equivalent_up_to_depth(

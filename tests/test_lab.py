@@ -213,11 +213,12 @@ class TestFiniteModelsAreClassical:
 
 
 class TestInstanceLabeling:
-    """Labeling a schema under a binding gives the extension of the instance
-    that substitution builds."""
+    """Labeling a schema on the union of one model copy per binding gives, in
+    every copy, the extension of the instance that substitution builds, also
+    when one model's unions share the masks built for earlier ones."""
 
     EXTRA = ("[X]Y -> (X -> Y)", "<X>Y -> Y", "K{i}[X]Y -> [X]K{i}Y",
-             "[K{i}X]K{j}Y -> K{j}X")
+             "[K{i}X]K{j}Y -> K{j}X", "K{i}(p | X) -> [X]K{i}q")
 
     @pytest.mark.parametrize("s5", [True, False])
     def test_matches_the_built_instance(self, s5):
@@ -227,17 +228,132 @@ class TestInstanceLabeling:
         for t in range(150):
             m = random_model(GenParams(seed=split_seed(43, t), s5=s5))
             reps = lab._semantic_reps(m, (("p", "q"), 1))
+            size = lab.dynamic._layout(m).size
+            copies = lab.dynamic._Copies(m)
             for schema in schemas:
                 fvars = sorted(metavariables(schema))
                 avars = sorted(agent_names(schema))
+                bindings = []
                 for agents in itertools.product(sorted(m.agents), repeat=len(avars)):
                     for pair in itertools.product(reps, repeat=min(2, len(fvars))):
                         chosen = pair + tuple(rng.choice(reps) for _ in fvars[2:])
                         binding = dict(zip(avars, map(Atom, agents)))
                         binding.update(zip(fvars, chosen))
-                        labeled = lab._instance_ext(m, schema, binding)
-                        built = lab.dynamic._ext(m, substitute(schema, binding))
-                        assert labeled == built, (t, schema, binding)
+                        bindings.append(binding)
+                built = [lab.dynamic._ext(m, substitute(schema, b)) for b in bindings]
+                for width in (len(bindings), 3):
+                    for start in range(0, len(bindings), width):
+                        union = bindings[start:start + width]
+                        holds = copies.extension(
+                            schema, len(union),
+                            {v: [lab.dynamic._ext(m, b[v]) for b in union] for v in fvars},
+                            {i: tuple(b[i].name for b in union) for i in avars})
+                        for copy, binding in enumerate(union):
+                            labeled = holds >> copy * size & (1 << size) - 1
+                            assert labeled == built[start + copy], (t, schema, binding)
+
+
+class TestUnionWidth:
+    """Bindings are labeled in unions of at most about ``UNION_BITS`` points;
+    how they are split must not change which counterexample is found."""
+
+    CASES = [("A3", False), ("A1.2", True), ("A1.2", False),
+             ("[K{i}X]K{j}Y -> K{j}X", True)]
+
+    @staticmethod
+    def first_failures(schema, s5, bits):
+        """The first failing (world, instance) of each of 60 trial models,
+        with ``UNION_BITS`` set to ``bits(P)`` for a model of P points, and
+        the copy counts of the unions built for each model."""
+        fvars = sorted(metavariables(schema))
+        avars = sorted(agent_names(schema))
+        found, copies = [], []
+
+        class Counted(lab.dynamic._Copies):
+            def extension(self, f, n, *args):
+                copies[-1].append(n)
+                return super().extension(f, n, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lab.dynamic, "_Copies", Counted)
+            for t in range(60):
+                m = random_model(GenParams(seed=split_seed(9, t), s5=s5))
+                mp.setattr(lab, "UNION_BITS", bits(lab.dynamic._layout(m).size))
+                copies.append([])
+                v = lab._first_counterexample(m, schema, fvars, avars,
+                                              lab._semantic_reps(m, (("p", "q"), 1)))
+                found.append(v and (v.world, v.instance))
+        return found, copies
+
+    @pytest.mark.parametrize("sid,s5", CASES)
+    @pytest.mark.parametrize("per_union", [1, 3])
+    def test_split_keeps_the_first_failure(self, sid, s5, per_union):
+        schema = SCHEMAS[sid].pattern if sid in SCHEMAS else parse_formula(sid)
+        default, _ = self.first_failures(schema, s5, lambda size: lab.UNION_BITS)
+        split, copies = self.first_failures(schema, s5, lambda size: per_union * size)
+        assert split == default
+        for counts in copies:
+            assert set(counts[:-1]) <= {per_union} and 1 <= counts[-1] <= per_union
+        if sid not in ("A1.2",):    # some failures lie past the first union
+            assert any(failure and len(counts) > 1 for failure, counts in zip(split, copies))
+
+    @pytest.mark.parametrize("sid,s5", CASES)
+    def test_split_keeps_the_verdict(self, sid, s5, monkeypatch):
+        space = SchemaInstanceSpace(SCHEMAS[sid].pattern if sid in SCHEMAS
+                                    else parse_formula(sid))
+
+        def verdict():
+            v = lab.test_validity(space, GenParams(seed=17, s5=s5), 40)
+            if isinstance(v, NoCounterexample):
+                return v
+            return model_digest(v.model), v.world, v.instance
+
+        default = verdict()
+        monkeypatch.setattr(lab, "UNION_BITS", 1)
+        assert verdict() == default
+
+    def test_unions_stay_within_the_bound_on_a_wide_model(self, monkeypatch):
+        m = random_model(GenParams(seed=23, max_worlds=200))
+        size = lab.dynamic._layout(m).size
+        assert len(m.worlds) == 200
+        widths = []
+
+        class Measured(lab.dynamic._Copies):
+            def extension(self, *args):
+                holds = super().extension(*args)
+                widths.append(max(self._points.all, *self._points.atoms.values(),
+                                  *self._points.world.values()).bit_length())
+                return holds
+
+        monkeypatch.setattr(lab.dynamic, "_Copies", Measured)
+        schema = SCHEMAS["A2"].pattern
+        assert lab._first_counterexample(
+            m, schema, sorted(metavariables(schema)), sorted(agent_names(schema)),
+            lab._semantic_reps(m, (("p", "q"), 1))) is None
+        assert widths and max(widths) <= lab.UNION_BITS + size
+
+
+class TestNegativeBounds:
+    """A negative depth or trial count is an error, not a vacuous verdict."""
+
+    def test_negative_depth(self):
+        with pytest.raises(ValueError):
+            list(fingerprint_classes(lambda f: f, ("p",), -1))
+        with pytest.raises(ValueError):
+            propositional_pool(["p"], -1)
+        with pytest.raises(ValueError):
+            lab.test_validity(SchemaInstanceSpace(parse_formula("X & ~X"), depth=-1),
+                              GenParams(seed=1), 5)
+        assert isinstance(lab.test_validity(SchemaInstanceSpace(parse_formula("X & ~X"), depth=0),
+                                            GenParams(seed=1), 5), Counterexample)
+
+    def test_negative_trials(self):
+        space = SchemaInstanceSpace(parse_formula("X & ~X"))
+        with pytest.raises(ValueError):
+            lab.test_validity(space, GenParams(seed=1), -3)
+        with pytest.raises(ValueError):
+            lab.test_announcement_hypothesis(GenParams(seed=1), -2)
+        assert lab.test_validity(space, GenParams(seed=1), 0) == NoCounterexample(0)
 
 
 class TestDedupSoundness:
