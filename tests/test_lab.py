@@ -261,6 +261,10 @@ class TestUnionWidth:
              ("[K{i}X]K{j}Y -> K{j}X", True)]
 
     @staticmethod
+    def schema(sid):
+        return SCHEMAS[sid].pattern if sid in SCHEMAS else parse_formula(sid)
+
+    @staticmethod
     def first_failures(schema, s5, bits):
         """The first failing (world, instance) of each of 60 trial models,
         with ``UNION_BITS`` set to ``bits(P)`` for a model of P points, and
@@ -288,19 +292,18 @@ class TestUnionWidth:
     @pytest.mark.parametrize("sid,s5", CASES)
     @pytest.mark.parametrize("per_union", [1, 3])
     def test_split_keeps_the_first_failure(self, sid, s5, per_union):
-        schema = SCHEMAS[sid].pattern if sid in SCHEMAS else parse_formula(sid)
+        schema = self.schema(sid)
         default, _ = self.first_failures(schema, s5, lambda size: lab.UNION_BITS)
         split, copies = self.first_failures(schema, s5, lambda size: per_union * size)
         assert split == default
         for counts in copies:
             assert set(counts[:-1]) <= {per_union} and 1 <= counts[-1] <= per_union
-        if sid not in ("A1.2",):    # some failures lie past the first union
+        if sid != "A1.2":   # A1.2 is valid; the others fail past a first union
             assert any(failure and len(counts) > 1 for failure, counts in zip(split, copies))
 
     @pytest.mark.parametrize("sid,s5", CASES)
     def test_split_keeps_the_verdict(self, sid, s5, monkeypatch):
-        space = SchemaInstanceSpace(SCHEMAS[sid].pattern if sid in SCHEMAS
-                                    else parse_formula(sid))
+        space = SchemaInstanceSpace(self.schema(sid))
 
         def verdict():
             v = lab.test_validity(space, GenParams(seed=17, s5=s5), 40)
