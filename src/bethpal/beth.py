@@ -263,54 +263,50 @@ def up_set(m: BethModel, a: str) -> frozenset[str]:
     return frozenset(m.names(m.up_mask[m.index[a]]))
 
 
-def maximal_paths(m: BethModel, a: str) -> tuple[tuple[str, ...], ...]:
-    """All maximal ascending chains starting at ``a`` (each ends in a leaf),
-    depth-first over the sorted covers.  Their number can be exponential in
-    the size of the model, so this is for tests and small models only; bars
-    are checked by :func:`avoiding_path`."""
-    m.ensure_node(a)
-    out: list[tuple[str, ...]] = []
-    path = [a]
-    branches = [iter(m.covers[a])]
-    while branches:
-        nxt = next(branches[-1], None)
-        if nxt is None:
-            if not m.covers[path[-1]]:
-                out.append(tuple(path))
-            path.pop()
-            branches.pop()
-        else:
-            path.append(nxt)
-            branches.append(iter(m.covers[nxt]))
-    return tuple(out)
-
-
-def avoiding_path(m: BethModel, a: str, bar: AbstractSet[str]) -> Optional[tuple[str, ...]]:
-    """The first maximal path from ``a``, in :func:`maximal_paths` order, that
-    misses ``bar``; None when every maximal path meets it.
-
-    A depth-first walk over the sorted covers that never enters ``bar`` and
-    never re-enters a dead node (one from which no walk reaches a leaf
-    outside ``bar``), so each node and covering edge is visited at most once.
-    """
-    m.ensure_node(a)
+def _walk(m: BethModel, a: str, bar: AbstractSet[str]) -> Iterator[tuple[str, ...]]:
+    """The maximal paths from ``a`` that miss ``bar``, depth-first over the
+    sorted covers.  A node the walk leaves without having found a path
+    through it is dead: no path from it misses ``bar``, whatever led to it,
+    so the walk never enters it again.  Up to the first path every node and
+    covering edge is visited at most once."""
     if a in bar:
-        return None
+        return
     path = [a]
     branches = [iter(m.covers[a])]
+    found = 0           # the nodes of path[:found] lie on a path yielded
     dead: set[str] = set()
     while branches:
         if not m.covers[path[-1]]:
-            return tuple(path)
+            found = len(path)
+            yield tuple(path)
         for nxt in branches[-1]:
             if nxt not in bar and nxt not in dead:
                 path.append(nxt)
                 branches.append(iter(m.covers[nxt]))
                 break
         else:
-            dead.add(path.pop())
+            if len(path) > found:
+                dead.add(path[-1])
+            path.pop()
             branches.pop()
-    return None
+            found = min(found, len(path))
+
+
+def maximal_paths(m: BethModel, a: str) -> tuple[tuple[str, ...], ...]:
+    """All maximal ascending chains starting at ``a`` (each ends in a leaf),
+    depth-first over the sorted covers.  Their number can be exponential in
+    the size of the model, so this is for tests and small models only; bars
+    are checked by :func:`avoiding_path`."""
+    m.ensure_node(a)
+    return tuple(_walk(m, a, frozenset()))
+
+
+def avoiding_path(m: BethModel, a: str, bar: AbstractSet[str]) -> Optional[tuple[str, ...]]:
+    """The first maximal path from ``a``, in :func:`maximal_paths` order, that
+    misses ``bar``; None when every maximal path meets it.  The walk stops
+    at that path, so each node and covering edge is visited at most once."""
+    m.ensure_node(a)
+    return next(_walk(m, a, bar), None)
 
 
 def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:

@@ -186,12 +186,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if not modeldoc.is_atom_name(atom):
             print(f"error: atom {atom!r} cannot be named in a formula", file=sys.stderr)
             return 2
-    models = list(lab.enumerate_small_beth(args.max_nodes, atoms))
+    count = lab.count_small_beth(args.max_nodes, atoms)
+    models = lab.enumerate_small_beth(args.max_nodes, atoms)
     if args.format == "json":
-        _emit_json({"count": len(models),
+        _emit_json({"count": count,
                     "models": [modeldoc.serialize_beth(m) for m in models]})
         return 0
-    print(f"# {len(models)} models (up to {args.max_nodes} nodes, "
+    print(f"# {count} models (up to {args.max_nodes} nodes, "
           f"atoms {{{', '.join(atoms)}}})")
     for i, m in enumerate(models):
         print(f"# model {i}")

@@ -18,7 +18,7 @@ is a mask of live leaves; only :func:`announce` builds the updated model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import beth
 from .beth import BethModel
@@ -227,14 +227,13 @@ def _ext(m: BethKripkeModel, f: Formula, alive: Optional[int] = None) -> int:
     key = (alive, f)
     hit = m._labels.get(key)
     if hit is None:
-        hit = m._labels[key] = _label(m, f, alive, _ext)
+        hit = m._labels[key] = _label(m, f, alive)
     return hit
 
 
-def _label(m: BethKripkeModel, f: Formula, alive: Optional[int],
-           ext: Callable[[BethKripkeModel, Formula, Optional[int]], int]) -> int:
+def _label(m: BethKripkeModel, f: Formula, alive: Optional[int]) -> int:
     """The clauses of the labeling: the extension of ``f`` in the update of
-    ``m`` to the leaves ``alive``, from the extensions ``ext`` gives its
+    ``m`` to the leaves ``alive``, from the extensions :func:`_ext` gives its
     arguments.  At a leaf the connectives are classical; K and the
     announcement operators hold on all live leaves of a world or on none."""
     pts = _layout(m)
@@ -247,23 +246,23 @@ def _label(m: BethKripkeModel, f: Formula, alive: Optional[int],
         case Atom(name):
             return live & pts.atoms.get(name, 0)
         case And(x, y):
-            return ext(m, x, alive) & ext(m, y, alive)
+            return _ext(m, x, alive) & _ext(m, y, alive)
         case Or(x, y):
-            return ext(m, x, alive) | ext(m, y, alive)
+            return _ext(m, x, alive) | _ext(m, y, alive)
         case Imp(x, y):
-            return live & ~ext(m, x, alive) | ext(m, y, alive)
+            return live & ~_ext(m, x, alive) | _ext(m, y, alive)
         case Neg(x):
-            return live & ~ext(m, x, alive)
+            return live & ~_ext(m, x, alive)
         case Know(agent, body):
-            missing = live & ~ext(m, body, alive)
+            missing = live & ~_ext(m, body, alive)
             return live & sum(world for world, succ in pts.knows(m, agent)
                               if not succ & missing)
         case Announce(ann, body) | Diamond(ann, body):
             # A world without kept leaves is dropped, where [φ] holds and <φ>
             # does not; a kept world's updated root forces the body when
             # every kept leaf does.  With no kept leaf the body is not read.
-            kept = ext(m, ann, alive)
-            failed = kept & ~ext(m, body, kept) if kept else 0
+            kept = _ext(m, ann, alive)
+            failed = kept & ~_ext(m, body, kept) if kept else 0
             return live & sum(world for world in pts.world.values()
                               if not world & failed
                               and (world & kept or isinstance(f, Announce)))
@@ -410,70 +409,69 @@ def _fmt_nodes(nodes: Iterable[str], max_items: int) -> str:
     return "{" + ", ".join(nodes) + "}"
 
 
-def _first_above(w: BethModel, node: str, nodes: int) -> Optional[str]:
-    """The first node in ``node_order`` of ``w`` that is above ``node`` and
-    in the node bitmask ``nodes``; None when there is none."""
-    hits = w.up_mask[w.index[node]] & nodes
-    if not hits:
-        return None
-    return w.node_order[(hits & -hits).bit_length() - 1]
-
-
 def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) -> Trace:
+    """The evaluation tree of ``f`` at ``node`` of world ``s``.  Its evidence
+    is read off the extensions the labeling computed: the nodes of a world
+    forcing a subformula are :func:`_lift` of its extension there."""
     w = m.world(s)
     value = _eval(m, s, node, f)
-    up = beth.up_set(w, node)
+    up = w.up_mask[w.index[node]]
 
     def sub(n: str, g: Formula) -> Trace:
         return _explain(m, s, n, g, max_items)
 
-    def nodes(g: Formula) -> int:
-        return _lift(w, _ext(m, g) >> _layout(m).offset[s])
+    def nodes(t: str, g: Formula) -> int:
+        return _lift(m.world(t), _ext(m, g) >> _layout(m).offset[t])
+
+    def lowest(t: str, mask: int) -> str:
+        return m.world(t).node_order[(mask & -mask).bit_length() - 1]
+
+    def settles(bar: Iterable[str], what: str, escape: str) -> str:
+        """The bar above ``node`` that settles the value, or the first path
+        that misses it."""
+        if value:
+            return f"bar {_fmt_nodes(bar, max_items)} settles {what}"
+        return f"path {list(beth.avoiding_path(w, node, frozenset(bar)))} {escape}"
 
     match f:
         case Top() | Bot():
             return Trace(s, node, f, "constant", value)
         case Atom(name):
-            candidate = {b for b in up if name in w.val[b]}
-            if value:
-                note = f"bar {_fmt_nodes(candidate, max_items)} settles the atom"
-            else:
-                miss = beth.avoiding_path(w, node, candidate)
-                note = f"path {list(miss)} never carries the atom"
+            note = settles((b for b in w.names(up) if name in w.val[b]),
+                           "the atom", "never carries the atom")
             return Trace(s, node, f, "atom-bar", value, note)
         case And(x, y):
             return Trace(s, node, f, "and", value, children=(sub(node, x), sub(node, y)))
         case Or(x, y):
-            candidate = {b for b in up if _eval(m, s, b, x) or _eval(m, s, b, y)}
-            if value:
-                note = f"bar {_fmt_nodes(candidate, max_items)} settles a disjunct"
-            else:
-                miss = beth.avoiding_path(w, node, candidate)
-                note = f"path {list(miss)} settles neither disjunct"
+            note = settles(w.names(up & (nodes(s, x) | nodes(s, y))),
+                           "a disjunct", "settles neither disjunct")
             return Trace(s, node, f, "or-bar", value, note,
                          children=(sub(node, x), sub(node, y)))
         case Imp(x, y):
-            b = _first_above(w, node, nodes(x) & ~nodes(y))
-            if b is not None:
+            fails = up & nodes(s, x) & ~nodes(s, y)
+            if fails:
+                b = lowest(s, fails)
                 return Trace(s, node, f, "implies", value,
                              f"fails above at {b!r}", (sub(b, x), sub(b, y)))
             return Trace(s, node, f, "implies", value,
-                         f"holds at every node of {_fmt_nodes(up, max_items)}")
+                         f"holds at every node of {_fmt_nodes(w.names(up), max_items)}")
         case Neg(x):
-            b = _first_above(w, node, nodes(x))
-            if b is not None:
+            forced = up & nodes(s, x)
+            if forced:
+                b = lowest(s, forced)
                 return Trace(s, node, f, "not", value,
                              f"body forced above at {b!r}", (sub(b, x),))
             return Trace(s, node, f, "not", value,
-                         f"body fails at every node of {_fmt_nodes(up, max_items)}")
+                         f"body fails at every node of {_fmt_nodes(w.names(up), max_items)}")
         case Know(agent, body):
             succ = m.successors(agent, s)
             for t in succ:
-                for b in m.world(t).node_order:
-                    if not _eval(m, t, b, body):
-                        return Trace(s, node, f, "knows", value,
-                                     f"fails in accessible world {t!r} at {b!r}",
-                                     (_explain(m, t, b, body, max_items),))
+                fails = (1 << len(m.world(t).node_order)) - 1 & ~nodes(t, body)
+                if fails:
+                    b = lowest(t, fails)
+                    return Trace(s, node, f, "knows", value,
+                                 f"fails in accessible world {t!r} at {b!r}",
+                                 (_explain(m, t, b, body, max_items),))
             return Trace(s, node, f, "knows", value,
                          f"holds at every node of accessible worlds {_fmt_nodes(succ, max_items)}"
                          if succ else "no accessible worlds")

@@ -203,12 +203,32 @@ def _up_closed_subsets(n: int, closed: frozenset[tuple[int, int]]) -> list[froze
     return subsets
 
 
-def enumerate_small_beth(max_nodes: int, atoms: Iterable[str]) -> Iterator[BethModel]:
-    """All non-isomorphic rooted posets up to ``max_nodes`` nodes, each paired
-    with every monotone valuation over ``atoms``, in a deterministic order."""
+MAX_ENUMERATED = 100_000
+
+
+def count_small_beth(max_nodes: int, atoms: Iterable[str]) -> int:
+    """The number of models :func:`enumerate_small_beth` yields, counted
+    without building any: each atom holds on an up-set of a poset, so a
+    poset with u up-sets has u ** k valuations over k atoms.  Raises
+    BoundTooLarge beyond 4 nodes or MAX_ENUMERATED models."""
     if not 1 <= max_nodes <= 4:
         raise BoundTooLarge(f"can enumerate up to 4 nodes, not {max_nodes}")
+    k = len(set(atoms))
+    count = sum(len(_up_closed_subsets(n, rel)) ** k
+                for n in range(1, max_nodes + 1) for rel in _rooted_posets(n))
+    if count > MAX_ENUMERATED:
+        raise BoundTooLarge(f"{count:,} models up to {max_nodes} nodes over {k} atoms, "
+                            f"more than {MAX_ENUMERATED:,}")
+    return count
+
+
+def enumerate_small_beth(max_nodes: int, atoms: Iterable[str]) -> Iterator[BethModel]:
+    """All non-isomorphic rooted posets up to ``max_nodes`` nodes, each paired
+    with every monotone valuation over ``atoms``, in a deterministic order.
+    The bounds of :func:`count_small_beth` are checked before any model is
+    built."""
     atoms = tuple(sorted(set(atoms)))
+    count_small_beth(max_nodes, atoms)
     for n in range(1, max_nodes + 1):
         names = [f"n{i}" for i in range(n)]
         for rel in _rooted_posets(n):
@@ -300,8 +320,7 @@ def _classes(atoms: tuple[str, ...], depth: int,
     leaves = [f"v{i}" for i in range(len(valuations))]
     world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
                           dict(zip(leaves, sorted(valuations, key=sorted))))
-    model = BethKripkeModel({"w": world}, (), {})
-    return tuple(fingerprint_classes(lambda f: dynamic._ext(model, f), atoms, depth))
+    return tuple(fingerprint_classes(lambda f: dynamic.leaf_extension(world, f), atoms, depth))
 
 
 UNION_BITS = 1024

@@ -396,6 +396,16 @@ class TestEnumerateAndWitness:
     def test_enumerate_bound_error(self, capsys):
         assert main(["enumerate", "--max-nodes", "9"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_enumerate_over_the_model_bound_fails_fast(self, capsys, fmt):
+        start = time.perf_counter()
+        assert main(["--format", fmt, "enumerate", "--max-nodes", "4",
+                     "--atoms", "p,q,r,s,u,v"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 778,541 models")
+
     @pytest.mark.parametrize("atoms", ["p", "p,q", "q, p,p", "P,x_1"])
     def test_enumerated_documents_parse_back(self, capsys, atoms):
         assert main(["enumerate", "--max-nodes", "3", "--atoms", atoms]) == 0

@@ -1,4 +1,6 @@
+import ast
 import random
+import re
 import time
 
 import pytest
@@ -16,6 +18,8 @@ from bethpal.lab import (
     random_formula, random_model, split_seed,
 )
 from bethpal.sep import build_sep
+
+from helpers import brute_maximal_chains
 
 p, q = Atom("p"), Atom("q")
 
@@ -421,6 +425,75 @@ class TestTraces:
         first = satisfies(fork_model, "s", f).value
         second = satisfies(fork_model, "s", f).value
         assert first == second
+
+
+def _check_notes(m, trace):
+    """Assert that the note of ``trace`` and of every trace below it is
+    true in the model it is about, by the path-based oracle; the notes of
+    an executable announcement's sub-trace are about the updated model.
+    Returns the number of notes checked."""
+    s, node, f, note = trace.world, trace.node, trace.formula, trace.note
+    w = m.world(s)
+    assert trace.value == naive_forces(m, s, node, f), (s, node, f)
+    checked = 1
+    if hit := re.fullmatch(r"fails above at '([^']*)'", note):
+        b = hit[1]
+        assert w.leq(node, b)
+        assert naive_forces(m, s, b, f.left) and not naive_forces(m, s, b, f.right)
+    elif hit := re.fullmatch(r"body forced above at '([^']*)'", note):
+        assert w.leq(node, hit[1]) and naive_forces(m, s, hit[1], f.body)
+    elif hit := re.fullmatch(r"fails in accessible world '([^']*)' at '([^']*)'", note):
+        t, b = hit[1], hit[2]
+        assert t in m.successors(f.agent, s)
+        assert not naive_forces(m, t, b, f.body)
+    elif hit := re.fullmatch(r"bar \{(.*)\} settles (the atom|a disjunct)", note):
+        bar = set(hit[1].split(", ")) if hit[1] else set()
+        for b in bar:
+            assert w.leq(node, b)
+            if isinstance(f, Atom):
+                assert f.name in w.val[b]
+            else:
+                assert naive_forces(m, s, b, f.left) or naive_forces(m, s, b, f.right)
+        assert all(bar & set(path)
+                   for path in brute_maximal_chains(w.node_order, w.leq_pairs, node))
+    elif hit := re.fullmatch(r"path (\[.*\]) (never carries the atom|settles neither disjunct)",
+                             note):
+        path = tuple(ast.literal_eval(hit[1]))
+        assert path in brute_maximal_chains(w.node_order, w.leq_pairs, node)
+        for b in path:
+            if isinstance(f, Atom):
+                assert f.name not in w.val[b]
+            else:
+                assert not naive_forces(m, s, b, f.left)
+                assert not naive_forces(m, s, b, f.right)
+    else:
+        checked = 0
+    inner = announce(m, f.announced) if note.startswith("announcement executable") else m
+    return checked + sum(_check_notes(inner, child) for child in trace.children)
+
+
+class TestTraceNotes:
+    """The evidence a trace shows is true: every node, world and path a
+    note names has the property the note claims, on random models and
+    formulas with knowledge and announcements.  Bars are listed in full."""
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_notes_on_random_models(self, s5):
+        rng = random.Random(31)
+        kinds = set()
+        checked = 0
+        for m in _models(31, 100, s5=s5):
+            agents = sorted(m.agents)
+            for _ in range(3):
+                f = random_formula(rng, 3, ("p", "q"), agents,
+                                   allow_know=True, allow_announce=True)
+                for s in m.world_order:
+                    for node in m.worlds[s].node_order:
+                        trace = forces(m, s, node, f, explain=True, max_items=0).trace
+                        checked += _check_notes(m, trace)
+                        kinds.add(trace.rule)
+        assert checked > 1000
+        assert {"atom-bar", "or-bar", "implies", "not", "knows"} <= kinds
 
 
 class TestLabelingAgainstOracle:

@@ -131,6 +131,20 @@ class TestEnumeration:
         with pytest.raises(BoundTooLarge):
             list(enumerate_small_beth(5, ("p",)))
 
+    @pytest.mark.parametrize("max_nodes", [1, 2, 3, 4])
+    def test_count_is_the_number_of_models(self, max_nodes):
+        for atoms in (("p",), ("p", "q"), ("q", "p", "r")):
+            assert lab.count_small_beth(max_nodes, atoms) == sum(
+                1 for _ in enumerate_small_beth(max_nodes, atoms))
+
+    def test_model_bound(self):
+        assert lab.count_small_beth(1, lab.ATOM_NAMES) == 2 ** len(lab.ATOM_NAMES)
+        assert lab.count_small_beth(4, lab.ATOM_NAMES[:5]) == 98_957 <= lab.MAX_ENUMERATED
+        with pytest.raises(BoundTooLarge, match="778,541 models"):
+            lab.count_small_beth(4, lab.ATOM_NAMES[:6])
+        with pytest.raises(BoundTooLarge, match="778,541 models"):
+            next(enumerate_small_beth(4, iter(lab.ATOM_NAMES[:6])))
+
     def test_pool_size(self):
         assert len(propositional_pool(("p", "q"), 0)) == 4
         assert len(propositional_pool(("p", "q"), 1)) == 56
