@@ -136,10 +136,7 @@ class BethModel:
         self.root = root
         self.val = val
         self.atoms = atoms
-        # The leaf labels and point layout of dynamic.leaf_extension, which
-        # labels this model as a world of its own; neither refers back to it.
-        self._labels: dict = {}
-        self._points = None
+        self._points = None     # the layout dynamic.leaf_extension labels it on
 
     def names(self, mask: int) -> tuple[str, ...]:
         """The nodes whose bits are set in ``mask``, in ``node_order``."""

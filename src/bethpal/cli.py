@@ -2,11 +2,14 @@
 
 Exit codes: 0 for true/accepted/no-counterexample, 1 for false, rejected,
 empty, or counterexample-found, 2 for usage, parse, or validation errors.
+A reader that closes standard output early ends the command with exit 1,
+Python's status for EPIPE, and no message.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Optional
 
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sep)
 
     p = sub.add_parser("enumerate", help="list all small Beth models")
-    p.add_argument("--max-nodes", type=int, default=3)
+    p.add_argument("--max-nodes", type=_count(1, lab.MAX_ENUMERATED_NODES), default=3)
     p.add_argument("--atoms", default="p")
     p.set_defaults(func=cmd_enumerate)
 
@@ -303,14 +306,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        return 1
     except (ParseError, ModelError, DocumentError, ProofParseError,
-            lab.BoundTooLarge, UnreadableFile) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+            lab.BoundTooLarge, UnreadableFile, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:     # the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

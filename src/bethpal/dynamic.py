@@ -18,7 +18,7 @@ is a mask of live leaves; only :func:`announce` builds the updated model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from . import beth
 from .beth import BethModel
@@ -42,7 +42,7 @@ class UnknownAgent(beth.ModelError):
 
 class BethKripkeModel:
     """Named pointed Beth models plus per-agent accessibility between world
-    names.  Immutable; extensions are memoized per instance, so a
+    names.  Immutable; extensions are memoized on its layout, so a
     restricted model never shares caches with its parent."""
 
     def __init__(self, worlds: Mapping[str, BethModel], agents: Iterable[str],
@@ -62,7 +62,6 @@ class BethKripkeModel:
             self.access[agent] = pairs
         self._succ: dict[str, dict[str, tuple[str, ...]]] = {}     # agent -> world -> successors
         self._points: Optional[_Points] = None      # built on first evaluation
-        self._labels: dict[tuple[Optional[int], Formula], int] = {}    # see _ext
         self._announce: dict[Formula, "BethKripkeModel"] = {}
 
     def world(self, s: str) -> BethModel:
@@ -120,123 +119,120 @@ class EvalResult:
 
 
 class _Points:
-    """The masks the labeling reads.  Point i is the i-th of ``world_order``
-    × ``node_order``, bit i of every extension; only leaf points are ever
-    set.  A world's points are its nodes' bits shifted by the world's
-    offset, so its masks are its own bitmasks shifted likewise."""
+    """A layout: the masks the labeling reads, and the memo of the
+    extensions labeled on it (see :func:`_ext`).  Point i is bit i of every
+    mask; only leaf points are ever set.  It refers to no model, so it keeps
+    none alive."""
 
-    def __init__(self, worlds: Mapping[str, BethModel]):
-        self.offset: dict[str, int] = {}    # the world's first point
-        self.world: dict[str, int] = {}     # the world's leaves
-        self.atoms: dict[str, int] = {}     # leaves carrying the atom
-        offset = 0
-        for s, w in worlds.items():
-            self.offset[s] = offset
-            self.world[s] = w.leaf_mask << offset
-            for leaf in w.leaves:
-                for atom in w.val[leaf]:
-                    self.atoms[atom] = self.atoms.get(atom, 0) | 1 << offset + w.index[leaf]
-            offset += len(w.node_order)
-        self.size = offset                  # the point count
-        self.all = sum(self.world.values())
-        self._knows: dict[str, list[tuple[int, int]]] = {}
+    def __init__(self, size: int, world: dict, atoms: dict, knows: dict):
+        self.size = size        # the point count
+        self.world = world      # the world's leaves; the worlds hold consecutive points
+        self.atoms = atoms      # leaves carrying the atom
+        self.knows = knows      # agent -> [(a world's leaves, its successors' leaves)]
+        self.all = sum(world.values())
+        self.labels: dict[tuple[Optional[int], Formula], int] = {}
 
-    def knows(self, m: BethKripkeModel, agent: str) -> list[tuple[int, int]]:
-        """(a world's leaves, its successors' leaves) for each world of
-        ``m``, the masks the K clause reads; built on first use per agent."""
-        masks = self._knows.get(agent)
-        if masks is None:
-            masks = self._knows[agent] = [
-                (self.world[s], sum(self.world[t] for t in m.successors(agent, s)))
-                for s in m.world_order]
+
+def _lay_out(worlds: Mapping[str, BethModel], access: Mapping) -> _Points:
+    """The layout of ``worlds`` in their order, a world's points being its
+    nodes in ``node_order``, with the K masks of the relations ``access``."""
+    world, atoms, size = {}, {}, 0
+    for s, w in worlds.items():
+        world[s] = w.leaf_mask << size
+        for leaf in w.leaves:
+            for atom in w.val[leaf]:
+                atoms[atom] = atoms.get(atom, 0) | 1 << size + w.index[leaf]
+        size += len(w.node_order)
+    return _Points(size, world, atoms, _Knows(world, access))
+
+
+class _Knows(dict):
+    """The K masks of a layout's ``world`` masks under the relations
+    ``access``, built per agent on first read."""
+
+    def __init__(self, world: dict, access: Mapping):
+        self.world, self.access = world, access
+
+    def __missing__(self, agent: str) -> list[tuple[int, int]]:
+        if agent not in self.access:
+            raise UnknownAgent(agent)
+        succ = dict.fromkeys(self.world, 0)
+        for s, t in self.access[agent]:
+            succ[s] |= self.world[t]
+        masks = self[agent] = [(self.world[s], succ[s]) for s in self.world]
         return masks
 
 
 def _layout(m: BethKripkeModel) -> _Points:
     if m._points is None:
-        m._points = _Points(m.worlds)
+        m._points = _lay_out(m.worlds, m.access)
     return m._points
 
 
-class _Copies:
-    """Disjoint unions of copies of ``m``, one copy per binding of a schema's
-    metavariables, each labeled by :func:`_ext` as a model.  Copy b holds
-    the points of ``m`` shifted by b·P, P being ``m``'s point count.  In a
-    union built from ``leaves`` and ``agents``, formula metavariable X is an
-    atom whose leaves in copy b are ``leaves[X][b]``, and agent
-    metavariable i is an agent with the pairs of agent ``agents[i][b]`` in
-    copy b; the model's own atoms hold in every copy.
+def _leaves(m: BethKripkeModel, s: str, f: Formula) -> int:
+    """The leaves of world ``s`` forcing ``f``, over its ``node_order``."""
+    pts, w = _layout(m), m.worlds[s]
+    shift = pts.world[s].bit_length() - w.leaf_mask.bit_length()    # the world's first point
+    return _ext(pts, f) >> shift & w.leaf_mask
+
+
+def _union(base: _Points, copies: int, leaves: Mapping[str, Sequence[int]],
+           agents: Mapping[str, tuple[str, ...]], shared: dict) -> _Points:
+    """The union of ``copies`` copies of the layout ``base``, one per binding
+    of a schema's metavariables: copy b holds the points of ``base`` shifted
+    by b·``base.size``, its world s as world (b, s).  Formula metavariable X
+    is an atom whose leaves in copy b are ``leaves[X][b]``, agent
+    metavariable i an agent with the K masks of agent ``agents[i][b]``
+    there, and the atoms of ``base`` hold in every copy.
 
     K reads pairs within a copy and an update keeps or drops each world on
     its own, so copy b of a schema's extension is the extension of its
     instance under binding b, when ``leaves[X][b]`` is the extension of a
     propositional formula bound to X: under the live leaves ``alive`` that
     formula holds on ``alive & leaves[X][b]``, as the atom X does.
-
-    The unions of one model repeat their copy count and, mostly, the agents
-    each agent metavariable takes, so those masks are built once."""
-
-    def __init__(self, m: BethKripkeModel):
-        self.model = m
-        self.base = _layout(m)
-        self._masks: dict = {}      # copy count or agent sequence -> masks
-        self._points: Optional[_Points] = None      # the union labeled last
-        self._labels: dict[tuple[Optional[int], Formula], int] = {}
-
-    def extension(self, f: Formula, copies: int, leaves: Mapping[str, Sequence[int]],
-                  agents: Mapping[str, tuple[str, ...]]) -> int:
-        """The extension of ``f`` in the union of ``copies`` copies."""
-        base, masks = self.base, self._masks
-        shifts = range(0, copies * base.size, base.size)
-        spread = sum(1 << shift for shift in shifts)
-        pts = _Points({})       # given the fields _label reads
-        pts.world = masks.get(copies)
-        if pts.world is None:
-            pts.world = masks[copies] = dict(enumerate(
-                world << shift for shift in shifts for world in base.world.values()))
-        pts.all = base.all * spread
-        pts.atoms = {atom: mask * spread for atom, mask in base.atoms.items()}
-        for var, column in leaves.items():
-            pts.atoms[var] = sum(mask << shift for shift, mask in zip(shifts, column))
-        for var, chosen in agents.items():
-            knows = masks.get(chosen)
-            if knows is None:
-                knows = masks[chosen] = [(world << shift, succ << shift)
-                                         for shift, agent in zip(shifts, chosen)
-                                         for world, succ in base.knows(self.model, agent)]
-            pts._knows[var] = knows
-        self._points, self._labels = pts, {}
-        return _ext(self, f)
-
-    def first_failure(self, holds: int) -> Optional[tuple[int, str]]:
-        """The copy and the world of the lowest leaf outside ``holds``, an
-        extension in the union labeled last: the first copy with a world
-        whose root does not force the formula, and the first such world in
-        ``world_order``.  None when every leaf is in ``holds``."""
-        failed = self._points.all & ~holds
-        if not failed:
-            return None
-        copy, point = divmod((failed & -failed).bit_length() - 1, self.base.size)
-        return copy, next(s for s in self.model.world_order if self.base.world[s] >> point & 1)
+    ``shared`` keeps the world masks of a copy count and the K masks of a
+    sequence of agents for the next union of ``base``."""
+    shifts = range(0, copies * base.size, base.size)
+    spread = sum(1 << shift for shift in shifts)
+    world = shared.get(copies)
+    if world is None:
+        world = shared[copies] = {(b, s): mask << shift for b, shift in enumerate(shifts)
+                                  for s, mask in base.world.items()}
+    atoms = {atom: mask * spread for atom, mask in base.atoms.items()}
+    for var, column in leaves.items():
+        atoms[var] = sum(mask << shift for shift, mask in zip(shifts, column))
+    knows = {}
+    for var, chosen in agents.items():
+        masks = shared.get(chosen)
+        if masks is None:
+            masks = shared[chosen] = [(own << shift, succ << shift)
+                                      for shift, agent in zip(shifts, chosen)
+                                      for own, succ in base.knows[agent]]
+        knows[var] = masks
+    return _Points(copies * base.size, world, atoms, knows)
 
 
-def _ext(m: BethKripkeModel, f: Formula, alive: Optional[int] = None) -> int:
-    """The leaves forcing ``f`` in ``m`` updated to the leaves ``alive`` (None:
-    every leaf), as a bitmask (see :class:`_Points`), memoized per model.
-    ``m`` may also be a bare model labeled by :func:`leaf_extension`."""
+def _first_failure(pts: _Points, f: Formula) -> Optional[Hashable]:
+    """The first world of ``pts``, in order, whose root does not force ``f``."""
+    failed = pts.all & ~_ext(pts, f)
+    return next((s for s, world in pts.world.items() if world & failed), None)
+
+
+def _ext(pts: _Points, f: Formula, alive: Optional[int] = None) -> int:
+    """The leaves forcing ``f`` on the layout ``pts`` updated to the leaves
+    ``alive`` (None: every leaf), as a bitmask, memoized on the layout."""
     key = (alive, f)
-    hit = m._labels.get(key)
+    hit = pts.labels.get(key)
     if hit is None:
-        hit = m._labels[key] = _label(m, f, alive)
+        hit = pts.labels[key] = _label(pts, f, alive)
     return hit
 
 
-def _label(m: BethKripkeModel, f: Formula, alive: Optional[int]) -> int:
-    """The clauses of the labeling: the extension of ``f`` in the update of
-    ``m`` to the leaves ``alive``, from the extensions :func:`_ext` gives its
-    arguments.  At a leaf the connectives are classical; K and the
+def _label(pts: _Points, f: Formula, alive: Optional[int]) -> int:
+    """The clauses of the labeling: the extension of ``f`` on the layout
+    ``pts`` updated to the leaves ``alive``, from the extensions :func:`_ext`
+    gives its arguments.  At a leaf the connectives are classical; K and the
     announcement operators hold on all live leaves of a world or on none."""
-    pts = _layout(m)
     live = pts.all if alive is None else alive
     match f:
         case Top():
@@ -246,23 +242,22 @@ def _label(m: BethKripkeModel, f: Formula, alive: Optional[int]) -> int:
         case Atom(name):
             return live & pts.atoms.get(name, 0)
         case And(x, y):
-            return _ext(m, x, alive) & _ext(m, y, alive)
+            return _ext(pts, x, alive) & _ext(pts, y, alive)
         case Or(x, y):
-            return _ext(m, x, alive) | _ext(m, y, alive)
+            return _ext(pts, x, alive) | _ext(pts, y, alive)
         case Imp(x, y):
-            return live & ~_ext(m, x, alive) | _ext(m, y, alive)
+            return live & ~_ext(pts, x, alive) | _ext(pts, y, alive)
         case Neg(x):
-            return live & ~_ext(m, x, alive)
+            return live & ~_ext(pts, x, alive)
         case Know(agent, body):
-            missing = live & ~_ext(m, body, alive)
-            return live & sum(world for world, succ in pts.knows(m, agent)
-                              if not succ & missing)
+            missing = live & ~_ext(pts, body, alive)
+            return live & sum(world for world, succ in pts.knows[agent] if not succ & missing)
         case Announce(ann, body) | Diamond(ann, body):
             # A world without kept leaves is dropped, where [φ] holds and <φ>
             # does not; a kept world's updated root forces the body when
             # every kept leaf does.  With no kept leaf the body is not read.
-            kept = _ext(m, ann, alive)
-            failed = kept & ~_ext(m, body, kept) if kept else 0
+            kept = _ext(pts, ann, alive)
+            failed = kept & ~_ext(pts, body, kept) if kept else 0
             return live & sum(world for world in pts.world.values()
                               if not world & failed
                               and (world & kept or isinstance(f, Announce)))
@@ -271,18 +266,16 @@ def _label(m: BethKripkeModel, f: Formula, alive: Optional[int]) -> int:
 
 def leaf_extension(w: BethModel, f: Formula) -> int:
     """The leaves of the bare model ``w`` forcing the propositional formula
-    ``f``, as a bitmask over ``w.node_order``: ``w`` is labeled as the one
-    world of a model without agents.  The propositional clauses read only
-    the memo and the point layout, which ``w`` keeps, so no model is built
-    around ``w``.  The memo holds propositional formulas only, so ``f`` is
-    checked on a miss alone."""
-    hit = w._labels.get((None, f))
+    ``f``, as a bitmask over ``w.node_order``: ``w`` is labeled on the layout
+    of a model without agents whose one world it is, which ``w`` keeps.  The
+    memo holds propositional formulas only, so ``f`` is checked on a miss."""
+    if w._points is None:
+        w._points = _lay_out({"w": w}, {})
+    hit = w._points.labels.get((None, f))
     if hit is None:
         if not is_propositional(f):
             raise beth.NonPropositionalFormula(f)
-        if w._points is None:
-            w._points = _Points({"w": w})
-        hit = _ext(w, f)
+        hit = _ext(w._points, f)
     return hit
 
 
@@ -296,8 +289,7 @@ def _lift(w: BethModel, leaves: int) -> int:
 def _eval(m: BethKripkeModel, s: str, node: str, f: Formula) -> bool:
     w = m.world(s)
     w.ensure_node(node)
-    leaves = (w.up_mask[w.index[node]] & w.leaf_mask) << _layout(m).offset[s]
-    return not leaves & ~_ext(m, f)
+    return not w.up_mask[w.index[node]] & w.leaf_mask & ~_leaves(m, s, f)
 
 
 def forces(m: BethKripkeModel, s: str, node: str, f: Formula,
@@ -336,12 +328,10 @@ def announce(m: BethKripkeModel, ann: Formula) -> BethKripkeModel:
     cached = m._announce.get(ann)
     if cached is not None:
         return cached
-    kept = _ext(m, ann)
-    pts = _layout(m)
     survivors: dict[str, BethModel] = {}
     for s in m.world_order:
         w = m.worlds[s]
-        leaves = kept >> pts.offset[s] & w.leaf_mask
+        leaves = _leaves(m, s, ann)
         if leaves:
             survivors[s] = beth.restrict(
                 w, sum(1 << i for i, up in enumerate(w.up_mask) if up & leaves))
@@ -421,7 +411,7 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
         return _explain(m, s, n, g, max_items)
 
     def nodes(t: str, g: Formula) -> int:
-        return _lift(m.world(t), _ext(m, g) >> _layout(m).offset[t])
+        return _lift(m.world(t), _leaves(m, t, g))
 
     def lowest(t: str, mask: int) -> str:
         return m.world(t).node_order[(mask & -mask).bit_length() - 1]

@@ -203,6 +203,7 @@ def _up_closed_subsets(n: int, closed: frozenset[tuple[int, int]]) -> list[froze
     return subsets
 
 
+MAX_ENUMERATED_NODES = 4
 MAX_ENUMERATED = 100_000
 
 
@@ -210,9 +211,9 @@ def count_small_beth(max_nodes: int, atoms: Iterable[str]) -> int:
     """The number of models :func:`enumerate_small_beth` yields, counted
     without building any: each atom holds on an up-set of a poset, so a
     poset with u up-sets has u ** k valuations over k atoms.  Raises
-    BoundTooLarge beyond 4 nodes or MAX_ENUMERATED models."""
-    if not 1 <= max_nodes <= 4:
-        raise BoundTooLarge(f"can enumerate up to 4 nodes, not {max_nodes}")
+    BoundTooLarge beyond MAX_ENUMERATED_NODES nodes or MAX_ENUMERATED models."""
+    if not 1 <= max_nodes <= MAX_ENUMERATED_NODES:
+        raise BoundTooLarge(f"can enumerate up to {MAX_ENUMERATED_NODES} nodes, not {max_nodes}")
     k = len(set(atoms))
     count = sum(len(_up_closed_subsets(n, rel)) ** k
                 for n in range(1, max_nodes + 1) for rel in _rooted_posets(n))
@@ -339,20 +340,21 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
     failing worlds in ``world_order``.
 
     Consecutive bindings are labeled at once, as the copies of one
-    :class:`dynamic._Copies` union of at most about ``UNION_BITS`` points
-    (at least one copy); the instance is built only when it fails."""
-    ext = {rep: dynamic._ext(m, rep) for rep in reps}
+    :func:`dynamic._union` of at most about ``UNION_BITS`` points (at least
+    one copy); the instance is built only when it fails."""
+    base = dynamic._layout(m)
+    ext = {rep: dynamic._ext(base, rep) for rep in reps}
     bindings = itertools.product(itertools.product(sorted(m.agents), repeat=len(avars)),
                                  itertools.product(reps, repeat=len(fvars)))
-    copies = dynamic._Copies(m)
-    per_union = max(1, UNION_BITS // copies.base.size)
+    shared: dict = {}       # the masks the unions of m share
+    per_union = max(1, UNION_BITS // base.size)
     while batch := list(itertools.islice(bindings, per_union)):
         agent_rows, formula_rows = zip(*batch)
-        holds = copies.extension(
-            schema, len(batch),
+        union = dynamic._union(
+            base, len(batch),
             {v: [ext[f] for f in column] for v, column in zip(fvars, zip(*formula_rows))},
-            dict(zip(avars, zip(*agent_rows))))
-        failure = copies.first_failure(holds)
+            dict(zip(avars, zip(*agent_rows))), shared)
+        failure = dynamic._first_failure(union, schema)
         if failure is not None:
             copy, world = failure
             agents, choice = batch[copy]

@@ -307,6 +307,9 @@ class TestCounts:
         ["axioms", "--hypothesis", "--hyp-depth", str(MAX_HYPOTHESIS_DEPTH + 1)],
         ["axioms", "--hypothesis", "--hyp-depth", "3000"],
         ["witness", "--depth", "-2"],
+        ["enumerate", "--max-nodes", "0"],
+        ["enumerate", "--max-nodes", "-3"],
+        ["enumerate", "--max-nodes", "5"],
     ])
     def test_out_of_range_count_exits_two(self, argv, capsys):
         assert main(argv) == 2
@@ -405,6 +408,27 @@ class TestEnumerateAndWitness:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: 778,541 models")
+
+    def test_reader_that_stops_early_ends_quietly(self):
+        # The listing is far longer than the pipe holds, so the closed pipe
+        # stops it; exit 1 is Python's status for EPIPE.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from bethpal.cli import main_entry; main_entry()",
+             "enumerate", "--max-nodes", "4", "--atoms", "p,q,r,s,u"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            head = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head == [b"# 98957 models (up to 4 nodes, atoms {p, q, r, s, u})\n",
+                        b"# model 0\n"]
+        assert err == b""
 
     @pytest.mark.parametrize("atoms", ["p", "p,q", "q, p,p", "P,x_1"])
     def test_enumerated_documents_parse_back(self, capsys, atoms):

@@ -1,7 +1,9 @@
 import ast
+import gc
 import random
 import re
 import time
+import weakref
 
 import pytest
 
@@ -10,13 +12,16 @@ from bethpal.dynamic import (
     check_s5, forces, render_trace, restrict_world, satisfies,
 )
 from bethpal.formula import (
-    And, Announce, Atom, Diamond, Imp, Know, Neg, Or, BOT, TOP, parse_formula,
+    And, Announce, Atom, Diamond, Imp, Know, Neg, Or, BOT, TOP, agent_names,
+    metavariables, parse_formula,
 )
 from bethpal.beth import forces_prop, validate_beth
+from bethpal import lab
 from bethpal.lab import (
     GenParams, enumerate_small_beth, naive_forces, propositional_pool,
     random_formula, random_model, split_seed,
 )
+from bethpal.proofkit import SCHEMAS
 from bethpal.sep import build_sep
 
 from helpers import brute_maximal_chains
@@ -529,3 +534,55 @@ class TestLabelingAgainstOracle:
                     for node in w.node_order:
                         assert forces(m, s, node, f).value == naive[node], (t, s, node, f)
                         assert naive[node] == all(naive[b] for b in w.up[node] & w.leaves)
+
+
+class TestFreedByReferenceCounting:
+    """A layout refers to no model, so a model is freed when its last
+    reference goes, without the cyclic garbage collector."""
+
+    @staticmethod
+    def freed(make, use) -> bool:
+        """Whether the model ``make()`` builds dies with its one reference,
+        after ``use`` has run on it."""
+        gc.disable()
+        try:
+            model = make()
+            use(model)
+            ref = weakref.ref(model)
+            del model
+            return ref() is None
+        finally:
+            gc.enable()
+
+    def test_kripke_model_after_explained_checks(self):
+        formulas = [parse_formula(text) for text in
+                    ("K{a}p -> [p]K{b}q", "<~q>K{a}(p | q)", "[K{b}p]~K{a}q")]
+
+        def use(m):
+            for s in m.world_order:
+                for f in formulas:
+                    assert satisfies(m, s, f, explain=True).trace is not None
+
+        assert self.freed(lambda: random_model(GenParams(seed=5, max_worlds=3)), use)
+
+    def test_bare_model_after_forcing(self):
+        def make():
+            return validate_beth(("a", "b", "c"), (("a", "b"), ("a", "c")), "a",
+                                 {"b": {"p"}, "c": {"q"}}, ("p", "q"))
+
+        def use(w):
+            assert forces_prop(w, "a", parse_formula("p | q"))
+            assert not forces_prop(w, "a", parse_formula("~p"))
+
+        assert self.freed(make, use)
+
+    def test_trial_model_after_a_counterexample(self):
+        schema = SCHEMAS["A3"].pattern
+
+        def use(m):
+            found = lab._first_counterexample(
+                m, schema, sorted(metavariables(schema)), sorted(agent_names(schema)),
+                lab._semantic_reps(m, (("p", "q"), 1)))
+            assert found is not None and found.model is m
+
+        assert self.freed(lambda: random_model(GenParams(seed=split_seed(7, 0), s5=False)), use)

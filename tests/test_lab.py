@@ -242,8 +242,9 @@ class TestInstanceLabeling:
         for t in range(150):
             m = random_model(GenParams(seed=split_seed(43, t), s5=s5))
             reps = lab._semantic_reps(m, (("p", "q"), 1))
-            size = lab.dynamic._layout(m).size
-            copies = lab.dynamic._Copies(m)
+            base = lab.dynamic._layout(m)
+            size = base.size
+            shared = {}
             for schema in schemas:
                 fvars = sorted(metavariables(schema))
                 avars = sorted(agent_names(schema))
@@ -254,14 +255,14 @@ class TestInstanceLabeling:
                         binding = dict(zip(avars, map(Atom, agents)))
                         binding.update(zip(fvars, chosen))
                         bindings.append(binding)
-                built = [lab.dynamic._ext(m, substitute(schema, b)) for b in bindings]
+                built = [lab.dynamic._ext(base, substitute(schema, b)) for b in bindings]
                 for width in (len(bindings), 3):
                     for start in range(0, len(bindings), width):
                         union = bindings[start:start + width]
-                        holds = copies.extension(
-                            schema, len(union),
-                            {v: [lab.dynamic._ext(m, b[v]) for b in union] for v in fvars},
-                            {i: tuple(b[i].name for b in union) for i in avars})
+                        holds = lab.dynamic._ext(lab.dynamic._union(
+                            base, len(union),
+                            {v: [lab.dynamic._ext(base, b[v]) for b in union] for v in fvars},
+                            {i: tuple(b[i].name for b in union) for i in avars}, shared), schema)
                         for copy, binding in enumerate(union):
                             labeled = holds >> copy * size & (1 << size) - 1
                             assert labeled == built[start + copy], (t, schema, binding)
@@ -287,13 +288,14 @@ class TestUnionWidth:
         avars = sorted(agent_names(schema))
         found, copies = [], []
 
-        class Counted(lab.dynamic._Copies):
-            def extension(self, f, n, *args):
-                copies[-1].append(n)
-                return super().extension(f, n, *args)
+        union = lab.dynamic._union
+
+        def counted(base, n, *args):
+            copies[-1].append(n)
+            return union(base, n, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lab.dynamic, "_Copies", Counted)
+            mp.setattr(lab.dynamic, "_union", counted)
             for t in range(60):
                 m = random_model(GenParams(seed=split_seed(9, t), s5=s5))
                 mp.setattr(lab, "UNION_BITS", bits(lab.dynamic._layout(m).size))
@@ -335,14 +337,14 @@ class TestUnionWidth:
         assert len(m.worlds) == 200
         widths = []
 
-        class Measured(lab.dynamic._Copies):
-            def extension(self, *args):
-                holds = super().extension(*args)
-                widths.append(max(self._points.all, *self._points.atoms.values(),
-                                  *self._points.world.values()).bit_length())
-                return holds
+        union = lab.dynamic._union
 
-        monkeypatch.setattr(lab.dynamic, "_Copies", Measured)
+        def measured(*args):
+            pts = union(*args)
+            widths.append(max(pts.all, *pts.atoms.values(), *pts.world.values()).bit_length())
+            return pts
+
+        monkeypatch.setattr(lab.dynamic, "_union", measured)
         schema = SCHEMAS["A2"].pattern
         assert lab._first_counterexample(
             m, schema, sorted(metavariables(schema)), sorted(agent_names(schema)),
@@ -388,7 +390,7 @@ class TestDedupSoundness:
             agents = sorted(m.agents)
             classes: dict[int, list] = {}
             for f in pool:
-                classes.setdefault(lab.dynamic._ext(m, f), []).append(f)
+                classes.setdefault(lab.dynamic._ext(lab.dynamic._layout(m), f), []).append(f)
             for _ in range(3):
                 ann = random_formula(rng, 2, ("p", "q"), agents,
                                      allow_know=True, allow_announce=True)
@@ -396,7 +398,8 @@ class TestDedupSoundness:
                 for s in updated.world_order:
                     assert updated.worlds[s].leaves <= m.worlds[s].leaves
                 for members in classes.values():
-                    assert len({lab.dynamic._ext(updated, f) for f in members}) == 1
+                    assert len({lab.dynamic._ext(lab.dynamic._layout(updated), f)
+                                for f in members}) == 1
 
     @pytest.mark.parametrize("s5", [True, False])
     @pytest.mark.parametrize("schema", ["[X]Y -> (X -> Y)", "<X>Y -> Y"])
@@ -418,7 +421,7 @@ def _extension_dedup(m, pool):
     the first formula of each extension."""
     reps = {}
     for f in pool:
-        reps.setdefault(lab.dynamic._ext(m, f), f)
+        reps.setdefault(lab.dynamic._ext(lab.dynamic._layout(m), f), f)
     return list(reps.values())
 
 
