@@ -192,8 +192,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     count = lab.count_small_beth(args.max_nodes, atoms)
     models = lab.enumerate_small_beth(args.max_nodes, atoms)
     if args.format == "json":
-        _emit_json({"count": count,
-                    "models": [modeldoc.serialize_beth(m) for m in models]})
+        # The layout of json.dumps({"count": ..., "models": [...]}, indent=2),
+        # written one document at a time.
+        print(f'{{\n  "count": {count},\n  "models": [', end="")
+        for i, m in enumerate(models):
+            print(",\n    " if i else "\n    ", json.dumps(modeldoc.serialize_beth(m)),
+                  sep="", end="")
+        print("\n  ]\n}")
         return 0
     print(f"# {count} models (up to {args.max_nodes} nodes, "
           f"atoms {{{', '.join(atoms)}}})")

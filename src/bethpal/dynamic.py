@@ -18,7 +18,7 @@ is a mask of live leaves; only :func:`announce` builds the updated model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import beth
 from .beth import BethModel
@@ -120,17 +120,29 @@ class EvalResult:
 
 class _Points:
     """A layout: the masks the labeling reads, and the memo of the
-    extensions labeled on it (see :func:`_ext`).  Point i is bit i of every
-    mask; only leaf points are ever set.  It refers to no model, so it keeps
-    none alive."""
+    extensions labeled on it (see :func:`_ext`).  A layout is a base of
+    ``width`` points repeated over the copies in ``spread``: copy b holds
+    bits b·width to b·width + width - 1, and bit b·width of ``spread`` is
+    set.  A model's own layout is one copy (``spread == 1``).  Only leaf
+    points are ever set.  It refers to no model, so it keeps none alive."""
 
-    def __init__(self, size: int, world: dict, atoms: dict, knows: dict):
-        self.size = size        # the point count
-        self.world = world      # the world's leaves; the worlds hold consecutive points
-        self.atoms = atoms      # leaves carrying the atom
-        self.knows = knows      # agent -> [(a world's leaves, its successors' leaves)]
-        self.all = sum(world.values())
+    def __init__(self, width: int, spread: int, world: dict, atoms: dict, knows: dict):
+        self.width = width      # the base's point count
+        self.spread = spread
+        self.world = world      # the world's leaves in the base; the worlds hold consecutive points
+        self.atoms = atoms      # leaves carrying the atom, in every copy
+        self.knows = knows      # agent -> [(copies, [(worlds' leaves, their successors' leaves)])]
+        self.all = sum(world.values()) * spread
         self.labels: dict[tuple[Optional[int], Formula], int] = {}
+
+    def empty(self, x: int, copies: int) -> int:
+        """The copies of ``copies`` (a part of ``spread``) where the mask
+        ``x`` has no bit, all at once: within each of their fields the bits
+        below the top one carry into it when any is set, and no carry leaves
+        a field."""
+        top = self.width - 1
+        low = copies * ((1 << top) - 1)
+        return copies & ~(((x & low) + low | x) >> top)
 
 
 def _lay_out(worlds: Mapping[str, BethModel], access: Mapping) -> _Points:
@@ -143,23 +155,27 @@ def _lay_out(worlds: Mapping[str, BethModel], access: Mapping) -> _Points:
             for atom in w.val[leaf]:
                 atoms[atom] = atoms.get(atom, 0) | 1 << size + w.index[leaf]
         size += len(w.node_order)
-    return _Points(size, world, atoms, _Knows(world, access))
+    return _Points(size, 1, world, atoms, _Knows(world, access))
 
 
 class _Knows(dict):
     """The K masks of a layout's ``world`` masks under the relations
-    ``access``, built per agent on first read."""
+    ``access``, built per agent on first read: one pair per distinct
+    successor set (one per block of an equivalence), in the one copy."""
 
     def __init__(self, world: dict, access: Mapping):
         self.world, self.access = world, access
 
-    def __missing__(self, agent: str) -> list[tuple[int, int]]:
+    def __missing__(self, agent: str) -> list[tuple[int, list[tuple[int, int]]]]:
         if agent not in self.access:
             raise UnknownAgent(agent)
         succ = dict.fromkeys(self.world, 0)
         for s, t in self.access[agent]:
             succ[s] |= self.world[t]
-        masks = self[agent] = [(self.world[s], succ[s]) for s in self.world]
+        owners: dict[int, int] = {}      # successors' leaves -> the worlds' leaves
+        for s, leaves in succ.items():
+            owners[leaves] = owners.get(leaves, 0) | self.world[s]
+        masks = self[agent] = [(1, [(own, leaves) for leaves, own in owners.items()])]
         return masks
 
 
@@ -177,45 +193,42 @@ def _leaves(m: BethKripkeModel, s: str, f: Formula) -> int:
 
 
 def _union(base: _Points, copies: int, leaves: Mapping[str, Sequence[int]],
-           agents: Mapping[str, tuple[str, ...]], shared: dict) -> _Points:
-    """The union of ``copies`` copies of the layout ``base``, one per binding
-    of a schema's metavariables: copy b holds the points of ``base`` shifted
-    by b·``base.size``, its world s as world (b, s).  Formula metavariable X
-    is an atom whose leaves in copy b are ``leaves[X][b]``, agent
-    metavariable i an agent with the K masks of agent ``agents[i][b]``
-    there, and the atoms of ``base`` hold in every copy.
+           agents: Mapping[str, Sequence[str]]) -> _Points:
+    """The union of ``copies`` copies of the one-copy layout ``base``, one
+    per binding of a schema's metavariables: copy b holds the points of
+    ``base`` shifted by b·``base.width``.  Formula metavariable X is an atom
+    whose leaves in copy b are ``leaves[X][b]``, agent metavariable i an
+    agent with the K masks of agent ``agents[i][b]`` there, and the atoms of
+    ``base`` hold in every copy.
 
     K reads pairs within a copy and an update keeps or drops each world on
     its own, so copy b of a schema's extension is the extension of its
     instance under binding b, when ``leaves[X][b]`` is the extension of a
     propositional formula bound to X: under the live leaves ``alive`` that
-    formula holds on ``alive & leaves[X][b]``, as the atom X does.
-    ``shared`` keeps the world masks of a copy count and the K masks of a
-    sequence of agents for the next union of ``base``."""
-    shifts = range(0, copies * base.size, base.size)
-    spread = sum(1 << shift for shift in shifts)
-    world = shared.get(copies)
-    if world is None:
-        world = shared[copies] = {(b, s): mask << shift for b, shift in enumerate(shifts)
-                                  for s, mask in base.world.items()}
+    formula holds on ``alive & leaves[X][b]``, as the atom X does."""
+    width = base.width
+    spread = ((1 << copies * width) - 1) // ((1 << width) - 1)
     atoms = {atom: mask * spread for atom, mask in base.atoms.items()}
     for var, column in leaves.items():
-        atoms[var] = sum(mask << shift for shift, mask in zip(shifts, column))
+        atoms[var] = sum(mask << b * width for b, mask in enumerate(column))
     knows = {}
     for var, chosen in agents.items():
-        masks = shared.get(chosen)
-        if masks is None:
-            masks = shared[chosen] = [(own << shift, succ << shift)
-                                      for shift, agent in zip(shifts, chosen)
-                                      for own, succ in base.knows[agent]]
-        knows[var] = masks
-    return _Points(copies * base.size, world, atoms, knows)
+        choosing: dict[str, int] = {}       # agent -> the copies choosing it
+        for b, agent in enumerate(chosen):
+            choosing[agent] = choosing.get(agent, 0) | 1 << b * width
+        knows[var] = [(copies_a, pairs) for agent, copies_a in choosing.items()
+                      for _, pairs in base.knows[agent]]
+    return _Points(width, spread, base.world, atoms, knows)
 
 
-def _first_failure(pts: _Points, f: Formula) -> Optional[Hashable]:
-    """The first world of ``pts``, in order, whose root does not force ``f``."""
+def _first_failure(pts: _Points, f: Formula) -> Optional[tuple[int, str]]:
+    """The first copy of ``pts`` and its first world, in order, whose root
+    does not force ``f``: the copy and point of the lowest failing leaf."""
     failed = pts.all & ~_ext(pts, f)
-    return next((s for s, world in pts.world.items() if world & failed), None)
+    if not failed:
+        return None
+    copy, point = divmod((failed & -failed).bit_length() - 1, pts.width)
+    return copy, next(s for s, world in pts.world.items() if world >> point & 1)
 
 
 def _ext(pts: _Points, f: Formula, alive: Optional[int] = None) -> int:
@@ -250,17 +263,23 @@ def _label(pts: _Points, f: Formula, alive: Optional[int]) -> int:
         case Neg(x):
             return live & ~_ext(pts, x, alive)
         case Know(agent, body):
+            # A world knows the body in the copies where no successor misses it.
             missing = live & ~_ext(pts, body, alive)
-            return live & sum(world for world, succ in pts.knows[agent] if not succ & missing)
+            return live & sum(own * pts.empty(missing & succ * pts.spread, copies)
+                              for copies, pairs in pts.knows[agent] for own, succ in pairs)
         case Announce(ann, body) | Diamond(ann, body):
             # A world without kept leaves is dropped, where [φ] holds and <φ>
             # does not; a kept world's updated root forces the body when
             # every kept leaf does.  With no kept leaf the body is not read.
             kept = _ext(pts, ann, alive)
             failed = kept & ~_ext(pts, body, kept) if kept else 0
-            return live & sum(world for world in pts.world.values()
-                              if not world & failed
-                              and (world & kept or isinstance(f, Announce)))
+            spread, holds = pts.spread, 0
+            for world in pts.world.values():
+                copies = pts.empty(failed & world * spread, spread)
+                if isinstance(f, Diamond):
+                    copies &= ~pts.empty(kept & world * spread, spread)
+                holds |= world * copies
+            return live & holds
     raise TypeError(f"not a formula: {f!r}")
 
 

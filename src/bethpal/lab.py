@@ -12,7 +12,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import beth, dynamic, modeldoc
 from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
@@ -67,23 +67,44 @@ class GenParams:
 
 def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> BethModel:
     """Random rooted poset (random DAG plus a fresh root below everything)
-    with a random monotone valuation."""
+    with a random monotone valuation.
+
+    Node m{i} is drawn i-th and every edge goes from an earlier node to a
+    later one, so the model is built valid, with the fields
+    :func:`validate_beth` would give it.  The valuation is inherited along
+    the edges in the order they are drawn, by their lower node.  In the
+    reverse order a node ORs its successors' up-sets into its own, and a
+    successor reached through another one is not a cover."""
     atoms = tuple(atoms)
-    extra = rng.randint(0, max_nodes - 1)
-    names = [f"m{i}" for i in range(extra + 1)]
-    edges = [("m0", names[j]) for j in range(1, extra + 1)]
-    for i in range(1, extra + 1):
-        for j in range(i + 1, extra + 1):
+    n = rng.randint(0, max_nodes - 1) + 1
+    edges = [(0, j) for j in range(1, n)]
+    for i in range(1, n):
+        for j in range(i + 1, n):
             if rng.random() < 0.4:
-                edges.append((names[i], names[j]))
-    # Nodes are indexed in topological order, so inheriting along direct
-    # edges is enough to make the valuation monotone.  The edges are listed
-    # in order of their lower node, so a node has inherited all it will when
-    # its own edges pass it on.
-    val = {name: {atom for atom in atoms if rng.random() < 0.3} for name in names}
-    for a, b in edges:
-        val[b] |= val[a]
-    return validate_beth(names, edges, "m0", val, atoms)
+                edges.append((i, j))
+    vals = [{atom for atom in atoms if rng.random() < 0.3} for _ in range(n)]
+    nodes = [f"m{i}" for i in range(n)]
+    if n > 10:      # node_order puts m10 before m2: number the nodes in it
+        order = sorted(range(n), key=nodes.__getitem__)
+        at = dict(zip(order, range(n)))
+        edges = [(at[i], at[j]) for i, j in edges]
+        nodes, vals = [nodes[i] for i in order], [vals[i] for i in order]
+    for i, j in edges:
+        vals[j] |= vals[i]
+    up = [1 << i for i in range(n)]
+    through = [0] * n           # the nodes above a node's successors
+    for i, j in reversed(edges):
+        through[i] |= up[j] ^ 1 << j
+        up[i] |= up[j]
+    covers, leaf_mask = {}, 0
+    for i, a in enumerate(nodes):
+        cover = up[i] & ~through[i] ^ 1 << i
+        covers[a] = tuple([b for b, bit in zip(nodes, bin(cover)[:1:-1]) if bit == "1"])
+        if not cover:
+            leaf_mask |= 1 << i
+    nodes = tuple(nodes)
+    return BethModel(nodes, dict(zip(nodes, range(n))), tuple(up), covers, leaf_mask, "m0",
+                     dict(zip(nodes, map(frozenset, vals))), frozenset(atoms))
 
 
 def random_model(p: GenParams) -> BethKripkeModel:
@@ -326,13 +347,14 @@ def _classes(atoms: tuple[str, ...], depth: int,
 
 UNION_BITS = 1024
 """Widest union of model copies :func:`test_validity` labels in one pass (see
-:func:`_first_counterexample`).  The K clause sums one mask per world of
-the union, so a pass costs about the square of its width; a union holds at
+:func:`_first_counterexample`).  The clauses label all copies at once, with
+a few big-int operations per world of the model for K and the announcement
+operators, so a pass costs about linearly in its width; a union holds at
 least one copy, whatever the model's size."""
 
 
-def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
-                          avars: list[str], reps: list[Formula]) -> Optional[Counterexample]:
+def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: Sequence[str],
+                          avars: Sequence[str], reps: list[Formula]) -> Optional[Counterexample]:
     """The first instance of ``schema`` that fails at the root of a world of
     ``m``, with its formula metavariables ``fvars`` bound to ``reps`` and its
     agent metavariables ``avars`` to ``m``'s agents: bindings in the order
@@ -346,14 +368,13 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
     ext = {rep: dynamic._ext(base, rep) for rep in reps}
     bindings = itertools.product(itertools.product(sorted(m.agents), repeat=len(avars)),
                                  itertools.product(reps, repeat=len(fvars)))
-    shared: dict = {}       # the masks the unions of m share
-    per_union = max(1, UNION_BITS // base.size)
+    per_union = max(1, UNION_BITS // base.width)
     while batch := list(itertools.islice(bindings, per_union)):
         agent_rows, formula_rows = zip(*batch)
         union = dynamic._union(
             base, len(batch),
             {v: [ext[f] for f in column] for v, column in zip(fvars, zip(*formula_rows))},
-            dict(zip(avars, zip(*agent_rows))), shared)
+            dict(zip(avars, zip(*agent_rows))))
         failure = dynamic._first_failure(union, schema)
         if failure is not None:
             copy, world = failure
@@ -362,6 +383,19 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
             binding.update(zip(fvars, choice))
             return Counterexample(m, world, substitute(schema, binding))
     return None
+
+
+SPACE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=SPACE_CACHE_SIZE)
+def _read_space(space: SchemaInstanceSpace) -> tuple[tuple[tuple[str, ...], int],
+                                                     tuple[str, ...], tuple[str, ...]]:
+    """The class search ``(atoms, depth)`` of ``space``, and its schema's
+    formula and agent metavariables, sorted: read once per space."""
+    return ((tuple(sorted(set(space.atoms))), space.depth),
+            tuple(sorted(metavariables(space.schema))),
+            tuple(sorted(agent_names(space.schema))))
 
 
 def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Verdict:
@@ -373,9 +407,7 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
     :func:`_first_counterexample`)."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, not {trials}")
-    search = (tuple(sorted(set(space.atoms))), space.depth)
-    fvars = sorted(metavariables(space.schema))
-    avars = sorted(agent_names(space.schema))
+    search, fvars, avars = _read_space(space)
     for t in range(trials):
         m = random_model(replace(gen, seed=split_seed(gen.seed, t)))
         found = _first_counterexample(m, space.schema, fvars, avars,

@@ -115,3 +115,22 @@ def reference_beth(nodes, order, root, val=None, atoms=()):
         "val": valuation,
         "atoms": frozenset(atoms) | frozenset().union(*valuation.values()),
     }
+
+
+def reference_random_beth(rng, max_nodes, atoms):
+    """``lab.random_beth`` as it was built before it built its model itself:
+    the same draws, then the named edges and valuation through
+    ``validate_beth``."""
+    from bethpal.beth import validate_beth
+    atoms = tuple(atoms)
+    extra = rng.randint(0, max_nodes - 1)
+    names = [f"m{i}" for i in range(extra + 1)]
+    edges = [("m0", names[j]) for j in range(1, extra + 1)]
+    for i in range(1, extra + 1):
+        for j in range(i + 1, extra + 1):
+            if rng.random() < 0.4:
+                edges.append((names[i], names[j]))
+    val = {name: {atom for atom in atoms if rng.random() < 0.3} for name in names}
+    for a, b in edges:
+        val[b] |= val[a]
+    return validate_beth(names, edges, "m0", val, atoms)

@@ -13,7 +13,7 @@ from bethpal.cli import main
 from bethpal.formula import MAX_NESTING, MAX_SIZE
 from bethpal import lab
 from bethpal.lab import MAX_HYPOTHESIS_DEPTH, MAX_NODES_PER_WORLD, MAX_WORLDS
-from bethpal.modeldoc import parse_model_document
+from bethpal.modeldoc import parse_model_document, serialize_beth
 
 from helpers import every_valuation_model
 
@@ -396,6 +396,16 @@ class TestEnumerateAndWitness:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 4
 
+    @pytest.mark.parametrize("max_nodes,atoms", [(3, "p,q"), (1, "p")])
+    def test_enumerate_json_is_one_document(self, capsys, max_nodes, atoms):
+        # The documents are written one at a time, in the layout json.dumps
+        # gives the whole listing.
+        assert main(["--format", "json", "enumerate", "--max-nodes", str(max_nodes),
+                     "--atoms", atoms]) == 0
+        models = [serialize_beth(m) for m in lab.enumerate_small_beth(max_nodes, atoms.split(","))]
+        expected = json.dumps({"count": len(models), "models": models}, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+
     def test_enumerate_bound_error(self, capsys):
         assert main(["enumerate", "--max-nodes", "9"]) == 2
 
@@ -409,14 +419,17 @@ class TestEnumerateAndWitness:
         assert captured.out == ""
         assert captured.err.startswith("error: 778,541 models")
 
-    def test_reader_that_stops_early_ends_quietly(self):
+    @pytest.mark.parametrize("fmt,first", [
+        ("text", [b"# 98957 models (up to 4 nodes, atoms {p, q, r, s, u})\n", b"# model 0\n"]),
+        ("json", [b"{\n", b'  "count": 98957,\n'])])
+    def test_reader_that_stops_early_ends_quietly(self, fmt, first):
         # The listing is far longer than the pipe holds, so the closed pipe
         # stops it; exit 1 is Python's status for EPIPE.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen(
             [sys.executable, "-c", "from bethpal.cli import main_entry; main_entry()",
-             "enumerate", "--max-nodes", "4", "--atoms", "p,q,r,s,u"],
+             "--format", fmt, "enumerate", "--max-nodes", "4", "--atoms", "p,q,r,s,u"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             head = [proc.stdout.readline() for _ in range(2)]
@@ -426,8 +439,7 @@ class TestEnumerateAndWitness:
         finally:
             proc.kill()
             proc.stderr.close()
-        assert head == [b"# 98957 models (up to 4 nodes, atoms {p, q, r, s, u})\n",
-                        b"# model 0\n"]
+        assert head == first
         assert err == b""
 
     @pytest.mark.parametrize("atoms", ["p", "p,q", "q, p,p", "P,x_1"])

@@ -17,7 +17,7 @@ from bethpal.lab import (
 from bethpal.modeldoc import model_digest, serialize_model
 from bethpal.proofkit import SCHEMAS
 
-from helpers import every_valuation_model
+from helpers import every_valuation_model, reference_random_beth
 
 
 class TestGenerators:
@@ -28,6 +28,23 @@ class TestGenerators:
     def test_different_seeds_differ_somewhere(self):
         docs = {serialize_model(random_model(GenParams(seed=s))) for s in range(12)}
         assert len(docs) > 1
+
+    @pytest.mark.parametrize("max_nodes", [1, 4, 12])
+    def test_random_beth_builds_what_validation_builds(self, max_nodes):
+        # Twelve nodes name m10 and m11, which sort before m2.
+        fields = ("node_order", "index", "up_mask", "covers", "leaf_mask", "leaves",
+                  "root", "val", "atoms")
+        for seed in range(2000):
+            atoms = lab.ATOM_NAMES[:1 + seed % 3]
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            built = lab.random_beth(rng, max_nodes, atoms)
+            expected = reference_random_beth(ref_rng, max_nodes, atoms)
+            for name in fields:
+                got, want = getattr(built, name), getattr(expected, name)
+                assert got == want, (seed, name)
+                if isinstance(want, dict):
+                    assert list(got) == list(want), (seed, name)
+            assert rng.getstate() == ref_rng.getstate(), seed
 
     def test_worlds_validate_and_s5_holds(self):
         for t in range(40):
@@ -228,11 +245,49 @@ class TestFiniteModelsAreClassical:
 
 class TestInstanceLabeling:
     """Labeling a schema on the union of one model copy per binding gives, in
-    every copy, the extension of the instance that substitution builds, also
-    when one model's unions share the masks built for earlier ones."""
+    every copy, the extension of the instance that substitution builds."""
 
     EXTRA = ("[X]Y -> (X -> Y)", "<X>Y -> Y", "K{i}[X]Y -> [X]K{i}Y",
              "[K{i}X]K{j}Y -> K{j}X", "K{i}(p | X) -> [X]K{i}q")
+
+    @staticmethod
+    def bindings(m, schema, reps, rng):
+        """Every agent choice with every pair of representatives for the
+        first two formula metavariables, the others drawn from ``rng``."""
+        fvars = sorted(metavariables(schema))
+        avars = sorted(agent_names(schema))
+        out = []
+        for agents in itertools.product(sorted(m.agents), repeat=len(avars)):
+            for pair in itertools.product(reps, repeat=min(2, len(fvars))):
+                chosen = pair + tuple(rng.choice(reps) for _ in fvars[2:])
+                binding = dict(zip(avars, map(Atom, agents)))
+                binding.update(zip(fvars, chosen))
+                out.append(binding)
+        return out
+
+    @staticmethod
+    def check_copies(m, schema, bindings, oracle=False):
+        """Label ``schema`` on the union of one copy per binding and compare
+        every copy with the instance built and labeled on ``m``.  With
+        ``oracle``, the built instance is also checked at every leaf with
+        :func:`naive_forces`, since a fault in a clause shared by both
+        layouts labels both alike."""
+        base = lab.dynamic._layout(m)
+        fvars = sorted(metavariables(schema))
+        avars = sorted(agent_names(schema))
+        holds = lab.dynamic._ext(lab.dynamic._union(
+            base, len(bindings),
+            {v: [lab.dynamic._ext(base, b[v]) for b in bindings] for v in fvars},
+            {i: tuple(b[i].name for b in bindings) for i in avars}), schema)
+        for copy, binding in enumerate(bindings):
+            instance = substitute(schema, binding)
+            labeled = holds >> copy * base.width & (1 << base.width) - 1
+            assert labeled == lab.dynamic._ext(base, instance), (schema, copy, binding)
+            for s in m.world_order if oracle else ():
+                w = m.worlds[s]
+                assert lab.dynamic._leaves(m, s, instance) == sum(
+                    1 << w.index[leaf] for leaf in w.leaves
+                    if naive_forces(m, s, leaf, instance)), (schema, copy, binding, s)
 
     @pytest.mark.parametrize("s5", [True, False])
     def test_matches_the_built_instance(self, s5):
@@ -242,30 +297,73 @@ class TestInstanceLabeling:
         for t in range(150):
             m = random_model(GenParams(seed=split_seed(43, t), s5=s5))
             reps = lab._semantic_reps(m, (("p", "q"), 1))
-            base = lab.dynamic._layout(m)
-            size = base.size
-            shared = {}
             for schema in schemas:
-                fvars = sorted(metavariables(schema))
-                avars = sorted(agent_names(schema))
-                bindings = []
-                for agents in itertools.product(sorted(m.agents), repeat=len(avars)):
-                    for pair in itertools.product(reps, repeat=min(2, len(fvars))):
-                        chosen = pair + tuple(rng.choice(reps) for _ in fvars[2:])
-                        binding = dict(zip(avars, map(Atom, agents)))
-                        binding.update(zip(fvars, chosen))
-                        bindings.append(binding)
-                built = [lab.dynamic._ext(base, substitute(schema, b)) for b in bindings]
+                bindings = self.bindings(m, schema, reps, rng)
                 for width in (len(bindings), 3):
                     for start in range(0, len(bindings), width):
-                        union = bindings[start:start + width]
-                        holds = lab.dynamic._ext(lab.dynamic._union(
-                            base, len(union),
-                            {v: [lab.dynamic._ext(base, b[v]) for b in union] for v in fvars},
-                            {i: tuple(b[i].name for b in union) for i in avars}, shared), schema)
-                        for copy, binding in enumerate(union):
-                            labeled = holds >> copy * size & (1 << size) - 1
-                            assert labeled == built[start + copy], (t, schema, binding)
+                        self.check_copies(m, schema, bindings[start:start + width])
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_one_point_copies(self, s5):
+        # A one-node world is one leaf, so a copy of a one-world model is one
+        # bit wide and the fields have no bits below their top one.
+        schemas = [a.pattern for a in SCHEMAS.values()]
+        schemas += [parse_formula(text) for text in self.EXTRA]
+        rng = random.Random(5)
+        widths = set()
+        for t in range(40):
+            m = random_model(GenParams(max_nodes_per_world=1, max_worlds=1,
+                                       seed=split_seed(5, t), s5=s5))
+            widths.add(lab.dynamic._layout(m).width)
+            reps = lab._semantic_reps(m, (("p", "q"), 1))
+            for schema in schemas:
+                self.check_copies(m, schema, self.bindings(m, schema, reps, rng), oracle=True)
+        assert widths == {1}
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_copies_that_mix_agent_choices(self, s5):
+        # The bindings take the agent choices in turn, so neighbouring copies
+        # choose differently, and the agents' relations differ.
+        schemas = [parse_formula(text) for text in
+                   ("K{i}X -> X", "K{i}X -> K{i}K{i}X", "[K{i}X]K{j}Y -> K{j}X",
+                    "~K{i}X -> K{i}~K{i}X")]
+        rng = random.Random(8)
+        mixed = 0
+        for t in range(60):
+            m = random_model(GenParams(seed=split_seed(8, t), s5=s5))
+            if m.access["a"] == m.access["b"]:
+                continue
+            mixed += 1
+            reps = lab._semantic_reps(m, (("p", "q"), 1))
+            for schema in schemas:
+                avars = sorted(agent_names(schema))
+                runs = {}
+                for b in self.bindings(m, schema, reps, rng):
+                    runs.setdefault(tuple(b[i] for i in avars), []).append(b)
+                bindings = [b for row in itertools.zip_longest(*runs.values())
+                            for b in row if b is not None]
+                assert [bindings[0][i] for i in avars] != [bindings[1][i] for i in avars]
+                self.check_copies(m, schema, bindings, oracle=True)
+        assert mixed >= 20
+
+    def test_diamond_where_a_world_keeps_no_leaf(self):
+        # In some copies X holds on no leaf of w1 (the world is dropped, so
+        # <X>Y fails there) and on a leaf of w0; the other copies keep both.
+        w0 = validate_beth(("r", "x", "y"), (("r", "x"), ("r", "y")), "r",
+                           {"x": {"p"}, "y": {"q"}}, ("p", "q"))
+        w1 = validate_beth(("r", "z"), (("r", "z"),), "r", {"z": {"q"}}, ("p", "q"))
+        m = BethKripkeModel({"w0": w0, "w1": w1}, ("a",),
+                            {"a": [(s, t) for s in ("w0", "w1") for t in ("w0", "w1")]})
+        reps = [Atom("p"), Atom("q"), TOP, parse_formula("~q"), parse_formula("p | q")]
+        schemas = [parse_formula(text) for text in
+                   ("<X>Y", "<X>Y -> Y", "[X]Y", "<X>K{i}Y", "K{i}<X>Y", "<X><Y>X")]
+        p = Atom("p")
+        assert not lab.dynamic._leaves(m, "w1", p) and lab.dynamic._leaves(m, "w0", p)
+        for schema in schemas:
+            fvars = sorted(metavariables(schema))
+            bindings = [dict(zip(fvars, choice), i=Atom("a"))
+                        for choice in itertools.product(reps, repeat=len(fvars))]
+            self.check_copies(m, schema, bindings, oracle=True)
 
 
 class TestUnionWidth:
@@ -298,7 +396,7 @@ class TestUnionWidth:
             mp.setattr(lab.dynamic, "_union", counted)
             for t in range(60):
                 m = random_model(GenParams(seed=split_seed(9, t), s5=s5))
-                mp.setattr(lab, "UNION_BITS", bits(lab.dynamic._layout(m).size))
+                mp.setattr(lab, "UNION_BITS", bits(lab.dynamic._layout(m).width))
                 copies.append([])
                 v = lab._first_counterexample(m, schema, fvars, avars,
                                               lab._semantic_reps(m, (("p", "q"), 1)))
@@ -333,7 +431,7 @@ class TestUnionWidth:
 
     def test_unions_stay_within_the_bound_on_a_wide_model(self, monkeypatch):
         m = random_model(GenParams(seed=23, max_worlds=200))
-        size = lab.dynamic._layout(m).size
+        size = lab.dynamic._layout(m).width
         assert len(m.worlds) == 200
         widths = []
 
