@@ -113,6 +113,23 @@ def _up_masks(succ: list[set[int]]) -> Optional[list[int]]:
     return up
 
 
+def _covers(nodes: tuple[str, ...], succ: list[set[int]],
+            up: list[int]) -> tuple[dict[str, tuple[str, ...]], int]:
+    """Each node's sorted covers, and the leaf mask, given each node's listed
+    successors and the up-sets of their closure.  A cover is always listed:
+    a longer path to it would pass through a node in between."""
+    covers: dict[str, tuple[str, ...]] = {}
+    leaf_mask = 0
+    for i, targets in enumerate(succ):
+        if not targets:
+            leaf_mask |= 1 << i
+        through = 0         # reached through another listed successor
+        for j in targets:
+            through |= up[j] ^ 1 << j
+        covers[nodes[i]] = tuple(nodes[j] for j in sorted(targets) if not through >> j & 1)
+    return covers, leaf_mask
+
+
 class BethModel:
     """Validated finite rooted Beth model.  Immutable after construction;
     build instances through :func:`validate_beth`.
@@ -185,8 +202,7 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
     the order of node names.
 
     The closure takes one OR per listed edge (see :func:`_up_masks`), and
-    the covers are read off the listed edges, since a cover is always
-    listed: a longer path to it would pass through a node in between.
+    the covers are read off the listed edges (see :func:`_covers`).
     """
     node_tuple = tuple(sorted(set(nodes)))
     if not node_tuple:
@@ -225,16 +241,7 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
         a, b = next((i, j) for i in range(len(node_tuple)) for j in _bits(up[i])
                     if not vals[i] <= vals[j])
         raise NonMonotoneValuation(node_tuple[a], node_tuple[b], min(vals[a] - vals[b]))
-    covers: dict[str, tuple[str, ...]] = {}
-    leaf_mask = 0
-    for i, targets in enumerate(succ):
-        if not targets:
-            leaf_mask |= 1 << i
-        through = 0         # reached through another listed successor
-        for j in targets:
-            through |= up[j] ^ 1 << j
-        covers[node_tuple[i]] = tuple(node_tuple[j] for j in sorted(targets)
-                                      if not through >> j & 1)
+    covers, leaf_mask = _covers(node_tuple, succ, up)
     universe = frozenset(atoms) | frozenset().union(*vals)
     return BethModel(node_tuple, index, tuple(up), covers, leaf_mask, root, valuation, universe)
 

@@ -12,7 +12,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import beth, dynamic, modeldoc
 from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
@@ -70,41 +70,32 @@ def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> Bet
     with a random monotone valuation.
 
     Node m{i} is drawn i-th and every edge goes from an earlier node to a
-    later one, so the model is built valid, with the fields
-    :func:`validate_beth` would give it.  The valuation is inherited along
-    the edges in the order they are drawn, by their lower node.  In the
-    reverse order a node ORs its successors' up-sets into its own, and a
-    successor reached through another one is not a cover."""
+    later one, so the model is valid as drawn: it is built from its
+    successor sets the way :func:`validate_beth` builds a model, without the
+    checks."""
     atoms = tuple(atoms)
     n = rng.randint(0, max_nodes - 1) + 1
-    edges = [(0, j) for j in range(1, n)]
+    nodes = tuple(sorted(f"m{i}" for i in range(n)))
+    index = {a: i for i, a in enumerate(nodes)}
+    at = [index[f"m{i}"] for i in range(n)]     # node_order puts m10 before m2
+    succ: list[set[int]] = [set() for _ in nodes]
+    succ[0].update(at[1:])
     for i in range(1, n):
         for j in range(i + 1, n):
             if rng.random() < 0.4:
-                edges.append((i, j))
-    vals = [{atom for atom in atoms if rng.random() < 0.3} for _ in range(n)]
-    nodes = [f"m{i}" for i in range(n)]
-    if n > 10:      # node_order puts m10 before m2: number the nodes in it
-        order = sorted(range(n), key=nodes.__getitem__)
-        at = dict(zip(order, range(n)))
-        edges = [(at[i], at[j]) for i, j in edges]
-        nodes, vals = [nodes[i] for i in order], [vals[i] for i in order]
-    for i, j in edges:
-        vals[j] |= vals[i]
-    up = [1 << i for i in range(n)]
-    through = [0] * n           # the nodes above a node's successors
-    for i, j in reversed(edges):
-        through[i] |= up[j] ^ 1 << j
-        up[i] |= up[j]
-    covers, leaf_mask = {}, 0
-    for i, a in enumerate(nodes):
-        cover = up[i] & ~through[i] ^ 1 << i
-        covers[a] = tuple([b for b, bit in zip(nodes, bin(cover)[:1:-1]) if bit == "1"])
-        if not cover:
-            leaf_mask |= 1 << i
-    nodes = tuple(nodes)
-    return BethModel(nodes, dict(zip(nodes, range(n))), tuple(up), covers, leaf_mask, "m0",
-                     dict(zip(nodes, map(frozenset, vals))), frozenset(atoms))
+                succ[at[i]].add(at[j])
+    val: list[set[str]] = [set() for _ in nodes]
+    for i in at:
+        val[i] = {atom for atom in atoms if rng.random() < 0.3}
+    # In the order drawn, a node has inherited all it will before it passes
+    # its atoms on, so inheriting along the drawn edges makes it monotone.
+    for i in at:
+        for j in succ[i]:
+            val[j] |= val[i]
+    up = beth._up_masks(succ)
+    covers, leaf_mask = beth._covers(nodes, succ, up)
+    return BethModel(nodes, index, tuple(up), covers, leaf_mask, "m0",
+                     dict(zip(nodes, map(frozenset, val))), frozenset(atoms))
 
 
 def random_model(p: GenParams) -> BethKripkeModel:
@@ -353,8 +344,8 @@ operators, so a pass costs about linearly in its width; a union holds at
 least one copy, whatever the model's size."""
 
 
-def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: Sequence[str],
-                          avars: Sequence[str], reps: list[Formula]) -> Optional[Counterexample]:
+def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
+                          avars: list[str], reps: list[Formula]) -> Optional[Counterexample]:
     """The first instance of ``schema`` that fails at the root of a world of
     ``m``, with its formula metavariables ``fvars`` bound to ``reps`` and its
     agent metavariables ``avars`` to ``m``'s agents: bindings in the order
@@ -385,19 +376,6 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: Sequence[s
     return None
 
 
-SPACE_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=SPACE_CACHE_SIZE)
-def _read_space(space: SchemaInstanceSpace) -> tuple[tuple[tuple[str, ...], int],
-                                                     tuple[str, ...], tuple[str, ...]]:
-    """The class search ``(atoms, depth)`` of ``space``, and its schema's
-    formula and agent metavariables, sorted: read once per space."""
-    return ((tuple(sorted(set(space.atoms))), space.depth),
-            tuple(sorted(metavariables(space.schema))),
-            tuple(sorted(agent_names(space.schema))))
-
-
 def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Verdict:
     """Draw ``trials`` models; check every (deduplicated) schema instance at
     the root of every world.  First failure wins.
@@ -407,7 +385,9 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
     :func:`_first_counterexample`)."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, not {trials}")
-    search, fvars, avars = _read_space(space)
+    search = (tuple(sorted(set(space.atoms))), space.depth)
+    fvars = sorted(metavariables(space.schema))
+    avars = sorted(agent_names(space.schema))
     for t in range(trials):
         m = random_model(replace(gen, seed=split_seed(gen.seed, t)))
         found = _first_counterexample(m, space.schema, fvars, avars,
