@@ -113,26 +113,12 @@ def _up_masks(succ: list[set[int]]) -> Optional[list[int]]:
     return up
 
 
-def _covers(nodes: tuple[str, ...], succ: list[set[int]],
-            up: list[int]) -> tuple[dict[str, tuple[str, ...]], int]:
-    """Each node's sorted covers, and the leaf mask, given each node's listed
-    successors and the up-sets of their closure.  A cover is always listed:
-    a longer path to it would pass through a node in between."""
-    covers: dict[str, tuple[str, ...]] = {}
-    leaf_mask = 0
-    for i, targets in enumerate(succ):
-        if not targets:
-            leaf_mask |= 1 << i
-        through = 0         # reached through another listed successor
-        for j in targets:
-            through |= up[j] ^ 1 << j
-        covers[nodes[i]] = tuple(nodes[j] for j in sorted(targets) if not through >> j & 1)
-    return covers, leaf_mask
-
-
 class BethModel:
-    """Validated finite rooted Beth model.  Immutable after construction;
-    build instances through :func:`validate_beth`.
+    """Finite rooted Beth model, immutable after construction.  Every
+    builder ends in this constructor, which checks nothing: it reads each
+    node's sorted covers and the leaves off ``succ``, the listed successors
+    by index, and ``up_mask``, the up-sets of their closure.  A cover is
+    always listed: a longer path to it would pass through a node in between.
 
     The order is kept as bitmasks over ``node_order``: bit j of
     ``up_mask[i]`` is set iff node i is below or equal to node j, and bit i of
@@ -140,13 +126,22 @@ class BethModel:
     same relation out as sets; they take space quadratic in the number of
     nodes, so they are built on first use."""
 
-    def __init__(self, nodes: tuple[str, ...], index: dict[str, int], up_mask: tuple[int, ...],
-                 covers: dict[str, tuple[str, ...]], leaf_mask: int, root: str,
-                 val: dict[str, frozenset[str]], atoms: frozenset[str]):
+    def __init__(self, nodes: tuple[str, ...], index: dict[str, int], succ: list[set[int]],
+                 up_mask: list[int], root: str, val: dict[str, frozenset[str]],
+                 atoms: frozenset[str]):
+        covers: dict[str, tuple[str, ...]] = {}
+        leaf_mask = 0
+        for i, targets in enumerate(succ):
+            if not targets:
+                leaf_mask |= 1 << i
+            through = 0         # reached through another listed successor
+            for j in targets:
+                through |= up_mask[j] ^ 1 << j
+            covers[nodes[i]] = tuple(nodes[j] for j in sorted(targets) if not through >> j & 1)
         self.node_order = nodes                      # sorted, deterministic iteration
         self.nodes = frozenset(nodes)
         self.index = index                           # position in node_order
-        self.up_mask = up_mask
+        self.up_mask = tuple(up_mask)
         self.covers = covers                         # sorted immediate successors
         self.leaf_mask = leaf_mask
         self.leaves = frozenset(self.names(leaf_mask))
@@ -202,7 +197,7 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
     the order of node names.
 
     The closure takes one OR per listed edge (see :func:`_up_masks`), and
-    the covers are read off the listed edges (see :func:`_covers`).
+    the covers are read off the listed edges (see :class:`BethModel`).
     """
     node_tuple = tuple(sorted(set(nodes)))
     if not node_tuple:
@@ -241,24 +236,21 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
         a, b = next((i, j) for i in range(len(node_tuple)) for j in _bits(up[i])
                     if not vals[i] <= vals[j])
         raise NonMonotoneValuation(node_tuple[a], node_tuple[b], min(vals[a] - vals[b]))
-    covers, leaf_mask = _covers(node_tuple, succ, up)
     universe = frozenset(atoms) | frozenset().union(*vals)
-    return BethModel(node_tuple, index, tuple(up), covers, leaf_mask, root, valuation, universe)
+    return BethModel(node_tuple, index, succ, up, root, valuation, universe)
 
 
 def restrict(m: BethModel, keep: int) -> BethModel:
     """The sub-model of ``m`` on the nodes of the bitmask ``keep`` (over
     ``node_order``), a down-set that contains the root.
 
-    Every node below a kept node is kept, so a cover between kept nodes is
-    a cover of ``m``, the root stays below every node and the valuation
-    stays monotone: the sub-model needs no re-validation."""
+    Every node below a kept node is kept, so the kept covers of ``m`` are
+    the covers of the sub-model, the root stays below every node and the
+    valuation stays monotone: the sub-model needs no re-validation."""
     nodes = m.names(keep)
     index = {a: i for i, a in enumerate(nodes)}
-    covers = {a: tuple(b for b in m.covers[a] if b in index) for a in nodes}
-    up = _up_masks([{index[b] for b in covers[a]} for a in nodes])
-    leaf_mask = sum(1 << i for i, a in enumerate(nodes) if not covers[a])
-    return BethModel(nodes, index, tuple(up), covers, leaf_mask, m.root,
+    succ = [{index[b] for b in m.covers[a] if b in index} for a in nodes]
+    return BethModel(nodes, index, succ, _up_masks(succ), m.root,
                      {a: m.val[a] for a in nodes}, m.atoms)
 
 
@@ -315,11 +307,15 @@ def avoiding_path(m: BethModel, a: str, bar: AbstractSet[str]) -> Optional[tuple
 
 def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
     """True iff every maximal path from ``a`` meets ``bar`` (bar must sit
-    inside the anchor's up-set)."""
+    inside the anchor's up-set).  Raises UnknownNode for the anchor, then
+    for the first member of ``bar`` that is not a node, before
+    NodeOutsideUpSet."""
     bar = frozenset(bar)
-    outside = bar - up_set(m, a)
+    outside = sorted(bar - up_set(m, a))
     if outside:
-        raise NodeOutsideUpSet(sorted(outside)[0], a)
+        for b in outside:
+            m.ensure_node(b)
+        raise NodeOutsideUpSet(outside[0], a)
     return avoiding_path(m, a, bar) is None
 
 

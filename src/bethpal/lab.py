@@ -92,9 +92,7 @@ def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> Bet
     for i in at:
         for j in succ[i]:
             val[j] |= val[i]
-    up = beth._up_masks(succ)
-    covers, leaf_mask = beth._covers(nodes, succ, up)
-    return BethModel(nodes, index, tuple(up), covers, leaf_mask, "m0",
+    return BethModel(nodes, index, succ, beth._up_masks(succ), "m0",
                      dict(zip(nodes, map(frozenset, val))), frozenset(atoms))
 
 

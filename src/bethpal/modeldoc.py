@@ -26,7 +26,7 @@ import re
 from typing import NoReturn
 
 from .beth import BethModel, validate_beth
-from .dynamic import BethKripkeModel
+from .dynamic import BethKripkeModel, UnknownAgent, UnknownWorld
 
 
 class DocumentError(ValueError):
@@ -164,17 +164,17 @@ def parse_model_document(text: str) -> BethKripkeModel:
         raise DocumentError("missing agents declaration", 1)
     if not worlds:
         raise DocumentError("a model needs at least one world", 1)
-    declared = set(agents)
-    for agent, pairs in access.items():
-        if agent not in declared:
-            raise DocumentError(f"access for undeclared agent {agent!r}",
-                                _line(text, access_at[agent]))
-        for a, b in sorted(pairs):
-            if a not in worlds or b not in worlds:
-                missing = a if a not in worlds else b
-                raise DocumentError(f"access pair names unknown world {missing!r}",
-                                    _line(text, access_at[agent]))
-    return BethKripkeModel(worlds, agents, {a: frozenset(ps) for a, ps in access.items()})
+    # The constructor checks agents in statement order, so the first agent
+    # whose pairs name an unknown world is the one that failed.
+    try:
+        return BethKripkeModel(worlds, agents, access)
+    except UnknownAgent as e:
+        raise DocumentError(f"access for undeclared agent {e.agent!r}",
+                            _line(text, access_at[e.agent])) from None
+    except UnknownWorld as e:
+        agent = next(a for a, ps in access.items() if any(e.world in p for p in ps))
+        raise DocumentError(f"access pair names unknown world {e.world!r}",
+                            _line(text, access_at[agent])) from None
 
 
 def _parse_world(text: str, toks: list[str], i: int, name: str) -> tuple[BethModel, int]:

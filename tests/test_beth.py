@@ -131,6 +131,17 @@ class TestPosetMachinery:
         with pytest.raises(NodeOutsideUpSet):
             is_bar(fork_pq, "b", {"c"})
 
+    def test_is_bar_names_the_first_unknown_member(self, fork_pq):
+        # An unknown member is reported as such, before any member that is
+        # a node outside the anchor's up-set ("a" is below "b").
+        with pytest.raises(UnknownNode) as err:
+            is_bar(fork_pq, "b", {"zz", "a", "yy"})
+        assert err.value.node == "yy"
+        assert str(err.value) == "unknown node 'yy'"
+        with pytest.raises(UnknownNode) as err:
+            is_bar(fork_pq, "zz", {"b"})
+        assert err.value.node == "zz"
+
 
 def _posets_up_to_5_nodes():
     """Every rooted poset with up to 5 nodes, without valuation: the

@@ -290,6 +290,14 @@ class TestAxioms:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schemas"]["A6"]["verdict"] == "no-counterexample"
 
+    def test_hypothesis_json(self, capsys):
+        assert main(["--format", "json", "--seed", "3", "axioms", "--schema", "A6",
+                     "--trials", "5", "--hypothesis"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schemas"] == {"A6": {"verdict": "no-counterexample", "trials": 5}}
+        report = lab.test_announcement_hypothesis(lab.GenParams(seed=3), 5)
+        assert payload["hypothesis"] == report.render().splitlines()
+
 
 class TestCounts:
     @pytest.mark.parametrize("argv", [
@@ -362,6 +370,15 @@ class TestProve:
         assert main(["prove", str(PROOF_DIR / "broken_forward_reference.pf")]) == 1
         out = capsys.readouterr().out
         assert "rejected at line 2" in out
+
+    @pytest.mark.parametrize("name, code, accepted, line, reason", [
+        ("nec_factivity.pf", 0, True, None, None),
+        ("broken_forward_reference.pf", 1, False, 2, "cited index not smaller"),
+    ])
+    def test_json(self, capsys, name, code, accepted, line, reason):
+        assert main(["--format", "json", "prove", str(PROOF_DIR / name)]) == code
+        assert json.loads(capsys.readouterr().out) == {
+            "accepted": accepted, "line": line, "reason": reason}
 
     def test_malformed_script_exits_two(self, tmp_path):
         bad = tmp_path / "bad.pf"
@@ -467,6 +484,15 @@ class TestEnumerateAndWitness:
         out = capsys.readouterr().out
         assert "root forces <p>top: True" in out
         assert "no propositional equivalent" in out
+
+    def test_witness_json(self, capsys):
+        assert main(["--format", "json", "witness", "--depth", "2"]) == 0
+        report = lab.nontranslatability_witness(2)
+        assert json.loads(capsys.readouterr().out) == {
+            "diamond_at_root": True, "bare_leaf_forces_atom": False,
+            "models_checked": report.models_checked,
+            "classes_checked": report.classes_checked, "max_depth": 2,
+            "equivalent": None}
 
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2

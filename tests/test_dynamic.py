@@ -115,6 +115,28 @@ class TestKnowledge:
         with pytest.raises(UnknownWorld):
             satisfies(fork_model, "zz", p)
 
+    def test_successors_of_an_unknown_agent(self, fork_model):
+        with pytest.raises(UnknownAgent) as err:
+            fork_model.successors("zz", "s")
+        assert err.value.agent == "zz"
+        assert fork_model.successors("i", "s") == ("s",)
+
+    def test_constructor_rejects_an_undeclared_agent(self, fork_pq):
+        with pytest.raises(UnknownAgent) as err:
+            BethKripkeModel({"s": fork_pq}, ("i",), {"i": {("s", "s")}, "j": set()})
+        assert err.value.agent == "j"
+
+    def test_constructor_names_the_smallest_stray_pair(self, fork_pq):
+        # ("s", "y") is the smallest pair naming a world that is not there,
+        # so "y" is the witness, not "x" or "z".
+        with pytest.raises(UnknownWorld) as err:
+            BethKripkeModel({"s": fork_pq, "t": fork_pq}, ("i",),
+                            {"i": {("t", "x"), ("z", "s"), ("s", "y"), ("s", "t")}})
+        assert err.value.world == "y"
+        with pytest.raises(UnknownWorld) as err:
+            BethKripkeModel({"s": fork_pq}, ("i",), {"i": {("y", "x")}})
+        assert err.value.world == "y"
+
     def test_no_successors_means_vacuous_knowledge(self, fork_pq):
         m = BethKripkeModel({"s": fork_pq}, ("i",), {"i": set()})
         assert satisfies(m, "s", Know("i", BOT)).value

@@ -40,6 +40,10 @@ class TestParsing:
         m = parse_model_document("agents:\nworld s { root: a; nodes: a; }")
         assert m.agents == frozenset()
 
+    def test_empty_val_is_empty(self):
+        m = parse_model_document("agents:\nworld s { root: a; nodes: a; val a: {}; }")
+        assert m.worlds["s"].val["a"] == frozenset()
+
     def test_omitted_val_is_empty(self):
         m = parse_model_document("agents:\nworld s { root: a; nodes: a; }")
         assert m.worlds["s"].val["a"] == frozenset()
@@ -128,6 +132,40 @@ class TestErrorLines:
         ("agents:\nworld s { root: a;\n edges: a; }", 3, "unknown world entry 'edges'"),
         ("agents:\nworld s { nodes: a;\n}", 3, "world 's' has no root"),
         ("agents:\nworld s { root: a;\n}", 3, "world 's' has no nodes"),
+        ("agents: i\n" + WORLD + "\naccess i:\n (,", 4, "expected world name, found ','"),
+        ("agents: i\n" + WORLD + "\naccess i: (s\n s)", 4, "expected ',', found 's'"),
+        ("agents: i\n" + WORLD + "\naccess i: (s,\n )", 4,
+         "expected world name, found ')'"),
+        ("agents: i\n" + WORLD + "\naccess i: (s, s\n (", 4, "expected ')', found '('"),
+        ("agents:\nworld s { root: a; nodes: a;\n val : {p}; }", 3,
+         "expected node name, found ':'"),
+        ("agents:\nworld s { root: a; nodes: a;\n val a {p}; }", 3, "expected ':', found '{'"),
+        ("agents:\nworld s { root: a; nodes: a; val a: {p\n; }", 3,
+         "expected '}', found ';'"),
+        ("agents:\nworld s { root: a; nodes: a, b;\n order a < b; }", 3,
+         "expected ':', found 'a'"),
+        ("agents:\nworld s { root: a; nodes: a, b; order: a\n b; }", 3,
+         "expected '<', found 'b'"),
+        ("agents:\nworld s { root: a; nodes: a, b; order: a <\n ; }", 3,
+         "expected node name, found ';'"),
+        ("agents:\nworld s { root: a;\n nodes a; }", 3, "expected ':', found 'a'"),
+        ("agents:\nworld s {\n root a; nodes: a; }", 3, "expected ':', found 'a'"),
+        ("agents:\nworld s { root:\n ; nodes: a; }", 3, "expected node name, found ';'"),
+        ("agents:\nworld s { root: a\n nodes: a; }", 3, "expected ';', found 'nodes'"),
+        # Several agents fail at once: the first failing access statement
+        # is reported, and a stray pair is named by the smallest such pair.
+        ("agents: i\n" + WORLD + "\naccess j: (s, s)\naccess i: (s, t)", 3,
+         "access for undeclared agent 'j'"),
+        ("agents: i\n" + WORLD + "\naccess i: (s, t)\naccess j: (s, s)", 3,
+         "access pair names unknown world 't'"),
+        # An agent's pairs from all its statements are checked together, at
+        # its first statement, before the next agent's.
+        ("agents: i, j\n" + WORLD + "\naccess i: (s, s)\naccess j: (s, t)\naccess i: (u, s)",
+         3, "access pair names unknown world 'u'"),
+        ("agents: i, j\n" + WORLD + "\naccess i: (s, s)\naccess j: (s, t)", 4,
+         "access pair names unknown world 't'"),
+        ("agents: i\n" + WORLD + "\naccess i: (y, x), (s, s), (x, z)", 3,
+         "access pair names unknown world 'x'"),
     ])
     def test_message_and_line(self, text, line, message):
         with pytest.raises(DocumentError) as exc:

@@ -9,8 +9,8 @@ from bethpal.formula import (
 )
 from bethpal.lab import GenParams, random_formula, random_model, split_seed
 from bethpal.proofkit import (
-    AxiomRef, AxiomSchema, NecRef, ProofLine, ProofParseError, ProofScript,
-    SCHEMAS, check_proof, match_schema, parse_proof,
+    AxiomRef, AxiomSchema, NecRef, ProofLine, ProofParseError, ProofResult,
+    ProofScript, SCHEMAS, check_proof, match_schema, parse_proof,
 )
 
 PROOF_DIR = Path(__file__).resolve().parent.parent / "proofs"
@@ -146,6 +146,25 @@ class TestCheckProof:
         result = check_proof(ProofScript(lines, parse_formula("q")))
         assert not result.accepted and "goal" in result.reason
 
+    @pytest.mark.parametrize("text, line, reason", [
+        ("1. p -> q -> p ; A1.1\n3. q -> p ; MP 2 1", 3, "cited line 2 does not exist"),
+        ("1. p -> q -> p ; A1.1\n"
+         "2. (p -> q -> p) -> r -> p -> q -> p ; A1.1\n"
+         "3. s -> p -> q -> p ; MP 1 2", 3, "conclusion does not match the consequent"),
+        ("1. K{a}p -> p ; A3\n2. K{a}(K{a}p -> p) ; NEC 3 a", 2, "cited index not smaller"),
+    ])
+    def test_rejected_with_line_and_reason(self, text, line, reason):
+        assert check_proof(parse_proof(text)) == ProofResult(False, line, reason)
+
+    def test_empty_script_object(self):
+        assert check_proof(ProofScript((), parse_formula("p"))) == \
+            ProofResult(False, None, "empty proof")
+
+    def test_unknown_schema_in_a_built_reference(self):
+        f = parse_formula("p -> q -> p")
+        result = check_proof(ProofScript((ProofLine(1, f, AxiomRef("A9")),), f))
+        assert result == ProofResult(False, 1, "unknown axiom schema 'A9'")
+
 
 class TestParseProof:
     def test_round_trip_structure(self):
@@ -170,6 +189,21 @@ class TestParseProof:
     def test_empty_script(self):
         with pytest.raises(ProofParseError):
             parse_proof("# nothing here\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1. p -> q -> p ; A1.1 X=p, Y=q", "malformed binding 'X=p, Y=q'"),
+        ("1. p -> q -> p ; A1.1 [X=p, Y]", "malformed binding entry 'Y'"),
+        ("1. p -> q -> p ;  ", "missing justification"),
+        ("1. q -> p ; MP 1", "MP needs two line numbers"),
+        ("1. q -> p ; MP 1 x", "MP needs two line numbers"),
+        ("1. K{a}p ; NEC a 1", "NEC needs a line number and an agent"),
+        ("1. K{a}p ; NEC 1", "NEC needs a line number and an agent"),
+    ])
+    def test_message_and_line(self, text, message):
+        with pytest.raises(ProofParseError) as exc:
+            parse_proof("# header\n\n" + text)
+        assert str(exc.value) == f"line 3: {message}"
+        assert exc.value.lineno == 3
 
 
 class TestCorpus:
