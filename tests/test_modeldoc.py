@@ -164,6 +164,8 @@ class TestErrorLines:
          3, "access pair names unknown world 'u'"),
         ("agents: i, j\n" + WORLD + "\naccess i: (s, s)\naccess j: (s, t)", 4,
          "access pair names unknown world 't'"),
+        ("agents: i, j\n" + WORLD + "\naccess i: (s, t)\naccess j: (t, s)", 3,
+         "access pair names unknown world 't'"),
         ("agents: i\n" + WORLD + "\naccess i: (y, x), (s, s), (x, z)", 3,
          "access pair names unknown world 'x'"),
     ])
