@@ -59,25 +59,6 @@ class BoundTooLarge(ValueError):
     pass
 
 
-def transitive_closure(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Reflexive-transitive closure of a relation over the given nodes."""
-    nodes = list(nodes)
-    reach: dict[str, set[str]] = {a: {a} for a in nodes}
-    for a, b in pairs:
-        reach[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in nodes:
-            extra = set()
-            for b in reach[a]:
-                extra |= reach[b]
-            if not extra <= reach[a]:
-                reach[a] |= extra
-                changed = True
-    return frozenset((a, b) for a in nodes for b in reach[a])
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, lowest first."""
     while mask:
@@ -111,6 +92,45 @@ def _up_masks(succ: list[set[int]]) -> Optional[list[int]]:
             mask |= up[j]
         up[i] = mask
     return up
+
+
+def _cycle_witness(succ: list[set[int]]) -> tuple[int, int]:
+    """For edges with a cycle, the first pair of distinct nodes on a common
+    cycle: the lowest two nodes of the lowest strongly connected component
+    of two nodes or more.  Tarjan's algorithm, without recursion, in time
+    linear in the nodes and edges."""
+    num = [0] * len(succ)           # visit number from 1; 0 until visited
+    low = [0] * len(succ)           # lowest visit number reached on the stack
+    stack: list[int] = []
+    pairs = []
+    visits = 0
+    for start in range(len(succ)):
+        work = [] if num[start] else [(start, None)]
+        while work:
+            v, targets = work.pop()
+            if targets is None:             # entering v
+                visits += 1
+                num[v] = low[v] = visits
+                stack.append(v)
+                targets = iter(succ[v])
+            for w in targets:
+                if not num[w]:
+                    work += [(v, targets), (w, None)]
+                    break
+                low[v] = min(low[v], num[w])
+            else:
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == num[v]:        # v is the first node of its component
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for u in component:     # numbered past every visit, so
+                        num[u] = len(succ) + 1  # it lowers no other node's low
+                    if len(component) > 1:
+                        pairs.append(tuple(sorted(component)[:2]))
+    return min(pairs)
 
 
 class BethModel:
@@ -197,8 +217,9 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
     the order of node names.
 
     The closure takes one OR per listed edge (see :func:`_up_masks`), and
-    the covers are read off the listed edges (see :class:`BethModel`).
-    """
+    the covers are read off the listed edges (see :class:`BethModel`).  A
+    cycle is named from the strongly connected components of the listed
+    edges (see :func:`_cycle_witness`)."""
     node_tuple = tuple(sorted(set(nodes)))
     if not node_tuple:
         raise ModelError("a model needs at least one node")
@@ -216,10 +237,8 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
         raise UnknownNode(root)
     up = _up_masks(succ)
     if up is None:
-        closed = transitive_closure(node_tuple, ((node_tuple[i], node_tuple[j])
-                                                 for i, targets in enumerate(succ)
-                                                 for j in targets))
-        raise NotAPartialOrder(min((a, b) for a, b in closed if a != b and (b, a) in closed))
+        a, b = _cycle_witness(succ)
+        raise NotAPartialOrder((node_tuple[a], node_tuple[b]))
     missing = ((1 << len(node_tuple)) - 1) & ~up[index[root]]
     if missing:
         raise NoRoot((root, node_tuple[next(_bits(missing))]))

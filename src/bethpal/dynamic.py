@@ -496,7 +496,6 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
                     if dropped else "announcement executable; no node dropped")
             return Trace(s, node, f, rule, value, note,
                          (_explain(updated, s, updated.world(s).root, body, max_items),))
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def render_trace(trace: Trace, indent: int = 0) -> str:

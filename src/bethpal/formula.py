@@ -16,8 +16,9 @@ and only appear in axiom schemas.  Unicode aliases: ¬ ∧ ∨ → ↔ ⊤ ⊥.
 
 :func:`children` is the one structural walk: ``str``, :func:`subformulas`,
 :func:`depth`, :func:`substitute` and ``proofkit.match_schema`` treat every
-connective alike through it.  Only the printer, the evaluators and the
-random generator spell out a clause per connective.
+connective alike through it.  Only the printer and the evaluators spell
+out a clause per connective; the random generator builds every connective
+but ``K`` from its class and its arguments.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Iterator, Mapping, Union
 
 class ParseError(ValueError):
     """Malformed formula text; carries the offending position and, when known,
-    the set of token kinds that would have been acceptable there."""
+    the concrete syntax that would have been acceptable there."""
 
     def __init__(self, message: str, position: int, expected: tuple[str, ...] = ()):
         hint = f" (expected {', '.join(expected)})" if expected else ""
@@ -272,11 +273,11 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
+    def expect(self, symbol: str) -> tuple[str, str, int]:
         t = self.peek()
-        if t[0] != kind:
+        if t[0] != _KINDS[symbol]:
             raise ParseError(f"unexpected {t[1]!r}" if t[0] != "EOF" else "unexpected end of input",
-                             t[2], (kind,))
+                             t[2], (symbol,))
         return self.take()
 
     def level(self, n: int, at: int) -> int:
@@ -340,14 +341,14 @@ class _Parser:
         if kind in ("LBRACK", "LT"):
             self.take()
             ann, n, a = self.inner(self.formula, pos)
-            self.expect("RBRACK" if kind == "LBRACK" else "GT")
+            self.expect("]" if kind == "LBRACK" else ">")
             body, m, b = self.inner(self.unary, pos)
             ctor = Announce if kind == "LBRACK" else Diamond
             return self.built(ctor(ann, body), 1 + max(n, m), 1 + a + b, pos)
         if kind == "LPAREN":
             self.take()
             f, n, a = self.inner(self.formula, pos)
-            self.expect("RPAREN")
+            self.expect(")")
             return f, self.level(n + 1, pos), a
         if kind == "TOP":
             self.take()

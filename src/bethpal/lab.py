@@ -19,7 +19,7 @@ from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    BOT, TOP, agent_names, metavariables, print_formula, substitute,
+    TOP, agent_names, metavariables, print_formula, substitute,
 )
 
 ATOM_NAMES = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z")
@@ -124,54 +124,36 @@ def random_model(p: GenParams) -> BethKripkeModel:
     return BethKripkeModel(worlds, agents, access)
 
 
-_WEIGHTS = {
-    "atom": 5, "top": 1, "bot": 1,
-    "neg": 3, "and": 3, "or": 3, "imp": 3,
-    "know": 3, "announce": 1, "diamond": 1,
-}
+_WEIGHTS = {And: 3, Announce: 1, Atom: 5, Bot: 1, Diamond: 1,
+            Imp: 3, Know: 3, Neg: 3, Or: 3, Top: 1}
+"""Draw weight of each node class, in the order of the class names."""
 
 
 def random_formula(rng: random.Random, max_depth: int, atoms: Iterable[str],
                    agents: Iterable[str] = (), allow_know: bool = False,
                    allow_announce: bool = False) -> Formula:
     """Grammar-directed sampling with per-connective weights and a hard
-    depth cap."""
+    depth cap: depth 0 draws an atom, top or bot.  An atom and ``K`` draw a
+    name; every other connective draws its arguments left to right."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, not {max_depth}")
     atoms = tuple(atoms)
     agents = tuple(agents)
     weights = dict(_WEIGHTS)
     if not (allow_know and agents):
-        weights.pop("know", None)
+        del weights[Know]
     if not allow_announce:
-        weights.pop("announce", None)
-        weights.pop("diamond", None)
+        del weights[Announce], weights[Diamond]
+    leaf = ((Atom, Top, Bot), [weights[Atom], weights[Top], weights[Bot]])
+    inner = (list(weights), list(weights.values()))
 
     def gen(d: int) -> Formula:
-        if d == 0:
-            kinds, ws = zip(*[(k, weights[k]) for k in ("atom", "top", "bot")])
-        else:
-            kinds, ws = zip(*sorted(weights.items()))
-        kind = rng.choices(kinds, ws)[0]
-        if kind == "atom":
+        kind = rng.choices(*(inner if d else leaf))[0]
+        if kind is Atom:
             return Atom(rng.choice(atoms))
-        if kind == "top":
-            return TOP
-        if kind == "bot":
-            return BOT
-        if kind == "neg":
-            return Neg(gen(d - 1))
-        if kind == "and":
-            return And(gen(d - 1), gen(d - 1))
-        if kind == "or":
-            return Or(gen(d - 1), gen(d - 1))
-        if kind == "imp":
-            return Imp(gen(d - 1), gen(d - 1))
-        if kind == "know":
+        if kind is Know:
             return Know(rng.choice(agents), gen(d - 1))
-        if kind == "announce":
-            return Announce(gen(d - 1), gen(d - 1))
-        return Diamond(gen(d - 1), gen(d - 1))
+        return kind(*[gen(d - 1) for _ in kind.__match_args__])
 
     return gen(max_depth)
 
@@ -179,38 +161,37 @@ def random_formula(rng: random.Random, max_depth: int, atoms: Iterable[str],
 # ---------------------------------------------------------------------------
 # Exhaustive small-model enumeration
 
-def _rooted_posets(n: int) -> list[frozenset[tuple[int, int]]]:
-    """All strict orders on 0..n-1 with 0 below everything, one representative
-    per isomorphism class, in a deterministic order."""
-    if n == 1:
-        return [frozenset()]
+@functools.cache
+def _shapes(n: int) -> tuple[tuple[list[set[int]], list[int], list[int]], ...]:
+    """The strict orders on 0..n-1 with 0 below everything, one per
+    isomorphism class, in a deterministic order.  Each is given as every
+    node's successors in the order, their up-masks (see
+    :func:`beth._up_masks`) and the masks of its up-sets, lowest first."""
     upper = range(1, n)
     optional = [(i, j) for i in upper for j in upper if i < j]
-    base = frozenset((0, j) for j in upper)
     seen: set[tuple] = set()
-    out: list[frozenset[tuple[int, int]]] = []
+    shapes = []
     for bits in range(1 << len(optional)):
-        chosen = frozenset(optional[k] for k in range(len(optional)) if bits >> k & 1)
-        closed = frozenset((a, b) for a, b in beth.transitive_closure(range(n), base | chosen)
-                           if a != b)
-        canon = min(
-            tuple(sorted((perm[a], perm[b]) for a, b in closed))
-            for p in itertools.permutations(upper)
-            for perm in [{0: 0, **dict(zip(upper, p))}]
-        )
+        succ = [set(upper)] + [set() for _ in upper]
+        for k, (i, j) in enumerate(optional):
+            if bits >> k & 1:
+                succ[i].add(j)
+        up = beth._up_masks(succ)
+        succ = [set(beth._bits(u ^ 1 << i)) for i, u in enumerate(up)]
+        canon = min(tuple(sorted((perm[a], perm[b]) for a, targets in enumerate(succ)
+                                 for b in targets))
+                    for p in itertools.permutations(upper) for perm in [(0, *p)])
         if canon not in seen:
             seen.add(canon)
-            out.append(closed)
-    return out
+            upsets = [s for s in range(1 << n) if not any(up[i] & ~s for i in beth._bits(s))]
+            shapes.append((succ, up, upsets))
+    return tuple(shapes)
 
 
-def _up_closed_subsets(n: int, closed: frozenset[tuple[int, int]]) -> list[frozenset[int]]:
-    subsets = []
-    for bits in range(1 << n):
-        s = frozenset(i for i in range(n) if bits >> i & 1)
-        if all(j in s for i in s for j in range(n) if (i, j) in closed):
-            subsets.append(s)
-    return subsets
+def _rooted_posets(n: int) -> list[frozenset[tuple[int, int]]]:
+    """The pairs of each order of :func:`_shapes`."""
+    return [frozenset((a, b) for a, targets in enumerate(succ) for b in targets)
+            for succ, _, _ in _shapes(n)]
 
 
 MAX_ENUMERATED_NODES = 4
@@ -225,8 +206,8 @@ def count_small_beth(max_nodes: int, atoms: Iterable[str]) -> int:
     if not 1 <= max_nodes <= MAX_ENUMERATED_NODES:
         raise BoundTooLarge(f"can enumerate up to {MAX_ENUMERATED_NODES} nodes, not {max_nodes}")
     k = len(set(atoms))
-    count = sum(len(_up_closed_subsets(n, rel)) ** k
-                for n in range(1, max_nodes + 1) for rel in _rooted_posets(n))
+    count = sum(len(upsets) ** k
+                for n in range(1, max_nodes + 1) for _, _, upsets in _shapes(n))
     if count > MAX_ENUMERATED:
         raise BoundTooLarge(f"{count:,} models up to {max_nodes} nodes over {k} atoms, "
                             f"more than {MAX_ENUMERATED:,}")
@@ -237,20 +218,19 @@ def enumerate_small_beth(max_nodes: int, atoms: Iterable[str]) -> Iterator[BethM
     """All non-isomorphic rooted posets up to ``max_nodes`` nodes, each paired
     with every monotone valuation over ``atoms``, in a deterministic order.
     The bounds of :func:`count_small_beth` are checked before any model is
-    built."""
+    built.  Every atom holds on an up-set, so each model is valid as built:
+    node n{i} is node i of its shape (at most four nodes, so the names sort
+    in that order) and lists every node above it as a successor."""
     atoms = tuple(sorted(set(atoms)))
     count_small_beth(max_nodes, atoms)
     for n in range(1, max_nodes + 1):
-        names = [f"n{i}" for i in range(n)]
-        for rel in _rooted_posets(n):
-            order = [(names[a], names[b]) for a, b in sorted(rel)]
-            upsets = _up_closed_subsets(n, rel)
+        names = tuple(f"n{i}" for i in range(n))
+        for succ, up, upsets in _shapes(n):
             for combo in itertools.product(upsets, repeat=len(atoms)):
-                val = {
-                    names[i]: {atoms[k] for k in range(len(atoms)) if i in combo[k]}
-                    for i in range(n)
-                }
-                yield validate_beth(names, order, "n0", val, atoms)
+                val = {a: frozenset(atom for atom, s in zip(atoms, combo) if s >> i & 1)
+                       for i, a in enumerate(names)}
+                yield BethModel(names, {a: i for i, a in enumerate(names)}, succ, up, "n0",
+                                val, frozenset(atoms))
 
 
 # ---------------------------------------------------------------------------

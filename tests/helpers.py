@@ -6,6 +6,7 @@ are enumerated from subsets, classical truth is a direct table walk.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 from bethpal.formula import And, Atom, Bot, Formula, Imp, Neg, Or, Top
 
@@ -60,6 +61,25 @@ def classical_eval(true_atoms: frozenset[str] | set[str], f: Formula) -> bool:
     raise TypeError(f"not propositional: {f!r}")
 
 
+def transitive_closure(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """Reflexive-transitive closure of a relation over the given nodes."""
+    nodes = list(nodes)
+    reach: dict[str, set[str]] = {a: {a} for a in nodes}
+    for a, b in pairs:
+        reach[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in nodes:
+            extra = set()
+            for b in reach[a]:
+                extra |= reach[b]
+            if not extra <= reach[a]:
+                reach[a] |= extra
+                changed = True
+    return frozenset((a, b) for a in nodes for b in reach[a])
+
+
 def reference_beth(nodes, order, root, val=None, atoms=()):
     """The set-based construction of a Beth model that ``validate_beth``
     used before the order became bitmasks: a fixpoint closure over sets, the
@@ -69,7 +89,6 @@ def reference_beth(nodes, order, root, val=None, atoms=()):
     same witnesses."""
     from bethpal.beth import (
         ModelError, NoRoot, NonMonotoneValuation, NotAPartialOrder, UnknownNode,
-        transitive_closure,
     )
     node_tuple = tuple(sorted(set(nodes)))
     if not node_tuple:

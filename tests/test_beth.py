@@ -521,6 +521,19 @@ _ERROR_CORPUS = [
 ]
 
 
+def _cyclic_orders(n: int):
+    """Three orders on ``n`` nodes (``n`` prime to 7), each with one cycle:
+    through every node, at the end of a chain, and ahead of a tail.  Node i
+    of the edges is named x<7i mod n>, so name order is not edge order.
+    Yields each order with the nodes of its cycle."""
+    names = [f"x{7 * i % n:04d}" for i in range(n)]
+    half = n // 2
+    chain = [(names[i], names[i + 1]) for i in range(n - 1)]
+    yield chain + [(names[-1], names[0])], names
+    yield chain + [(names[-1], names[half])], names[half:]
+    yield chain + [(names[half - 1], names[0])], names[:half]
+
+
 class TestErrorsMatchReference:
     """Every error and its witness are those of the set-based construction."""
 
@@ -529,6 +542,15 @@ class TestErrorsMatchReference:
         expected = _outcome(reference_beth, args)
         assert isinstance(expected, tuple)
         assert _outcome(validate_beth, args) == expected
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 9, 12, 13])
+    def test_cyclic_shapes(self, n):
+        for order, cycle in _cyclic_orders(n):
+            args = (sorted({a for pair in order for a in pair}), order, "x0000", {})
+            expected = _outcome(reference_beth, args)
+            assert expected[0] is NotAPartialOrder
+            assert expected[2] == tuple(sorted(cycle)[:2])
+            assert _outcome(validate_beth, args) == expected
 
     def test_documents_of_the_hash_seed_test(self, monkeypatch):
         from test_cli import CYCLE_DOC, FIVE_LEAVES_DOC, NON_MONOTONE_DOC
@@ -614,6 +636,19 @@ class TestScale:
         assert time.perf_counter() - start < 1
         out = capsys.readouterr().out
         assert "b400" not in out and "a400" in out
+
+    def test_cli_names_the_cycle_of_3000_nodes(self, tmp_path, capsys):
+        doc = tmp_path / "cycle.model"
+        for order, cycle in _cyclic_orders(3000):
+            nodes = sorted({a for pair in order for a in pair})
+            doc.write_text("agents:\nworld s {\n  root: x0000;\n"
+                           f"  nodes: {', '.join(nodes)};\n"
+                           f"  order: {', '.join(f'{a} < {b}' for a, b in order)};\n}}\n")
+            start = time.perf_counter()
+            assert main(["check", str(doc), "s", "p"]) == 2
+            assert time.perf_counter() - start < 0.5
+            first, second = sorted(cycle)[:2]
+            assert f"cycle through {first!r} and {second!r}" in capsys.readouterr().err
 
     def test_announcement_on_801_nodes(self):
         m = BethKripkeModel({"u": _ladder(400)}, ("a",), {"a": {("u", "u")}})

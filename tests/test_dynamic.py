@@ -453,6 +453,11 @@ class TestTraces:
         second = satisfies(fork_model, "s", f).value
         assert first == second
 
+    @pytest.mark.parametrize("explain", [False, True])
+    def test_not_a_formula(self, fork_model, explain):
+        with pytest.raises(TypeError, match=r"^not a formula: 'p'$"):
+            satisfies(fork_model, "s", "p", explain=explain)
+
 
 def _check_notes(m, trace):
     """Assert that the note of ``trace`` and of every trace below it is

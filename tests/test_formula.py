@@ -119,6 +119,11 @@ class TestParsing:
         ("p q", ParseError, "trailing input 'q'", 2, ()),
         # A lexer error anywhere wins over a parse error before it.
         ("p p $", UnknownToken, "stray character '$'", 4, ()),
+        # A missing closing symbol is named as written.
+        ("(p", ParseError, "unexpected end of input", 2, (")",)),
+        ("(p q)", ParseError, "unexpected 'q'", 3, (")",)),
+        ("[p q", ParseError, "unexpected 'q'", 3, ("]",)),
+        ("<p q", ParseError, "unexpected 'q'", 3, (">",)),
     ])
     def test_lexer_errors(self, text, cls, message, position, expected):
         with pytest.raises(ParseError) as exc:
@@ -163,6 +168,10 @@ class TestPrinting:
     def test_announcements_tight(self):
         f = Announce(Neg(Atom("p1")), Diamond(Atom("p2"), TOP))
         assert print_formula(f) == "[~p1]<p2>top"
+
+    def test_not_a_formula(self):
+        with pytest.raises(TypeError, match=r"^not a formula: 'p'$"):
+            print_formula("p")
 
 
 ATOMS = st.sampled_from(["p", "q", "r", "p1"]).map(Atom)

@@ -6,7 +6,9 @@ import pytest
 
 from bethpal.beth import fingerprint_classes, forces_prop, validate_beth
 from bethpal.dynamic import BethKripkeModel, check_s5, forces, satisfies
-from bethpal.formula import TOP, Atom, agent_names, metavariables, parse_formula, substitute
+from bethpal.formula import (
+    TOP, Atom, agent_names, metavariables, parse_formula, print_formula, substitute,
+)
 from bethpal import lab
 from bethpal.lab import (
     BoundTooLarge, Counterexample, GenParams, NoCounterexample,
@@ -106,6 +108,27 @@ class TestGenerators:
                                allow_know=True, allow_announce=True)
             assert depth(f) <= 3
 
+    def test_random_formula_draws_k_only_when_allowed(self):
+        drawn = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            for agents, allow_know in (((), True), (("a", "b"), False), (("a", "b"), True)):
+                f = random_formula(rng, 3, ("p", "q"), agents, allow_know=allow_know,
+                                   allow_announce=seed % 2 == 1)
+                if not (agents and allow_know):
+                    assert agent_names(f) == set(), (seed, f)
+                drawn |= agent_names(f)
+        assert drawn == {"a", "b"}
+
+    def test_random_formula_draws_are_pinned(self):
+        # A change in the order or weights of the draws changes these.
+        rng = random.Random(24)
+        drawn = [print_formula(random_formula(rng, 2, ("p", "q"), ("a", "b"),
+                                              allow_know=True, allow_announce=True))
+                 for _ in range(6)]
+        assert drawn == ["~(p | p)", "K{a} ~p", "<bot | p>(top | q)", "top -> K{b} top",
+                         "[q](p & bot)", "p"]
+
     def test_negative_formula_depth_rejected(self):
         # Below depth 0 the generator would only stop drawing by chance.
         with pytest.raises(ValueError):
@@ -147,6 +170,20 @@ class TestEnumeration:
     def test_bound_too_large(self):
         with pytest.raises(BoundTooLarge):
             list(enumerate_small_beth(5, ("p",)))
+
+    def test_models_are_built_as_validation_builds(self):
+        fields = ("node_order", "index", "up_mask", "covers", "leaf_mask", "leaves",
+                  "root", "val", "atoms")
+        models = list(enumerate_small_beth(4, ("p", "q")))
+        assert len(models) == 281
+        for m in models:
+            order = sorted((a, b) for a, b in m.leq_pairs if a != b)
+            expected = validate_beth(m.node_order, order, m.root, m.val, ("p", "q"))
+            for name in fields:
+                got, want = getattr(m, name), getattr(expected, name)
+                assert got == want, (m, name)
+                if isinstance(want, dict):
+                    assert list(got) == list(want), (m, name)
 
     @pytest.mark.parametrize("max_nodes", [1, 2, 3, 4])
     def test_count_is_the_number_of_models(self, max_nodes):
@@ -686,6 +723,10 @@ class TestNaiveOracle:
 
     def test_top_everywhere(self, fork_model):
         assert naive_forces(fork_model, "s", "a", TOP)
+
+    def test_not_a_formula(self, fork_model):
+        with pytest.raises(TypeError, match=r"^not a formula: 'p'$"):
+            naive_forces(fork_model, "s", "a", "p")
 
     def test_agrees_on_the_exam_world(self):
         from bethpal.sep import build_sep
