@@ -135,40 +135,56 @@ def _cycle_witness(succ: list[set[int]]) -> tuple[int, int]:
 
 class BethModel:
     """Finite rooted Beth model, immutable after construction.  Every
-    builder ends in this constructor, which checks nothing: it reads each
-    node's sorted covers and the leaves off ``succ``, the listed successors
-    by index, and ``up_mask``, the up-sets of their closure.  A cover is
-    always listed: a longer path to it would pass through a node in between.
+    builder ends in this constructor, which checks nothing and derives only
+    ``leaf_mask``, in one pass over ``succ``, the listed successors by index.
+    It keeps ``succ`` for the covers, which are read off it and ``up_mask``,
+    the up-sets of its closure: a listed successor is a cover unless another
+    listed successor reaches it.  A cover is always listed: a longer path to
+    it would pass through a node in between.
 
     The order is kept as bitmasks over ``node_order``: bit j of
     ``up_mask[i]`` is set iff node i is below or equal to node j, and bit i of
-    ``leaf_mask`` iff node i is a leaf.  ``up`` and ``leq_pairs`` spell the
-    same relation out as sets; they take space quadratic in the number of
-    nodes, so they are built on first use."""
+    ``leaf_mask`` iff node i is a leaf.  Checking reads only these and
+    ``index``.  ``covers``, ``leaves`` and ``nodes``, and ``up`` and
+    ``leq_pairs``, which spell the order out as sets in space quadratic in
+    the number of nodes, are built on first use."""
 
     def __init__(self, nodes: tuple[str, ...], index: dict[str, int], succ: list[set[int]],
                  up_mask: list[int], root: str, val: dict[str, frozenset[str]],
                  atoms: frozenset[str]):
-        covers: dict[str, tuple[str, ...]] = {}
         leaf_mask = 0
         for i, targets in enumerate(succ):
             if not targets:
                 leaf_mask |= 1 << i
-            through = 0         # reached through another listed successor
-            for j in targets:
-                through |= up_mask[j] ^ 1 << j
-            covers[nodes[i]] = tuple(nodes[j] for j in sorted(targets) if not through >> j & 1)
         self.node_order = nodes                      # sorted, deterministic iteration
-        self.nodes = frozenset(nodes)
         self.index = index                           # position in node_order
         self.up_mask = tuple(up_mask)
-        self.covers = covers                         # sorted immediate successors
         self.leaf_mask = leaf_mask
-        self.leaves = frozenset(self.names(leaf_mask))
         self.root = root
         self.val = val
         self.atoms = atoms
+        self._succ = succ
         self._points = None     # the layout dynamic.leaf_extension labels it on
+
+    @functools.cached_property
+    def covers(self) -> dict[str, tuple[str, ...]]:
+        """Each node's sorted immediate successors."""
+        nodes, up_mask = self.node_order, self.up_mask
+        covers = {}
+        for a, targets in zip(nodes, self._succ):
+            through = 0         # reached through another listed successor
+            for j in targets:
+                through |= up_mask[j] ^ 1 << j
+            covers[a] = tuple(nodes[j] for j in sorted(targets) if not through >> j & 1)
+        return covers
+
+    @functools.cached_property
+    def leaves(self) -> frozenset[str]:
+        return frozenset(self.names(self.leaf_mask))
+
+    @functools.cached_property
+    def nodes(self) -> frozenset[str]:
+        return frozenset(self.node_order)
 
     def names(self, mask: int) -> tuple[str, ...]:
         """The nodes whose bits are set in ``mask``, in ``node_order``."""
@@ -190,7 +206,7 @@ class BethModel:
         return i is not None and j is not None and bool(self.up_mask[i] >> j & 1)
 
     def ensure_node(self, a: str) -> None:
-        if a not in self.nodes:
+        if a not in self.index:
             raise UnknownNode(a)
 
     def __repr__(self) -> str:
@@ -217,9 +233,9 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
     the order of node names.
 
     The closure takes one OR per listed edge (see :func:`_up_masks`), and
-    the covers are read off the listed edges (see :class:`BethModel`).  A
-    cycle is named from the strongly connected components of the listed
-    edges (see :func:`_cycle_witness`)."""
+    the covers are read off the listed edges on first use (see
+    :class:`BethModel`).  A cycle is named from the strongly connected
+    components of the listed edges (see :func:`_cycle_witness`)."""
     node_tuple = tuple(sorted(set(nodes)))
     if not node_tuple:
         raise ModelError("a model needs at least one node")
@@ -250,8 +266,10 @@ def validate_beth(nodes: Iterable[str], order: Iterable[tuple[str, str]], root: 
             valuation[a] = frozenset(atoms_at)
     vals = list(valuation.values())
     # Inclusion is transitive, so the listed edges decide monotonicity; the
-    # witness is the first lost pair of the whole order.
-    if not all(vals[i] <= vals[j] for i, targets in enumerate(succ) for j in targets):
+    # witness is the first lost pair of the whole order.  An empty valuation
+    # is included in every other, so edges out of its node are not tested.
+    if not all(vals[i] <= vals[j] for i, targets in enumerate(succ) if vals[i]
+               for j in targets):
         a, b = next((i, j) for i in range(len(node_tuple)) for j in _bits(up[i])
                     if not vals[i] <= vals[j])
         raise NonMonotoneValuation(node_tuple[a], node_tuple[b], min(vals[a] - vals[b]))

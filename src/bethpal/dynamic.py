@@ -151,9 +151,9 @@ def _lay_out(worlds: Mapping[str, BethModel], access: Mapping) -> _Points:
     world, atoms, size = {}, {}, 0
     for s, w in worlds.items():
         world[s] = w.leaf_mask << size
-        for leaf in w.leaves:
-            for atom in w.val[leaf]:
-                atoms[atom] = atoms.get(atom, 0) | 1 << size + w.index[leaf]
+        for i in beth._bits(w.leaf_mask):
+            for atom in w.val[w.node_order[i]]:
+                atoms[atom] = atoms.get(atom, 0) | 1 << size + i
         size += len(w.node_order)
     return _Points(size, 1, world, atoms, _Knows(world, access))
 

@@ -296,7 +296,8 @@ def _semantic_reps(m: BethKripkeModel,
     formulas of one class share."""
     atoms, depth = search
     keep = frozenset(atoms)
-    valuations = frozenset(w.val[leaf] & keep for w in m.worlds.values() for leaf in w.leaves)
+    valuations = frozenset(w.val[leaf] & keep for w in m.worlds.values()
+                           for leaf in w.names(w.leaf_mask))
     return list(_classes(atoms, depth, valuations))
 
 

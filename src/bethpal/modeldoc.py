@@ -16,8 +16,11 @@ UTF-8, ``#`` line comments.  Example::
 ``order`` may list covering edges only; the transitive closure is computed on
 load.  A node without a ``val`` entry has the empty valuation.  Atom names
 start with a letter and are neither ``top`` nor ``bot``, so that a formula
-can name every atom.  Serialization is canonical (sorted names, covering
-edges only), so serialize-parse-serialize is byte identical.
+can name every atom.  A document lists at most ``MAX_DOCUMENT_NODES`` node
+names in its ``nodes`` entries, counted across worlds; a model's order takes
+memory quadratic in its nodes, so a larger document is refused before any
+model is built.  Serialization is canonical (sorted names, covering edges
+only), so serialize-parse-serialize is byte identical.
 """
 from __future__ import annotations
 
@@ -27,6 +30,9 @@ from typing import NoReturn
 
 from .beth import BethModel, validate_beth
 from .dynamic import BethKripkeModel, UnknownAgent, UnknownWorld
+
+
+MAX_DOCUMENT_NODES = 20_000
 
 
 class DocumentError(ValueError):
@@ -109,6 +115,7 @@ def parse_model_document(text: str) -> BethKripkeModel:
     worlds: dict[str, BethModel] = {}
     access: dict[str, set[tuple[str, str]]] = {}
     access_at: dict[str, int] = {}      # each agent's first access statement
+    declared = 0                        # node names listed so far, across worlds
 
     while toks[i]:
         head = toks[i]
@@ -130,7 +137,7 @@ def parse_model_document(text: str) -> BethKripkeModel:
                 _fail(text, toks, i, "world name")
             if name in worlds:
                 raise DocumentError(f"duplicate world {name!r}", _line(text, at))
-            worlds[name], i = _parse_world(text, toks, i + 1, name)
+            worlds[name], i, declared = _parse_world(text, toks, i + 1, name, declared)
         elif head == "access":
             agent = toks[i]
             if agent in _PUNCT:
@@ -177,9 +184,12 @@ def parse_model_document(text: str) -> BethKripkeModel:
                             _line(text, access_at[agent])) from None
 
 
-def _parse_world(text: str, toks: list[str], i: int, name: str) -> tuple[BethModel, int]:
-    """The world ``name`` whose body starts at token ``i``, and the index of
-    the token after it."""
+def _parse_world(text: str, toks: list[str], i: int, name: str,
+                 declared: int) -> tuple[BethModel, int, int]:
+    """The world ``name`` whose body starts at token ``i``, the index of the
+    token after it, and ``declared`` (the node names listed before it) plus
+    its own.  A ``nodes`` entry that takes the count past MAX_DOCUMENT_NODES
+    is refused before any model is built."""
     if toks[i] != "{":
         _fail(text, toks, i, "'{'")
     i += 1
@@ -187,6 +197,7 @@ def _parse_world(text: str, toks: list[str], i: int, name: str) -> tuple[BethMod
     nodes: list[str] | None = None
     order: list[tuple[str, str]] = []
     val: dict[str, set[str]] = {}
+    named: set[str] = set()     # atom names found nameable
     while toks[i] != "}":
         key = toks[i]
         at = i
@@ -208,9 +219,11 @@ def _parse_world(text: str, toks: list[str], i: int, name: str) -> tuple[BethMod
             else:
                 atoms, i = _names(text, toks, i, "atom name")
                 for atom in atoms:
-                    if not is_atom_name(atom):
-                        raise DocumentError(f"atom {atom!r} cannot be named in a formula",
-                                            _line(text, at))
+                    if atom not in named:
+                        if not is_atom_name(atom):
+                            raise DocumentError(f"atom {atom!r} cannot be named in a formula",
+                                                _line(text, at))
+                        named.add(atom)
             val[node] = set(atoms)
             if toks[i] != "}":
                 _fail(text, toks, i, "'}'")
@@ -239,6 +252,10 @@ def _parse_world(text: str, toks: list[str], i: int, name: str) -> tuple[BethMod
             if nodes is not None:
                 raise DocumentError("duplicate nodes declaration", _line(text, at))
             nodes, i = _names(text, toks, i + 2, "node name")
+            declared += len(nodes)
+            if declared > MAX_DOCUMENT_NODES:
+                raise DocumentError(f"more than {MAX_DOCUMENT_NODES:,} nodes in the document",
+                                    _line(text, at))
         elif key == "root":
             if toks[i + 1] != ":":
                 _fail(text, toks, i + 1, "':'")
@@ -257,7 +274,7 @@ def _parse_world(text: str, toks: list[str], i: int, name: str) -> tuple[BethMod
         raise DocumentError(f"world {name!r} has no root", _line(text, i))
     if nodes is None:
         raise DocumentError(f"world {name!r} has no nodes", _line(text, i))
-    return validate_beth(nodes, order, root, val), i + 1
+    return validate_beth(nodes, order, root, val), i + 1, declared
 
 
 def _covering_pairs(w: BethModel) -> list[tuple[str, str]]:

@@ -13,7 +13,7 @@ from bethpal.beth import (
     maximal_paths, up_set, validate_beth,
 )
 from bethpal.cli import main
-from bethpal.dynamic import BethKripkeModel, announce, satisfies
+from bethpal.dynamic import BethKripkeModel, announce, forces, satisfies
 from bethpal.formula import And, Atom, Imp, Neg, Or, BOT, TOP, parse_formula
 from bethpal import beth, lab, modeldoc
 from bethpal.lab import GenParams, enumerate_small_beth, random_beth, random_model
@@ -658,6 +658,92 @@ class TestScale:
         w = updated.worlds["u"]
         assert len(w.nodes) == 800 and w.leaves == {"a400"}
         assert w.covers["b399"] == ("a400",)
+
+
+_DERIVED = {"covers", "leaves", "nodes"}
+
+
+def _document_models(count: int):
+    """Parsed documents of the shape the check-docs benchmark loads: up to
+    four worlds of up to eight nodes over three atoms, up to three agents,
+    half of them S5; then a 29-node ladder."""
+    for seed in range(count):
+        gen = GenParams(max_nodes_per_world=8, max_worlds=4, num_agents=1 + seed % 3,
+                        atom_count=3, seed=seed, s5=seed % 2 == 0)
+        yield modeldoc.parse_model_document(modeldoc.serialize_model(random_model(gen)))
+    yield modeldoc.parse_model_document(_ladder_document(14))
+
+
+def _formulas(rng: random.Random, m: BethKripkeModel, count: int):
+    atoms = sorted(set().union(*(w.atoms for w in m.worlds.values()))) or ["p"]
+    return [lab.random_formula(rng, 3, atoms, sorted(m.agents), allow_know=True,
+                               allow_announce=True) for _ in range(count)]
+
+
+def _assert_derived_match_reference(w: BethModel):
+    pairs = [(a, b) for a, up in zip(w.node_order, w.up_mask) for b in w.names(up)]
+    ref = reference_beth(w.node_order, pairs, w.root, w.val, w.atoms)
+    assert w.covers == ref["covers"]
+    assert w.leaves == ref["leaves"]
+    assert w.nodes == frozenset(ref["node_order"])
+
+
+class TestDerivedOnFirstUse:
+    """The constructor builds ``leaf_mask`` only: a check never derives the
+    covers, leaves or node set, and the readers that do (``--explain``,
+    announcements, serialization) get the values of the set-based
+    construction, for every builder of a model."""
+
+    def test_a_check_derives_none(self):
+        rng = random.Random(45)
+        for m in _document_models(150):
+            for f in _formulas(rng, m, 4):
+                satisfies(m, rng.choice(m.world_order), f)
+            for f in ("x | y", "x -> y", "K{a}(x | y)", "[x]K{a}y", "<~y>x"):
+                if "u" in m.worlds:
+                    satisfies(m, "u", parse_formula(f))
+            assert all(not _DERIVED & set(vars(w)) for w in m.worlds.values())
+
+    @staticmethod
+    def _read_and_compare(models, rng):
+        for m in models:
+            assert all(not _DERIVED & set(vars(w)) for w in m.worlds.values())
+            updated = []
+            for f in _formulas(rng, m, 2):
+                for s in m.world_order:
+                    forces(m, s, m.worlds[s].root, f, explain=True)
+                after = announce(m, f)
+                modeldoc.serialize_model(after)
+                updated.append(after)
+            modeldoc.serialize_model(m)
+            for w in m.worlds.values():
+                _assert_derived_match_reference(w)
+            for after in updated:
+                for w in after.worlds.values():
+                    if w not in m.worlds.values():      # a restricted model
+                        _assert_derived_match_reference(w)
+
+    def test_validated_models(self):
+        self._read_and_compare(_document_models(60), random.Random(46))
+
+    def test_random_beth_draws(self):
+        models = (random_model(GenParams(max_nodes_per_world=7, max_worlds=3, atom_count=3,
+                                         seed=seed, s5=seed % 2 == 0))
+                  for seed in range(120))
+        self._read_and_compare(models, random.Random(47))
+
+    def test_enumerated_models(self):
+        models = (BethKripkeModel({"w": w}, ("a",), {"a": {("w", "w")}})
+                  for w in enumerate_small_beth(4, ("p", "q")))
+        self._read_and_compare(models, random.Random(48))
+
+    def test_restricted_models_of_a_ladder(self):
+        m = BethKripkeModel({"u": _ladder(30)}, ("a",), {"a": {("u", "u")}})
+        for text in ("~y", "~x", "x | y", "top"):
+            w = announce(m, parse_formula(text)).worlds["u"]
+            assert not _DERIVED & set(vars(w))
+            modeldoc.serialize_beth(w)
+            _assert_derived_match_reference(w)
 
 
 def test_extension_leaves_no_cyclic_garbage(fork_pq):

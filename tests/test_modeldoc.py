@@ -1,10 +1,12 @@
 import pytest
 
-from bethpal.beth import NonMonotoneValuation
+from bethpal import modeldoc
+from bethpal.beth import NonMonotoneValuation, validate_beth
+from bethpal.cli import main
 from bethpal.lab import GenParams, random_model, split_seed
 from bethpal.modeldoc import (
-    DocumentError, model_digest, parse_model_document, serialize_beth,
-    serialize_model,
+    MAX_DOCUMENT_NODES, DocumentError, model_digest, parse_model_document,
+    serialize_beth, serialize_model,
 )
 
 FORK_DOC = """\
@@ -129,6 +131,12 @@ class TestErrorLines:
          "duplicate valuation for node 'a'"),
         ("agents:\nworld s { root: a; nodes: a;\n val a: {p, top}; }", 3,
          "atom 'top' cannot be named in a formula"),
+        # Each atom name is checked once per world: a bad name fails at its
+        # first occurrence, after good names met on earlier lines.
+        ("agents:\nworld s { root: a; nodes: a, b; order: a < b;\n val a: {p};\n"
+         " val b: {p, q, _x, _x}; }", 4, "atom '_x' cannot be named in a formula"),
+        ("agents:\nworld s { root: a; nodes: a, b; order: a < b;\n val a: {_x};\n"
+         " val b: {_x}; }", 3, "atom '_x' cannot be named in a formula"),
         ("agents:\nworld s { root: a;\n edges: a; }", 3, "unknown world entry 'edges'"),
         ("agents:\nworld s { nodes: a;\n}", 3, "world 's' has no root"),
         ("agents:\nworld s { root: a;\n}", 3, "world 's' has no nodes"),
@@ -183,6 +191,53 @@ class TestErrorLines:
         with pytest.raises(DocumentError) as exc:
             parse_model_document("agents: i\n" + WORLD + "\naccess i:\n  (s, s),\n  (s, t)")
         assert exc.value.line == 3
+
+
+def _star(name: str, size: int) -> str:
+    """World ``name`` of ``size`` nodes, a root below the others, on five
+    lines; its ``nodes`` entry is on the third."""
+    leaves = [f"l{k}" for k in range(1, size)]
+    return (f"world {name} {{\n  root: r;\n  nodes: {', '.join(['r', *leaves])};\n"
+            f"  order: {', '.join(f'r < {x}' for x in leaves)};\n}}\n")
+
+
+class TestNodeBound:
+    """A document lists at most MAX_DOCUMENT_NODES node names across its
+    worlds; the ``nodes`` entry that crosses the bound is refused before its
+    world is built."""
+
+    def test_a_document_at_the_bound_loads(self):
+        half = MAX_DOCUMENT_NODES // 2
+        m = parse_model_document(
+            "agents:\n" + _star("s", half) + _star("t", MAX_DOCUMENT_NODES - half))
+        assert sum(len(w.node_order) for w in m.worlds.values()) == MAX_DOCUMENT_NODES
+
+    def test_one_node_over_is_refused_at_the_entry_that_crosses(self, monkeypatch):
+        built = []
+
+        def record(nodes, *args):
+            built.append(len(nodes))
+            return validate_beth(nodes, *args)
+
+        monkeypatch.setattr(modeldoc, "validate_beth", record)
+        half = MAX_DOCUMENT_NODES // 2
+        with pytest.raises(DocumentError) as exc:
+            parse_model_document("agents:\n" + _star("s", half)
+                                 + _star("t", MAX_DOCUMENT_NODES - half + 1) + _star("u", 2))
+        assert str(exc.value) == "line 9: more than 20,000 nodes in the document"
+        assert exc.value.line == 9
+        assert built == [half]
+
+    def test_one_world_over_the_bound(self):
+        with pytest.raises(DocumentError) as exc:
+            parse_model_document("agents:\n" + _star("s", MAX_DOCUMENT_NODES + 1))
+        assert str(exc.value) == "line 4: more than 20,000 nodes in the document"
+
+    def test_cli_exits_two(self, tmp_path, capsys):
+        doc = tmp_path / "star.model"
+        doc.write_text("agents:\n" + _star("s", MAX_DOCUMENT_NODES + 1))
+        assert main(["check", str(doc), "s", "p"]) == 2
+        assert "more than 20,000 nodes in the document" in capsys.readouterr().err
 
 
 # Every line boundary of str.splitlines.  A comment ends at each of them.
