@@ -42,6 +42,11 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     formula = parse_formula(args.formula)
@@ -71,6 +76,8 @@ def cmd_announce(args: argparse.Namespace) -> int:
         for s in updated.world_order
     }
     document = serialize_model(updated) if not updated.is_empty else ""
+    if args.out and document:
+        _write(args.out, document)
     if args.format == "json":
         _emit_json({
             "announced": print_formula(formula),
@@ -87,10 +94,7 @@ def cmd_announce(args: argparse.Namespace) -> int:
                 print(f"# world {s}: dropped nodes {', '.join(nodes)}", file=sys.stderr)
         if updated.is_empty:
             print("announcement not executable anywhere", file=sys.stderr)
-        elif args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(document)
-        else:
+        elif not args.out:
             print(document, end="")
     return 1 if updated.is_empty else 0
 
@@ -126,6 +130,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         hypothesis_report = lab.test_announcement_hypothesis(
             gen, args.trials, depth=args.hyp_depth,
             include_announcements=args.hyp_announcements)
+        if args.hyp_out:
+            _write(args.hyp_out, hypothesis_report.render())
     if args.format == "json":
         payload: dict = {"seed": args.seed, "trials": args.trials, "schemas": results}
         if hypothesis_report is not None:
@@ -140,13 +146,10 @@ def cmd_axioms(args: argparse.Namespace) -> int:
                       f"instance {info['instance']}")
                 print(info["model"], end="")
         if hypothesis_report is not None:
-            text = hypothesis_report.render()
             if args.hyp_out:
-                with open(args.hyp_out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
                 print(f"hypothesis report written to {args.hyp_out}")
             else:
-                print(text, end="")
+                print(hypothesis_report.render(), end="")
     return 1 if found_counterexample else 0
 
 
@@ -327,3 +330,7 @@ def main_entry() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main_entry()

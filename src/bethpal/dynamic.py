@@ -13,7 +13,8 @@ formula exactly when every leaf above it does.  Evaluation labels the leaves
 (the labeling algorithm of CTL model checking): a subformula's extension is
 the int bitmask of the leaves forcing it, and at a leaf the connectives are
 classical.  An update keeps the leaves where φ holds and creates none, so it
-is a mask of live leaves; only :func:`announce` builds the updated model.
+is a mask of live leaves, which verdicts and traces read alike; only
+:func:`announce` and :func:`restrict_world` build an updated model.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import beth
 from .beth import BethModel
 from .formula import (
-    And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
+    And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top, TOP,
     is_propositional, print_formula,
 )
 
@@ -62,7 +63,6 @@ class BethKripkeModel:
             self.access[agent] = pairs
         self._succ: dict[str, dict[str, tuple[str, ...]]] = {}     # agent -> world -> successors
         self._points: Optional[_Points] = None      # built on first evaluation
-        self._announce: dict[Formula, "BethKripkeModel"] = {}
 
     def world(self, s: str) -> BethModel:
         try:
@@ -185,11 +185,12 @@ def _layout(m: BethKripkeModel) -> _Points:
     return m._points
 
 
-def _leaves(m: BethKripkeModel, s: str, f: Formula) -> int:
-    """The leaves of world ``s`` forcing ``f``, over its ``node_order``."""
+def _leaves(m: BethKripkeModel, s: str, f: Formula, alive: Optional[int] = None) -> int:
+    """The leaves of world ``s`` forcing ``f`` under the live leaves ``alive``
+    (see :func:`_ext`), over its ``node_order``."""
     pts, w = _layout(m), m.worlds[s]
     shift = pts.world[s].bit_length() - w.leaf_mask.bit_length()    # the world's first point
-    return _ext(pts, f) >> shift & w.leaf_mask
+    return _ext(pts, f, alive) >> shift & w.leaf_mask
 
 
 def _union(base: _Points, copies: int, leaves: Mapping[str, Sequence[int]],
@@ -298,17 +299,19 @@ def leaf_extension(w: BethModel, f: Formula) -> int:
     return hit
 
 
-def _lift(w: BethModel, leaves: int) -> int:
-    """The nodes of ``w`` whose leaves above all lie in ``leaves``, both over
-    ``node_order``: the nodes forcing a formula with that leaf extension."""
-    missing = w.leaf_mask & ~leaves
-    return sum(1 << i for i, up in enumerate(w.up_mask) if not up & missing)
+def _lift(w: BethModel, leaves: int, live: int) -> int:
+    """The nodes of ``w`` with a leaf of ``live`` above whose leaves of
+    ``live`` above all lie in ``leaves``, all over ``node_order``: the nodes
+    an update to the leaves ``live`` keeps that force a formula with the
+    leaf extension ``leaves``."""
+    missing = live & ~leaves
+    return sum(1 << i for i, up in enumerate(w.up_mask) if up & live and not up & missing)
 
 
-def _eval(m: BethKripkeModel, s: str, node: str, f: Formula) -> bool:
+def _eval(m: BethKripkeModel, s: str, node: str, f: Formula, alive: Optional[int] = None) -> bool:
     w = m.world(s)
     w.ensure_node(node)
-    return not w.up_mask[w.index[node]] & w.leaf_mask & ~_leaves(m, s, f)
+    return not w.up_mask[w.index[node]] & _leaves(m, s, TOP, alive) & ~_leaves(m, s, f, alive)
 
 
 def forces(m: BethKripkeModel, s: str, node: str, f: Formula,
@@ -329,8 +332,9 @@ def satisfies(m: BethKripkeModel, s: str, f: Formula,
 def restrict_world(m: BethKripkeModel, s: str, ann: Formula) -> Optional[BethModel]:
     """World ``s`` of the updated model :func:`announce` builds; None when
     the announcement drops it."""
-    m.world(s)
-    return announce(m, ann).worlds.get(s)
+    w = m.world(s)
+    leaves = _leaves(m, s, ann)
+    return beth.restrict(w, _lift(w, leaves, leaves)) if leaves else None
 
 
 def announce(m: BethKripkeModel, ann: Formula) -> BethKripkeModel:
@@ -344,23 +348,12 @@ def announce(m: BethKripkeModel, ann: Formula) -> BethKripkeModel:
     root.  Restricted to them, the order is still a partial order with the
     root below every node and the valuation is still monotone, so a kept
     world needs no re-validation."""
-    cached = m._announce.get(ann)
-    if cached is not None:
-        return cached
-    survivors: dict[str, BethModel] = {}
-    for s in m.world_order:
-        w = m.worlds[s]
-        leaves = _leaves(m, s, ann)
-        if leaves:
-            survivors[s] = beth.restrict(
-                w, sum(1 << i for i, up in enumerate(w.up_mask) if up & leaves))
+    survivors = {s: w for s in m.world_order if (w := restrict_world(m, s, ann)) is not None}
     access = {
         agent: frozenset((a, b) for (a, b) in pairs if a in survivors and b in survivors)
         for agent, pairs in m.access.items()
     }
-    updated = BethKripkeModel(survivors, m.agents, access)
-    m._announce[ann] = updated
-    return updated
+    return BethKripkeModel(survivors, m.agents, access)
 
 
 @dataclass
@@ -418,35 +411,41 @@ def _fmt_nodes(nodes: Iterable[str], max_items: int) -> str:
     return "{" + ", ".join(nodes) + "}"
 
 
-def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) -> Trace:
-    """The evaluation tree of ``f`` at ``node`` of world ``s``.  Its evidence
-    is read off the extensions the labeling computed: the nodes of a world
-    forcing a subformula are :func:`_lift` of its extension there."""
+def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int,
+             alive: Optional[int] = None) -> Trace:
+    """The evaluation tree of ``f`` at ``node`` of world ``s`` under the live
+    leaves ``alive`` (see :func:`_ext`).  Its evidence is read off the
+    extensions the labeling computed for the verdict: the update to
+    ``alive`` keeps the nodes with a live leaf above, and the kept nodes of
+    a world forcing a subformula are :func:`_lift` of its extension there."""
     w = m.world(s)
-    value = _eval(m, s, node, f)
+    value = _eval(m, s, node, f, alive)
     up = w.up_mask[w.index[node]]
+    live = _leaves(m, s, TOP, alive)
 
     def sub(n: str, g: Formula) -> Trace:
-        return _explain(m, s, n, g, max_items)
+        return _explain(m, s, n, g, max_items, alive)
 
     def nodes(t: str, g: Formula) -> int:
-        return _lift(m.world(t), _leaves(m, t, g))
+        return _lift(m.world(t), _leaves(m, t, g, alive), _leaves(m, t, TOP, alive))
 
     def lowest(t: str, mask: int) -> str:
         return m.world(t).node_order[(mask & -mask).bit_length() - 1]
 
     def settles(bar: Iterable[str], what: str, escape: str) -> str:
         """The bar above ``node`` that settles the value, or the first path
-        that misses it."""
+        that misses it: a path of the kept nodes ends in a live leaf."""
         if value:
             return f"bar {_fmt_nodes(bar, max_items)} settles {what}"
-        return f"path {list(beth.avoiding_path(w, node, frozenset(bar)))} {escape}"
+        avoid = frozenset(bar).union(w.names(w.leaf_mask & ~live))
+        return f"path {list(beth.avoiding_path(w, node, avoid))} {escape}"
 
     match f:
         case Top() | Bot():
             return Trace(s, node, f, "constant", value)
         case Atom(name):
-            note = settles((b for b in w.names(up) if name in w.val[b]),
+            note = settles((b for b in w.names(up)
+                            if name in w.val[b] and w.up_mask[w.index[b]] & live),
                            "the atom", "never carries the atom")
             return Trace(s, node, f, "atom-bar", value, note)
         case And(x, y):
@@ -462,40 +461,40 @@ def _explain(m: BethKripkeModel, s: str, node: str, f: Formula, max_items: int) 
                 b = lowest(s, fails)
                 return Trace(s, node, f, "implies", value,
                              f"fails above at {b!r}", (sub(b, x), sub(b, y)))
-            return Trace(s, node, f, "implies", value,
-                         f"holds at every node of {_fmt_nodes(w.names(up), max_items)}")
+            return Trace(s, node, f, "implies", value, "holds at every node of "
+                         f"{_fmt_nodes(w.names(up & nodes(s, TOP)), max_items)}")
         case Neg(x):
             forced = up & nodes(s, x)
             if forced:
                 b = lowest(s, forced)
                 return Trace(s, node, f, "not", value,
                              f"body forced above at {b!r}", (sub(b, x),))
-            return Trace(s, node, f, "not", value,
-                         f"body fails at every node of {_fmt_nodes(w.names(up), max_items)}")
+            return Trace(s, node, f, "not", value, "body fails at every node of "
+                         f"{_fmt_nodes(w.names(up & nodes(s, TOP)), max_items)}")
         case Know(agent, body):
-            succ = m.successors(agent, s)
+            succ = [t for t in m.successors(agent, s) if _leaves(m, t, TOP, alive)]
             for t in succ:
-                fails = (1 << len(m.world(t).node_order)) - 1 & ~nodes(t, body)
+                fails = nodes(t, TOP) & ~nodes(t, body)
                 if fails:
                     b = lowest(t, fails)
                     return Trace(s, node, f, "knows", value,
                                  f"fails in accessible world {t!r} at {b!r}",
-                                 (_explain(m, t, b, body, max_items),))
+                                 (_explain(m, t, b, body, max_items, alive),))
             return Trace(s, node, f, "knows", value,
                          f"holds at every node of accessible worlds {_fmt_nodes(succ, max_items)}"
                          if succ else "no accessible worlds")
         case Announce(ann, body) | Diamond(ann, body):
             rule = "diamond" if isinstance(f, Diamond) else "announce"
-            updated = announce(m, ann)
-            if s not in updated.worlds:
+            kept = _leaves(m, s, ann, alive)
+            if not kept:
                 note = "announcement not executable: root forces the negation"
                 return Trace(s, node, f, rule, value, note,
                              (sub(w.root, Neg(ann)),))
-            dropped = sorted(set(w.node_order) - set(updated.world(s).node_order))
+            dropped = w.names(nodes(s, TOP) & ~_lift(w, kept, kept))
             note = (f"announcement executable; dropped nodes {_fmt_nodes(dropped, max_items)}"
                     if dropped else "announcement executable; no node dropped")
             return Trace(s, node, f, rule, value, note,
-                         (_explain(updated, s, updated.world(s).root, body, max_items),))
+                         (_explain(m, s, w.root, body, max_items, _ext(_layout(m), ann, alive)),))
 
 
 def render_trace(trace: Trace, indent: int = 0) -> str:

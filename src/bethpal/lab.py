@@ -60,6 +60,12 @@ class GenParams:
                              f"not {self.max_nodes_per_world}")
         if self.max_worlds > MAX_WORLDS:
             raise ValueError(f"at most {MAX_WORLDS} worlds, not {self.max_worlds}")
+        nodes = self.max_nodes_per_world * self.max_worlds
+        if nodes > modeldoc.MAX_DOCUMENT_NODES:
+            # A counterexample is printed as a document, which must load back.
+            raise BoundTooLarge(f"{self.max_worlds} worlds of up to {self.max_nodes_per_world} "
+                                f"nodes may make a model of {nodes:,} nodes, more than "
+                                f"the {modeldoc.MAX_DOCUMENT_NODES:,} a document may list")
         if self.atom_count > len(ATOM_NAMES) or self.num_agents > len(AGENT_NAMES):
             raise ValueError(f"at most {len(ATOM_NAMES)} atoms and "
                              f"{len(AGENT_NAMES)} agents can be named")

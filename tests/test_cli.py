@@ -49,6 +49,13 @@ class TestCheck:
         assert main(["check", model_file, "s", "p"]) == 1
         assert capsys.readouterr().out.strip() == "false"
 
+    def test_module_run_exits_with_the_verdict(self, model_file):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "bethpal.cli", "check", model_file, "s", "p"],
+                              env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"false\n", b"")
+
     def test_parse_error_exits_two(self, model_file, capsys):
         assert main(["check", model_file, "s", "p &"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -253,6 +260,14 @@ class TestAnnounce:
         assert payload["dropped_nodes"] == {"s": ["c"]}
         assert payload["empty"] is False
 
+    def test_json_writes_the_out_file(self, model_file, capsys, tmp_path):
+        assert main(["--format", "json", "announce", model_file, "p"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "updated.model"
+        assert main(["--format", "json", "announce", model_file, "p", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+        assert out.read_text() == json.loads(printed)["document"]
+
 
 class TestAxioms:
     def test_factivity_clean_run(self, capsys):
@@ -289,6 +304,16 @@ class TestAxioms:
                      "--trials", "10"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schemas"]["A6"]["verdict"] == "no-counterexample"
+
+    def test_hypothesis_json_writes_the_report_file(self, tmp_path, capsys):
+        argv = ["--format", "json", "--seed", "3", "axioms", "--schema", "A6",
+                "--trials", "5", "--hypothesis"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "hyp.log"
+        assert main(argv + ["--hyp-out", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+        assert out.read_text().splitlines() == json.loads(printed)["hypothesis"]
 
     def test_hypothesis_json(self, capsys):
         assert main(["--format", "json", "--seed", "3", "axioms", "--schema", "A6",
@@ -335,6 +360,19 @@ class TestCounts:
         assert main(["axioms", "--schema", "A3", "--trials", "1", "--hypothesis",
                      "--hyp-depth", str(MAX_HYPOTHESIS_DEPTH)]) == 0
         assert main(["witness", "--depth", "0"]) == 0
+
+    def test_models_a_document_cannot_hold_exit_two(self, capsys):
+        # A counterexample is printed as a document, which check must load.
+        assert main(["--seed", "2", "axioms", "--no-s5", "--schema", "A3", "--trials", "1",
+                     "--max-nodes", "300", "--max-worlds", "300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: 300 worlds of up to 300 nodes may make a model of "
+                                "90,000 nodes, more than the 20,000 a document may list\n")
+        assert captured.out == ""
+
+    def test_models_a_document_can_hold_accepted(self, capsys):
+        assert main(["axioms", "--schema", "A3", "--trials", "1",
+                     "--max-nodes", "20", "--max-worlds", "1000"]) == 0
 
     @pytest.mark.parametrize("depth", ["3", "50"])
     def test_deep_instances_stop_at_the_classes(self, depth, capsys):

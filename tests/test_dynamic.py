@@ -16,7 +16,7 @@ from bethpal.formula import (
     metavariables, parse_formula,
 )
 from bethpal.beth import forces_prop, validate_beth
-from bethpal import lab
+from bethpal import beth, dynamic, lab
 from bethpal.lab import (
     GenParams, enumerate_small_beth, naive_forces, propositional_pool,
     random_formula, random_model, split_seed,
@@ -80,10 +80,30 @@ class TestAnnouncementExamples:
         assert updated.world_order == ("s",)
         assert updated.access["i"] == {("s", "s")}
 
-    def test_evaluation_builds_no_updated_model(self, fork_model):
-        assert satisfies(fork_model, "s", parse_formula("[p]K{i}p")).value
-        assert satisfies(fork_model, "s", parse_formula("<~p>top")).value
-        assert fork_model._announce == {}
+    def test_evaluation_builds_no_updated_model(self, fork_model, monkeypatch):
+        # Verdicts and traces read the labels of one layout: neither
+        # restricts a world nor builds a model.
+        cases = [(fork_model, parse_formula(text)) for text in ("[p]K{i}p", "<~p>top", "<p><q>top")]
+        rng = random.Random(43)
+        for m in _models(43, 40, s5=False):
+            agents = sorted(m.agents)
+            for op in (Announce, Diamond):
+                cases.append((m, op(random_formula(rng, 2, ("p", "q"), agents, allow_know=True),
+                                    random_formula(rng, 2, ("p", "q"), agents, allow_know=True,
+                                                   allow_announce=True))))
+
+        def refuse(*args):
+            raise AssertionError("an updated model was built")
+
+        for target, name in ((dynamic, "announce"), (beth, "restrict"),
+                             (BethKripkeModel, "__init__"), (beth.BethModel, "__init__")):
+            monkeypatch.setattr(target, name, refuse)
+        for m, f in cases:
+            for s in m.world_order:
+                for explain in (False, True):
+                    result = satisfies(m, s, f, explain=explain)
+                    assert (result.trace is not None) == explain
+        assert "_announce" not in vars(fork_model)
 
     def test_nested_announcements_materialize(self, fork_model):
         # <p><q>top fails: after announcing p the q-branch is gone.
@@ -526,6 +546,55 @@ class TestTraceNotes:
                         kinds.add(trace.rule)
         assert checked > 1000
         assert {"atom-bar", "or-bar", "implies", "not", "knows"} <= kinds
+
+
+def _check_updates(m, trace):
+    """Assert that every announcement node of ``trace``, a trace about
+    ``m``, agrees with the updated model :func:`announce` builds: an
+    executable one's child is the trace of the body at the updated root and
+    its note names exactly the nodes the update drops; otherwise the update
+    drops the world.  Returns the number of executable nodes checked."""
+    f, s, note = trace.formula, trace.world, trace.note
+    if not isinstance(f, (Announce, Diamond)):
+        return sum(_check_updates(m, child) for child in trace.children)
+    updated = announce(m, f.announced)
+    if note.startswith("announcement not executable"):
+        assert s not in updated.worlds
+        return _check_updates(m, trace.children[0])
+    (child,) = trace.children
+    w = updated.world(s)
+    assert child == forces(updated, s, w.root, f.body, explain=True, max_items=0).trace
+    hit = re.fullmatch(r"announcement executable; (?:dropped nodes \{(.*)\}|no node dropped)", note)
+    named = set(hit[1].split(", ")) if hit[1] else set()
+    assert named == set(m.world(s).node_order) - set(w.node_order)
+    return 1 + _check_updates(updated, child)
+
+
+class TestTracesUnderAnnouncements:
+    """A trace follows an announcement on the live-leaf mask of the verdict;
+    the model-building update is the reference it must match."""
+
+    @pytest.mark.parametrize("s5", [True, False])
+    def test_matches_the_updated_model(self, s5):
+        rng = random.Random(47)
+        checked = dropped = 0
+        for m in _models(47, 150, s5=s5):
+            agents = sorted(m.agents)
+            for op in (Announce, Diamond, Announce):
+                f = op(*(random_formula(rng, 2, ("p", "q"), agents, allow_know=True,
+                                        allow_announce=True) for _ in range(2)))
+                for s in m.world_order:
+                    for node in m.worlds[s].node_order:
+                        trace = forces(m, s, node, f, explain=True, max_items=0).trace
+                        checked += _check_updates(m, trace)
+                        dropped += render_trace(trace).count("dropped nodes")
+        assert checked > 1000 and dropped > 100
+
+    def test_nested_announcements(self, fork_model):
+        trace = satisfies(fork_model, "s", parse_formula("<p><q>top"), explain=True).trace
+        assert _check_updates(fork_model, trace) == 1
+        assert trace.note == "announcement executable; dropped nodes {c}"
+        assert trace.children[0].note == "announcement not executable: root forces the negation"
 
 
 class TestLabelingAgainstOracle:

@@ -85,6 +85,14 @@ class TestGenerators:
         with pytest.raises(ValueError, match="at most 1000 worlds"):
             GenParams(max_worlds=lab.MAX_WORLDS + 1)
 
+    def test_document_bound_rejected(self):
+        # Every model drawn must fit in a document that check can load.
+        GenParams(max_nodes_per_world=20, max_worlds=lab.MAX_WORLDS)
+        with pytest.raises(lab.BoundTooLarge, match="model of 21,000 nodes"):
+            GenParams(max_nodes_per_world=21, max_worlds=lab.MAX_WORLDS)
+        with pytest.raises(lab.BoundTooLarge, match="model of 90,000 nodes"):
+            GenParams(max_nodes_per_world=300, max_worlds=300)
+
     @pytest.mark.parametrize("nodes, seed, digest", [
         (4, 1, "7e7b9f4043df"), (12, 2, "2b6488ef1a0a"),
         (40, 3, "fd7139081b42"), (200, 4, "687b7cca7678"),
