@@ -19,7 +19,7 @@ is a mask of live leaves, which verdicts and traces read alike; only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from . import beth
 from .beth import BethModel
@@ -193,32 +193,28 @@ def _leaves(m: BethKripkeModel, s: str, f: Formula, alive: Optional[int] = None)
     return _ext(pts, f, alive) >> shift & w.leaf_mask
 
 
-def _union(base: _Points, copies: int, leaves: Mapping[str, Sequence[int]],
-           agents: Mapping[str, Sequence[str]]) -> _Points:
+def _union(base: _Points, copies: int, leaves: Mapping[str, int],
+           agents: Mapping[str, Mapping[str, int]]) -> _Points:
     """The union of ``copies`` copies of the one-copy layout ``base``, one
     per binding of a schema's metavariables: copy b holds the points of
     ``base`` shifted by b·``base.width``.  Formula metavariable X is an atom
-    whose leaves in copy b are ``leaves[X][b]``, agent metavariable i an
-    agent with the K masks of agent ``agents[i][b]`` there, and the atoms of
-    ``base`` hold in every copy.
+    holding on the leaves ``leaves[X]``, over every copy, and agent
+    metavariable i an agent with the K masks of agent a in the copies
+    ``agents[i][a]`` (bit b·``base.width`` for copy b; an agent no copy
+    chooses is left out).  The atoms of ``base`` hold in every copy.
 
     K reads pairs within a copy and an update keeps or drops each world on
     its own, so copy b of a schema's extension is the extension of its
-    instance under binding b, when ``leaves[X][b]`` is the extension of a
-    propositional formula bound to X: under the live leaves ``alive`` that
-    formula holds on ``alive & leaves[X][b]``, as the atom X does."""
+    instance under binding b, when copy b of ``leaves[X]`` is the extension
+    of a propositional formula bound to X: under the live leaves ``alive``
+    that formula holds on ``alive`` and those leaves, as the atom X does."""
     width = base.width
     spread = ((1 << copies * width) - 1) // ((1 << width) - 1)
     atoms = {atom: mask * spread for atom, mask in base.atoms.items()}
-    for var, column in leaves.items():
-        atoms[var] = sum(mask << b * width for b, mask in enumerate(column))
-    knows = {}
-    for var, chosen in agents.items():
-        choosing: dict[str, int] = {}       # agent -> the copies choosing it
-        for b, agent in enumerate(chosen):
-            choosing[agent] = choosing.get(agent, 0) | 1 << b * width
-        knows[var] = [(copies_a, pairs) for agent, copies_a in choosing.items()
-                      for _, pairs in base.knows[agent]]
+    atoms.update(leaves)
+    knows = {var: [(copies_a, pairs) for agent, copies_a in choosing.items()
+                   for _, pairs in base.knows[agent]]
+             for var, choosing in agents.items()}
     return _Points(width, spread, base.world, atoms, knows)
 
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import beth, dynamic, modeldoc
 from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    TOP, agent_names, metavariables, print_formula, substitute,
+    TOP, is_metavariable, print_formula, substitute,
 )
 
 ATOM_NAMES = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z")
@@ -102,11 +102,12 @@ def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> Bet
                      dict(zip(nodes, map(frozenset, val))), frozenset(atoms))
 
 
-def random_model(p: GenParams) -> BethKripkeModel:
+def random_model(p: GenParams, seed: Optional[int] = None) -> BethKripkeModel:
     """Reproducible random Beth-Kripke model; s5=True draws each agent's
     relation directly as a random partition of the worlds, s5=False draws a
-    random irreflexive relation."""
-    rng = random.Random(p.seed)
+    random irreflexive relation.  A given ``seed`` replaces ``p.seed``, so a
+    trial draws from ``p``'s bounds and its own seed without new parameters."""
+    rng = random.Random(p.seed if seed is None else seed)
     atoms = ATOM_NAMES[:p.atom_count]
     agents = AGENT_NAMES[:p.num_agents]
     world_names = [f"w{i}" for i in range(rng.randint(1, p.max_worlds))]
@@ -329,36 +330,135 @@ operators, so a pass costs about linearly in its width; a union holds at
 least one copy, whatever the model's size."""
 
 
+def _spread(n: int, width: int) -> int:
+    """Bit b·``width`` set for each b < ``n``."""
+    return ((1 << n * width) - 1) // ((1 << width) - 1)
+
+
+def _column(values: Sequence[int], start: int, count: int, run: int, width: int) -> int:
+    """The mask holding, at bit b·``width`` for each b < ``count``,
+    ``values[(start + b) // run % len(values)]``: the value a digit of run
+    ``run`` takes on binding ``start + b``, each value narrower than
+    ``width``.
+
+    The digit is constant on runs of ``run`` bindings.  The values of the
+    runs that meet the bindings are packed one run apart, repeated by one
+    multiply where more runs meet than one cycle of ``len(values)``, and
+    spread over their runs by another."""
+    radix = len(values)
+    first, skip = divmod(start, run)
+    if run >= count:    # at most two runs meet
+        ones = _spread(count, width)
+        head = (1 << min(run - skip, count) * width) - 1
+        return values[first % radix] * ones & head | values[(first + 1) % radix] * ones & ~head
+    runs = -(-(skip + count) // run)
+    stride = run * width
+    packed = sum(values[(first + j) % radix] << j * stride for j in range(min(runs, radix)))
+    if runs > radix:
+        packed *= _spread(-(-runs // radix), radix * stride)
+    return packed * _spread(run, width) >> skip * width & (1 << count * width) - 1
+
+
+def _digit_copies(start: int, count: int, run: int, radix: int, width: int) -> dict[int, int]:
+    """Each value that a digit of run ``run`` and radix ``radix`` takes on
+    the bindings ``start`` to ``start + count - 1``, with the copies taking
+    it: bit b·``width`` for binding ``start + b``.  The masks are sums of
+    the runs that meet the bindings, over at most one cycle of ``radix``
+    runs, repeated by one multiply."""
+    span = min(count, run * radix)
+    ones = _spread(span, width)
+    copies: dict[int, int] = {}
+    t, stop = start, start + span
+    while t < stop:
+        end = min(t - t % run + run, stop)
+        digit = t // run % radix
+        copies[digit] = copies.get(digit, 0) | ones >> (span - end + t) * width << (t - start) * width
+        t = end
+    if count > span:
+        repeat = _spread(-(-count // span), span * width)
+        low = (1 << count * width) - 1
+        copies = {digit: mask * repeat & low for digit, mask in copies.items()}
+    return copies
+
+
+class _Bindings:
+    """The bindings of a schema's agent metavariables ``avars`` to
+    ``agents`` and formula metavariables ``fvars`` to ``reps``, in the order
+    of ``itertools.product(product(agents, ...), product(reps, ...))``.
+    Binding t, for t < ``total``, is a mixed-radix number, the agent digits
+    first, then the formula digits: a metavariable whose digit has run
+    ``run`` (in ``aruns`` or ``fruns``) takes value ``t // run % radix``."""
+
+    def __init__(self, avars: Sequence[str], fvars: Sequence[str],
+                 agents: Sequence[str], reps: Sequence[Formula]):
+        self.agents, self.reps = agents, reps
+        self.fruns = [(v, len(reps) ** k) for k, v in enumerate(reversed(fvars))][::-1]
+        run = len(reps) ** len(fvars)
+        self.aruns = [(v, run * len(agents) ** k) for k, v in enumerate(reversed(avars))][::-1]
+        self.total = run * len(agents) ** len(avars)
+
+    def binding(self, t: int) -> dict[str, Formula]:
+        """Binding ``t``, agents bound to the atoms naming them."""
+        binding: dict[str, Formula] = {
+            v: Atom(self.agents[t // run % len(self.agents)]) for v, run in self.aruns}
+        binding.update((v, self.reps[t // run % len(self.reps)]) for v, run in self.fruns)
+        return binding
+
+    def masks(self, ext: Sequence[int], width: int, start: int,
+              count: int) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+        """The masks :func:`dynamic._union` takes for the bindings ``start``
+        to ``start + count - 1``, copy b for binding ``start + b``: each
+        formula metavariable's leaves, ``ext[k]`` in the copies binding it
+        to ``reps[k]``, and each agent metavariable's copies choosing each
+        agent that some copy chooses."""
+        leaves = {v: _column(ext, start, count, run, width) for v, run in self.fruns}
+        knows = {v: {self.agents[d]: copies for d, copies in
+                     _digit_copies(start, count, run, len(self.agents), width).items()}
+                 for v, run in self.aruns}
+        return leaves, knows
+
+
 def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
                           avars: list[str], reps: list[Formula]) -> Optional[Counterexample]:
     """The first instance of ``schema`` that fails at the root of a world of
     ``m``, with its formula metavariables ``fvars`` bound to ``reps`` and its
     agent metavariables ``avars`` to ``m``'s agents: bindings in the order
-    of the agent choices, then of ``itertools.product(reps, ...)``, and the
-    failing worlds in ``world_order``.
+    of :class:`_Bindings`, and the failing worlds in ``world_order``.
 
     Consecutive bindings are labeled at once, as the copies of one
     :func:`dynamic._union` of at most about ``UNION_BITS`` points (at least
-    one copy); the instance is built only when it fails."""
+    one copy), built from the runs of each metavariable's digit; the
+    failing binding is decoded from its number, and the instance is built
+    only then."""
     base = dynamic._layout(m)
-    ext = {rep: dynamic._ext(base, rep) for rep in reps}
-    bindings = itertools.product(itertools.product(sorted(m.agents), repeat=len(avars)),
-                                 itertools.product(reps, repeat=len(fvars)))
+    ext = [dynamic._ext(base, rep) for rep in reps]
+    bindings = _Bindings(avars, fvars, sorted(m.agents), reps)
     per_union = max(1, UNION_BITS // base.width)
-    while batch := list(itertools.islice(bindings, per_union)):
-        agent_rows, formula_rows = zip(*batch)
-        union = dynamic._union(
-            base, len(batch),
-            {v: [ext[f] for f in column] for v, column in zip(fvars, zip(*formula_rows))},
-            dict(zip(avars, zip(*agent_rows))))
+    for start in range(0, bindings.total, per_union):
+        count = min(per_union, bindings.total - start)
+        union = dynamic._union(base, count, *bindings.masks(ext, base.width, start, count))
         failure = dynamic._first_failure(union, schema)
         if failure is not None:
             copy, world = failure
-            agents, choice = batch[copy]
-            binding: dict[str, Formula] = {v: Atom(a) for v, a in zip(avars, agents)}
-            binding.update(zip(fvars, choice))
-            return Counterexample(m, world, substitute(schema, binding))
+            return Counterexample(m, world, substitute(schema, bindings.binding(start + copy)))
     return None
+
+
+def _schema_variables(schema: Formula) -> tuple[list[str], list[str]]:
+    """The formula and the agent metavariables of ``schema``, each sorted,
+    read in one walk over its nodes."""
+    fvars, avars = set(), set()
+    stack = [schema]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            if is_metavariable(f.name):
+                fvars.add(f.name)
+        else:
+            if isinstance(f, Know):
+                avars.add(f.agent)
+            stack.extend(map(f.__getattribute__, f._children))
+    return sorted(fvars), sorted(avars)
 
 
 def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Verdict:
@@ -371,10 +471,9 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
     if trials < 0:
         raise ValueError(f"trials must be >= 0, not {trials}")
     search = (tuple(sorted(set(space.atoms))), space.depth)
-    fvars = sorted(metavariables(space.schema))
-    avars = sorted(agent_names(space.schema))
+    fvars, avars = _schema_variables(space.schema)
     for t in range(trials):
-        m = random_model(replace(gen, seed=split_seed(gen.seed, t)))
+        m = random_model(gen, split_seed(gen.seed, t))
         found = _first_counterexample(m, space.schema, fvars, avars,
                                       _semantic_reps(m, search))
         if found is not None:
@@ -451,7 +550,7 @@ def test_announcement_hypothesis(gen: GenParams, trials: int, depth: int = 2,
     first: Optional[Counterexample] = None
     for t in range(trials):
         seed_t = split_seed(gen.seed, t)
-        m = random_model(replace(gen, seed=seed_t))
+        m = random_model(gen, seed_t)
         digest = modeldoc.model_digest(m)
         rng = random.Random(split_seed(gen.seed ^ 0xA11CE, t))
         agents = sorted(m.agents)

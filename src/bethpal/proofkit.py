@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .formula import (
-    Atom, Formula, Imp, Know, UnboundMetavariable, children, is_metavariable,
-    parse_formula, print_formula, substitute,
+    Atom, Formula, Imp, Know, ParseError, UnboundMetavariable, children,
+    is_metavariable, parse_formula, print_formula, substitute,
 )
 
 
@@ -135,8 +135,16 @@ def _parse_binding(text: str, lineno: int) -> tuple[tuple[str, Formula], ...]:
         if "=" not in part:
             raise ProofParseError(lineno, f"malformed binding entry {part.strip()!r}")
         name, value = part.split("=", 1)
-        items.append((name.strip(), parse_formula(value)))
+        items.append((name.strip(), _parse_formula(value, lineno)))
     return tuple(items)
+
+
+def _parse_formula(text: str, lineno: int) -> Formula:
+    """``text`` parsed; a malformed formula is an error on its line."""
+    try:
+        return parse_formula(text)
+    except ParseError as e:
+        raise ProofParseError(lineno, str(e)) from None
 
 
 def _parse_justification(text: str, lineno: int) -> Justification:
@@ -174,7 +182,7 @@ def parse_proof(text: str) -> ProofScript:
         if not head.strip().isdigit():
             raise ProofParseError(lineno, "expected '<index>. <formula> ; <justification>'")
         lines.append(ProofLine(
-            int(head), parse_formula(formula_text), _parse_justification(just, lineno),
+            int(head), _parse_formula(formula_text, lineno), _parse_justification(just, lineno),
         ))
     if not lines:
         raise ProofParseError(0, "empty proof script")

@@ -41,6 +41,22 @@ def every_valuation_model(atoms):
     return BethKripkeModel({"w": world}, (), {})
 
 
+def per_copy_masks(width, columns, choices):
+    """The masks of a union of model copies (see ``dynamic._union``), built
+    one copy at a time: formula metavariable X holds on ``columns[X][b]``
+    in copy b, and agent metavariable i maps each agent to the copies b
+    with ``choices[i][b]`` that agent, bit b·``width`` per copy; an agent
+    no copy chooses is left out."""
+    leaves = {var: sum(mask << b * width for b, mask in enumerate(column))
+              for var, column in columns.items()}
+    knows = {}
+    for var, chosen in choices.items():
+        choosing = knows[var] = {}
+        for b, agent in enumerate(chosen):
+            choosing[agent] = choosing.get(agent, 0) | 1 << b * width
+    return leaves, knows
+
+
 def classical_eval(true_atoms: frozenset[str] | set[str], f: Formula) -> bool:
     """Truth-table evaluation, for the single-node collapse."""
     match f:

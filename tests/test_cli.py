@@ -388,7 +388,8 @@ class TestCounts:
         atoms = ("p", "q", "r", "s")
         monkeypatch.setattr(lab, "SchemaInstanceSpace",
                             functools.partial(lab.SchemaInstanceSpace, atoms=atoms))
-        monkeypatch.setattr(lab, "random_model", lambda gen: every_valuation_model(atoms))
+        monkeypatch.setattr(lab, "random_model",
+                            lambda gen, seed=None: every_valuation_model(atoms))
         assert main(["axioms", "--schema", "A3", "--depth", "3", "--trials", "1"]) == 2
         captured = capsys.readouterr()
         assert "714,920 formulas, more than 100,000" in captured.err
@@ -600,6 +601,9 @@ class TestHashSeedIndependence:
             ["witness", "--depth", "3"],
             ["--seed", "3", "axioms", "--schema", "A6", "--trials", "30",
              "--hypothesis", "--hyp-depth", "2"],
+            # Counterexamples decoded from the lab's unions, with their models.
+            ["--seed", "3", "axioms", "--no-s5", "--trials", "50"],
+            ["--format", "json", "--seed", "3", "axioms", "--no-s5", "--trials", "50"],
         ]
         outputs = set()
         for seed in ("1", "2", "3", "4"):
@@ -613,4 +617,6 @@ class TestHashSeedIndependence:
         assert "fails above at 'b'" in text
         assert "cycle through 'a' and 'b'" in text
         assert "atom 'p' holds at 'a' but not at 'b'" in text
+        assert "schema A3: counterexample at world w1, instance K{a} p -> p" in text
+        assert '"verdict": "counterexample"' in text
         assert text.endswith("unknown world 'v'\n")

@@ -19,7 +19,7 @@ from bethpal.lab import (
 from bethpal.modeldoc import model_digest, serialize_model
 from bethpal.proofkit import SCHEMAS
 
-from helpers import every_valuation_model, reference_random_beth
+from helpers import every_valuation_model, per_copy_masks, reference_random_beth
 
 
 class TestGenerators:
@@ -321,9 +321,10 @@ class TestInstanceLabeling:
         fvars = sorted(metavariables(schema))
         avars = sorted(agent_names(schema))
         holds = lab.dynamic._ext(lab.dynamic._union(
-            base, len(bindings),
-            {v: [lab.dynamic._ext(base, b[v]) for b in bindings] for v in fvars},
-            {i: tuple(b[i].name for b in bindings) for i in avars}), schema)
+            base, len(bindings), *per_copy_masks(
+                base.width,
+                {v: [lab.dynamic._ext(base, b[v]) for b in bindings] for v in fvars},
+                {i: [b[i].name for b in bindings] for i in avars})), schema)
         for copy, binding in enumerate(bindings):
             instance = substitute(schema, binding)
             labeled = holds >> copy * base.width & (1 << base.width) - 1
@@ -493,6 +494,104 @@ class TestUnionWidth:
             m, schema, sorted(metavariables(schema)), sorted(agent_names(schema)),
             lab._semantic_reps(m, (("p", "q"), 1))) is None
         assert widths and max(widths) <= lab.UNION_BITS + size
+
+
+class TestBindingRuns:
+    """A union's masks are built from the runs of each metavariable's digit
+    in the binding numbers, and a failing copy decodes to its binding; both
+    must match the bindings in ``itertools.product`` order, built one copy
+    at a time."""
+
+    # (representatives, formula metavariables, agent metavariables, agents)
+    SHAPES = [(r, nf, na, a) for r in range(1, 18) for nf in range(4) for na in range(3)
+              for a in (1, 2, 3) if a ** na * r ** nf <= 300]
+
+    @staticmethod
+    def space(reps, nf, na, agents):
+        fvars = ["X", "Y", "Z"][:nf]
+        avars = ["i", "j"][:na]
+        names = ["a", "b", "c"][:agents]
+        return fvars, avars, names, [Atom(f"r{k}") for k in range(reps)]
+
+    def test_shapes_cover_the_ranges(self):
+        assert {r for r, *_ in self.SHAPES} == set(range(1, 18))
+        assert {nf for _, nf, _, _ in self.SHAPES} == {0, 1, 2, 3}
+        assert {na for _, _, na, _ in self.SHAPES} == {0, 1, 2}
+        assert {a for *_, a in self.SHAPES} == {1, 2, 3}
+
+    def test_decoding_follows_the_product(self):
+        for shape in self.SHAPES:
+            fvars, avars, names, reps = self.space(*shape)
+            bindings = lab._Bindings(avars, fvars, names, reps)
+            product = list(itertools.product(itertools.product(names, repeat=len(avars)),
+                                             itertools.product(reps, repeat=len(fvars))))
+            assert bindings.total == len(product)
+            for t, (agents, choice) in enumerate(product):
+                expected = dict(zip(avars, map(Atom, agents)))
+                expected.update(zip(fvars, choice))
+                assert bindings.binding(t) == expected, (shape, t)
+
+    @pytest.mark.parametrize("width", [1, 5, 64])
+    def test_masks_match_the_copies(self, width):
+        rng = random.Random(width)
+        for shape in self.SHAPES:
+            fvars, avars, names, reps = self.space(*shape)
+            ext = [rng.getrandbits(width) for _ in reps]
+            bindings = lab._Bindings(avars, fvars, names, reps)
+            decoded = [bindings.binding(t) for t in range(bindings.total)]
+            for per_union in {1, 2, 3, 7, bindings.total}:
+                for start in range(0, bindings.total, per_union):
+                    batch = decoded[start:start + per_union]
+                    expected = per_copy_masks(
+                        width, {v: [ext[reps.index(b[v])] for b in batch] for v in fvars},
+                        {i: [b[i].name for b in batch] for i in avars})
+                    masks = bindings.masks(ext, width, start, len(batch))
+                    assert masks == expected, (shape, width, per_union, start)
+
+    @pytest.mark.parametrize("per_union", [1, 2, 5])
+    def test_unchosen_agents_are_left_out(self, per_union, monkeypatch):
+        # Three agents, and unions of a few copies each: a union lists the
+        # K pairs of the agents its copies choose, and of no other.
+        m = random_model(GenParams(seed=split_seed(61, 0), num_agents=3))
+        base = lab.dynamic._layout(m)
+        schema = parse_formula("K{i}X -> K{i}K{j}X | X")
+        fvars, avars = sorted(metavariables(schema)), sorted(agent_names(schema))
+        reps = lab._semantic_reps(m, (("p", "q"), 1))
+        bindings = lab._Bindings(avars, fvars, sorted(m.agents), reps)
+        unions = []
+        union = lab.dynamic._union
+
+        def recorded(base, n, *args):
+            unions.append(union(base, n, *args))
+            return unions[-1]
+
+        monkeypatch.setattr(lab.dynamic, "_union", recorded)
+        monkeypatch.setattr(lab, "UNION_BITS", per_union * base.width)
+        assert lab._first_counterexample(m, schema, fvars, avars, reps) is None
+        assert len(unions) == -(-bindings.total // per_union) > 1
+        left_out = 0
+        for k, pts in enumerate(unions):
+            batch = [bindings.binding(t) for t in
+                     range(k * per_union, min((k + 1) * per_union, bindings.total))]
+            _, choosing = per_copy_masks(base.width, {}, {
+                var: [b[var].name for b in batch] for var in avars})
+            for var in avars:
+                assert {(copies, id(pairs)) for copies, pairs in pts.knows[var]} == {
+                    (copies, id(pairs)) for a, copies in choosing[var].items()
+                    for _, pairs in base.knows[a]}, (k, var)
+                left_out += len(choosing[var]) < len(m.agents)
+        assert left_out
+
+    def test_one_pass_over_the_schema(self):
+        schemas = [a.pattern for a in SCHEMAS.values()]
+        schemas += [parse_formula(text) for text in TestInstanceLabeling.EXTRA]
+        rng = random.Random(67)
+        schemas += [random_formula(rng, rng.randint(0, 5), ("X", "Y", "p"), ("i", "j"),
+                                   allow_know=True, allow_announce=True) for _ in range(2000)]
+        assert any(agent_names(f) and len(metavariables(f)) == 2 for f in schemas)
+        for f in schemas:
+            assert lab._schema_variables(f) == (sorted(metavariables(f)),
+                                                sorted(agent_names(f))), f
 
 
 class TestNegativeBounds:

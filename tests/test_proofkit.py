@@ -198,6 +198,10 @@ class TestParseProof:
         ("1. q -> p ; MP 1 x", "MP needs two line numbers"),
         ("1. K{a}p ; NEC a 1", "NEC needs a line number and an agent"),
         ("1. K{a}p ; NEC 1", "NEC needs a line number and an agent"),
+        ("1. p & ; A1.1", "unexpected end of input at position 5 "
+                          "(expected ~, K{...}, [, <, (, top, bot, ident)"),
+        ("1. p -> q -> p ; A1.1 [X=p &, Y=q]", "unexpected end of input at position 3 "
+                                               "(expected ~, K{...}, [, <, (, top, bot, ident)"),
     ])
     def test_message_and_line(self, text, message):
         with pytest.raises(ProofParseError) as exc:
