@@ -193,6 +193,11 @@ def _leaves(m: BethKripkeModel, s: str, f: Formula, alive: Optional[int] = None)
     return _ext(pts, f, alive) >> shift & w.leaf_mask
 
 
+def _spread(n: int, width: int) -> int:
+    """Bit b·``width`` set for each b < ``n``."""
+    return ((1 << n * width) - 1) // ((1 << width) - 1)
+
+
 def _union(base: _Points, copies: int, leaves: Mapping[str, int],
            agents: Mapping[str, Mapping[str, int]]) -> _Points:
     """The union of ``copies`` copies of the one-copy layout ``base``, one
@@ -209,7 +214,7 @@ def _union(base: _Points, copies: int, leaves: Mapping[str, int],
     of a propositional formula bound to X: under the live leaves ``alive``
     that formula holds on ``alive`` and those leaves, as the atom X does."""
     width = base.width
-    spread = ((1 << copies * width) - 1) // ((1 << width) - 1)
+    spread = _spread(copies, width)
     atoms = {atom: mask * spread for atom, mask in base.atoms.items()}
     atoms.update(leaves)
     knows = {var: [(copies_a, pairs) for agent, copies_a in choosing.items()

@@ -137,17 +137,17 @@ _WEIGHTS = {And: 3, Announce: 1, Atom: 5, Bot: 1, Diamond: 1,
 
 
 def random_formula(rng: random.Random, max_depth: int, atoms: Iterable[str],
-                   agents: Iterable[str] = (), allow_know: bool = False,
-                   allow_announce: bool = False) -> Formula:
+                   agents: Iterable[str] = (), allow_announce: bool = False) -> Formula:
     """Grammar-directed sampling with per-connective weights and a hard
-    depth cap: depth 0 draws an atom, top or bot.  An atom and ``K`` draw a
-    name; every other connective draws its arguments left to right."""
+    depth cap: depth 0 draws an atom, top or bot.  ``K`` is drawn when
+    ``agents`` are given.  An atom and ``K`` draw a name; every other
+    connective draws its arguments left to right."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, not {max_depth}")
     atoms = tuple(atoms)
     agents = tuple(agents)
     weights = dict(_WEIGHTS)
-    if not (allow_know and agents):
+    if not agents:
         del weights[Know]
     if not allow_announce:
         del weights[Announce], weights[Diamond]
@@ -330,52 +330,24 @@ operators, so a pass costs about linearly in its width; a union holds at
 least one copy, whatever the model's size."""
 
 
-def _spread(n: int, width: int) -> int:
-    """Bit b·``width`` set for each b < ``n``."""
-    return ((1 << n * width) - 1) // ((1 << width) - 1)
-
-
-def _column(values: Sequence[int], start: int, count: int, run: int, width: int) -> int:
-    """The mask holding, at bit b·``width`` for each b < ``count``,
-    ``values[(start + b) // run % len(values)]``: the value a digit of run
-    ``run`` takes on binding ``start + b``, each value narrower than
-    ``width``.
-
-    The digit is constant on runs of ``run`` bindings.  The values of the
-    runs that meet the bindings are packed one run apart, repeated by one
-    multiply where more runs meet than one cycle of ``len(values)``, and
-    spread over their runs by another."""
-    radix = len(values)
-    first, skip = divmod(start, run)
-    if run >= count:    # at most two runs meet
-        ones = _spread(count, width)
-        head = (1 << min(run - skip, count) * width) - 1
-        return values[first % radix] * ones & head | values[(first + 1) % radix] * ones & ~head
-    runs = -(-(skip + count) // run)
-    stride = run * width
-    packed = sum(values[(first + j) % radix] << j * stride for j in range(min(runs, radix)))
-    if runs > radix:
-        packed *= _spread(-(-runs // radix), radix * stride)
-    return packed * _spread(run, width) >> skip * width & (1 << count * width) - 1
-
-
 def _digit_copies(start: int, count: int, run: int, radix: int, width: int) -> dict[int, int]:
     """Each value that a digit of run ``run`` and radix ``radix`` takes on
     the bindings ``start`` to ``start + count - 1``, with the copies taking
     it: bit b·``width`` for binding ``start + b``.  The masks are sums of
     the runs that meet the bindings, over at most one cycle of ``radix``
-    runs, repeated by one multiply."""
+    runs, repeated by one multiply; a run is the copies from its first
+    binding on less those from the next run's."""
     span = min(count, run * radix)
-    ones = _spread(span, width)
+    ones = dynamic._spread(span, width)
     copies: dict[int, int] = {}
-    t, stop = start, start + span
-    while t < stop:
-        end = min(t - t % run + run, stop)
-        digit = t // run % radix
-        copies[digit] = copies.get(digit, 0) | ones >> (span - end + t) * width << (t - start) * width
-        t = end
+    digit, skip = divmod(start, run)
+    head = ones     # the copies from the current run's first binding on
+    for end in range(run - skip, span + run, run):
+        rest = ones >> end * width << end * width
+        copies[digit % radix] = copies.get(digit % radix, 0) | head ^ rest
+        head, digit = rest, digit + 1
     if count > span:
-        repeat = _spread(-(-count // span), span * width)
+        repeat = dynamic._spread(-(-count // span), span * width)
         low = (1 << count * width) - 1
         copies = {digit: mask * repeat & low for digit, mask in copies.items()}
     return copies
@@ -386,35 +358,42 @@ class _Bindings:
     ``agents`` and formula metavariables ``fvars`` to ``reps``, in the order
     of ``itertools.product(product(agents, ...), product(reps, ...))``.
     Binding t, for t < ``total``, is a mixed-radix number, the agent digits
-    first, then the formula digits: a metavariable whose digit has run
-    ``run`` (in ``aruns`` or ``fruns``) takes value ``t // run % radix``."""
+    first, then the formula digits: ``digits`` lists each metavariable with
+    its digit's run and values, and binding t gives it ``values[t // run %
+    len(values)]``, an agent being the atom that names it."""
 
     def __init__(self, avars: Sequence[str], fvars: Sequence[str],
                  agents: Sequence[str], reps: Sequence[Formula]):
-        self.agents, self.reps = agents, reps
-        self.fruns = [(v, len(reps) ** k) for k, v in enumerate(reversed(fvars))][::-1]
-        run = len(reps) ** len(fvars)
-        self.aruns = [(v, run * len(agents) ** k) for k, v in enumerate(reversed(avars))][::-1]
-        self.total = run * len(agents) ** len(avars)
+        self.reps = reps
+        names = list(map(Atom, agents))
+        self.digits: list[tuple[str, int, Sequence[Formula]]] = []
+        run = 1
+        for v, values in reversed([(v, names) for v in avars] + [(v, reps) for v in fvars]):
+            self.digits.append((v, run, values))
+            run *= len(values)
+        self.digits.reverse()
+        self.total = run
 
     def binding(self, t: int) -> dict[str, Formula]:
         """Binding ``t``, agents bound to the atoms naming them."""
-        binding: dict[str, Formula] = {
-            v: Atom(self.agents[t // run % len(self.agents)]) for v, run in self.aruns}
-        binding.update((v, self.reps[t // run % len(self.reps)]) for v, run in self.fruns)
-        return binding
+        return {v: values[t // run % len(values)] for v, run, values in self.digits}
 
     def masks(self, ext: Sequence[int], width: int, start: int,
               count: int) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
         """The masks :func:`dynamic._union` takes for the bindings ``start``
-        to ``start + count - 1``, copy b for binding ``start + b``: each
-        formula metavariable's leaves, ``ext[k]`` in the copies binding it
-        to ``reps[k]``, and each agent metavariable's copies choosing each
-        agent that some copy chooses."""
-        leaves = {v: _column(ext, start, count, run, width) for v, run in self.fruns}
-        knows = {v: {self.agents[d]: copies for d, copies in
-                     _digit_copies(start, count, run, len(self.agents), width).items()}
-                 for v, run in self.aruns}
+        to ``start + count - 1``, copy b for binding ``start + b``, from the
+        copies taking each value of each digit: each formula metavariable's
+        leaves, ``ext[k]`` in the copies binding it to ``reps[k]``, and each
+        agent metavariable's copies choosing each agent that some copy
+        chooses."""
+        leaves: dict[str, int] = {}
+        knows: dict[str, dict[str, int]] = {}
+        for v, run, values in self.digits:
+            copies = _digit_copies(start, count, run, len(values), width).items()
+            if values is self.reps:     # a formula digit
+                leaves[v] = sum(ext[k] * mask for k, mask in copies)
+            else:
+                knows[v] = {values[k].name: mask for k, mask in copies}
         return leaves, knows
 
 
@@ -556,9 +535,9 @@ def test_announcement_hypothesis(gen: GenParams, trials: int, depth: int = 2,
         agents = sorted(m.agents)
         for _ in range(HYPOTHESIS_INSTANCES_PER_TRIAL):
             phi = random_formula(rng, depth, ATOM_NAMES[:gen.atom_count], agents,
-                                 allow_know=True, allow_announce=include_announcements)
+                                 allow_announce=include_announcements)
             psi = random_formula(rng, depth, ATOM_NAMES[:gen.atom_count], agents,
-                                 allow_know=True, allow_announce=include_announcements)
+                                 allow_announce=include_announcements)
             box = Announce(phi, psi)
             cond = Imp(phi, psi)
             bicond = And(Imp(box, cond), Imp(cond, box))

@@ -136,7 +136,7 @@ def test_criterion_5_k_globality():
         m = random_model(GenParams(seed=split_seed(SEED + 1, t)))
         agents = sorted(m.agents)
         f = Know(rng.choice(agents),
-                 random_formula(rng, 2, ("p", "q"), agents, allow_know=True))
+                 random_formula(rng, 2, ("p", "q"), agents))
         for s in m.world_order:
             values = {forces(m, s, n, f).value for n in m.worlds[s].node_order}
             assert len(values) == 1
@@ -148,7 +148,7 @@ def test_criterion_5_decidability():
     for t in range(500):
         m = random_model(GenParams(seed=split_seed(SEED + 2, t), s5=True))
         agents = sorted(m.agents)
-        phi = random_formula(rng, 3, ("p", "q"), agents, allow_know=True)
+        phi = random_formula(rng, 3, ("p", "q"), agents)
         i = rng.choice(agents)
         f = Or(Know(i, phi), Neg(Know(i, phi)))
         for s in m.world_order:

@@ -676,8 +676,8 @@ def _document_models(count: int):
 
 def _formulas(rng: random.Random, m: BethKripkeModel, count: int):
     atoms = sorted(set().union(*(w.atoms for w in m.worlds.values()))) or ["p"]
-    return [lab.random_formula(rng, 3, atoms, sorted(m.agents), allow_know=True,
-                               allow_announce=True) for _ in range(count)]
+    return [lab.random_formula(rng, 3, atoms, sorted(m.agents), allow_announce=True)
+            for _ in range(count)]
 
 
 def _assert_derived_match_reference(w: BethModel):

@@ -88,8 +88,8 @@ class TestAnnouncementExamples:
         for m in _models(43, 40, s5=False):
             agents = sorted(m.agents)
             for op in (Announce, Diamond):
-                cases.append((m, op(random_formula(rng, 2, ("p", "q"), agents, allow_know=True),
-                                    random_formula(rng, 2, ("p", "q"), agents, allow_know=True,
+                cases.append((m, op(random_formula(rng, 2, ("p", "q"), agents),
+                                    random_formula(rng, 2, ("p", "q"), agents,
                                                    allow_announce=True))))
 
         def refuse(*args):
@@ -302,7 +302,7 @@ class TestModelProperties:
         for m in _models(21, 150):
             agents = sorted(m.agents)
             f = Know(rng.choice(agents),
-                     random_formula(rng, 2, ("p", "q"), agents, allow_know=True))
+                     random_formula(rng, 2, ("p", "q"), agents))
             for s in m.world_order:
                 values = {forces(m, s, n, f).value for n in m.worlds[s].node_order}
                 assert len(values) == 1
@@ -311,7 +311,7 @@ class TestModelProperties:
         rng = random.Random(22)
         for m in _models(22, 150):
             agents = sorted(m.agents)
-            phi = random_formula(rng, 3, ("p", "q"), agents, allow_know=True)
+            phi = random_formula(rng, 3, ("p", "q"), agents)
             i = rng.choice(agents)
             f = Or(Know(i, phi), Neg(Know(i, phi)))
             for s in m.world_order:
@@ -321,7 +321,7 @@ class TestModelProperties:
         rng = random.Random(23)
         for m in _models(23, 150):
             agents = sorted(m.agents)
-            f = random_formula(rng, 3, ("p", "q"), agents, allow_know=True)
+            f = random_formula(rng, 3, ("p", "q"), agents)
             for s in m.world_order:
                 w = m.worlds[s]
                 for a in w.node_order:
@@ -368,7 +368,7 @@ class TestModelProperties:
         for m in _models(28, 150, s5=s5):
             agents = sorted(m.agents)
             ann = random_formula(rng, 2, ("p", "q"), agents,
-                                 allow_know=True, allow_announce=True)
+                                 allow_announce=True)
             for s in m.world_order:
                 w = m.worlds[s]
                 keep = [n for n in w.node_order if not naive_forces(m, s, n, Neg(ann))]
@@ -388,8 +388,8 @@ class TestModelProperties:
         rng = random.Random(26)
         for m in _models(26, 100):
             agents = sorted(m.agents)
-            phi = random_formula(rng, 2, ("p", "q"), agents, allow_know=True)
-            psi = random_formula(rng, 2, ("p", "q"), agents, allow_know=True)
+            phi = random_formula(rng, 2, ("p", "q"), agents)
+            psi = random_formula(rng, 2, ("p", "q"), agents)
             for s in m.world_order:
                 dia = satisfies(m, s, Diamond(phi, psi)).value
                 box = satisfies(m, s, Announce(phi, psi)).value
@@ -538,7 +538,7 @@ class TestTraceNotes:
             agents = sorted(m.agents)
             for _ in range(3):
                 f = random_formula(rng, 3, ("p", "q"), agents,
-                                   allow_know=True, allow_announce=True)
+                                   allow_announce=True)
                 for s in m.world_order:
                     for node in m.worlds[s].node_order:
                         trace = forces(m, s, node, f, explain=True, max_items=0).trace
@@ -581,8 +581,8 @@ class TestTracesUnderAnnouncements:
         for m in _models(47, 150, s5=s5):
             agents = sorted(m.agents)
             for op in (Announce, Diamond, Announce):
-                f = op(*(random_formula(rng, 2, ("p", "q"), agents, allow_know=True,
-                                        allow_announce=True) for _ in range(2)))
+                f = op(*(random_formula(rng, 2, ("p", "q"), agents, allow_announce=True)
+                         for _ in range(2)))
                 for s in m.world_order:
                     for node in m.worlds[s].node_order:
                         trace = forces(m, s, node, f, explain=True, max_items=0).trace
@@ -623,7 +623,7 @@ class TestLabelingAgainstOracle:
             agents = sorted(m.agents)
             for _ in range(4):
                 f = random_formula(rng, 3, ("p", "q"), agents,
-                                   allow_know=True, allow_announce=True)
+                                   allow_announce=True)
                 for s in m.world_order:
                     w = m.worlds[s]
                     naive = {node: naive_forces(m, s, node, f) for node in w.node_order}

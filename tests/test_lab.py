@@ -113,17 +113,16 @@ class TestGenerators:
         from bethpal.formula import depth
         for _ in range(200):
             f = random_formula(rng, 3, ("p", "q"), ("a",),
-                               allow_know=True, allow_announce=True)
+                               allow_announce=True)
             assert depth(f) <= 3
 
     def test_random_formula_draws_k_only_when_allowed(self):
         drawn = set()
         for seed in range(300):
             rng = random.Random(seed)
-            for agents, allow_know in (((), True), (("a", "b"), False), (("a", "b"), True)):
-                f = random_formula(rng, 3, ("p", "q"), agents, allow_know=allow_know,
-                                   allow_announce=seed % 2 == 1)
-                if not (agents and allow_know):
+            for agents in ((), ("a", "b")):
+                f = random_formula(rng, 3, ("p", "q"), agents, allow_announce=seed % 2 == 1)
+                if not agents:
                     assert agent_names(f) == set(), (seed, f)
                 drawn |= agent_names(f)
         assert drawn == {"a", "b"}
@@ -132,7 +131,7 @@ class TestGenerators:
         # A change in the order or weights of the draws changes these.
         rng = random.Random(24)
         drawn = [print_formula(random_formula(rng, 2, ("p", "q"), ("a", "b"),
-                                              allow_know=True, allow_announce=True))
+                                              allow_announce=True))
                  for _ in range(6)]
         assert drawn == ["~(p | p)", "K{a} ~p", "<bot | p>(top | q)", "top -> K{b} top",
                          "[q](p & bot)", "p"]
@@ -504,20 +503,20 @@ class TestBindingRuns:
 
     # (representatives, formula metavariables, agent metavariables, agents)
     SHAPES = [(r, nf, na, a) for r in range(1, 18) for nf in range(4) for na in range(3)
-              for a in (1, 2, 3) if a ** na * r ** nf <= 300]
+              for a in (1, 2, 3, 6) if a ** na * r ** nf <= 300]
 
     @staticmethod
     def space(reps, nf, na, agents):
         fvars = ["X", "Y", "Z"][:nf]
         avars = ["i", "j"][:na]
-        names = ["a", "b", "c"][:agents]
+        names = list(lab.AGENT_NAMES[:agents])
         return fvars, avars, names, [Atom(f"r{k}") for k in range(reps)]
 
     def test_shapes_cover_the_ranges(self):
         assert {r for r, *_ in self.SHAPES} == set(range(1, 18))
         assert {nf for _, nf, _, _ in self.SHAPES} == {0, 1, 2, 3}
         assert {na for _, _, na, _ in self.SHAPES} == {0, 1, 2}
-        assert {a for *_, a in self.SHAPES} == {1, 2, 3}
+        assert {a for *_, a in self.SHAPES} == {1, 2, 3, 6}
 
     def test_decoding_follows_the_product(self):
         for shape in self.SHAPES:
@@ -587,7 +586,7 @@ class TestBindingRuns:
         schemas += [parse_formula(text) for text in TestInstanceLabeling.EXTRA]
         rng = random.Random(67)
         schemas += [random_formula(rng, rng.randint(0, 5), ("X", "Y", "p"), ("i", "j"),
-                                   allow_know=True, allow_announce=True) for _ in range(2000)]
+                                   allow_announce=True) for _ in range(2000)]
         assert any(agent_names(f) and len(metavariables(f)) == 2 for f in schemas)
         for f in schemas:
             assert lab._schema_variables(f) == (sorted(metavariables(f)),
@@ -635,7 +634,7 @@ class TestDedupSoundness:
                 classes.setdefault(lab.dynamic._ext(lab.dynamic._layout(m), f), []).append(f)
             for _ in range(3):
                 ann = random_formula(rng, 2, ("p", "q"), agents,
-                                     allow_know=True, allow_announce=True)
+                                     allow_announce=True)
                 updated = lab.dynamic.announce(m, ann)
                 for s in updated.world_order:
                     assert updated.worlds[s].leaves <= m.worlds[s].leaves
@@ -823,7 +822,7 @@ class TestNaiveOracle:
             agents = sorted(m.agents)
             for _ in range(3):
                 f = random_formula(rng, 2, ("p", "q"), agents,
-                                   allow_know=True, allow_announce=True)
+                                   allow_announce=True)
                 for s in m.world_order:
                     got = satisfies(m, s, f).value
                     assert naive_forces(m, s, m.worlds[s].root, f) == got

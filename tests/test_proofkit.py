@@ -68,7 +68,7 @@ class TestMatchSchema:
                 binding = {v: Atom(rng.choice("ab")) for v in agent_names(schema.pattern)}
                 binding.update(
                     (v, random_formula(rng, 2, ("p", "q"), ("a", "b"),
-                                       allow_know=True, allow_announce=True))
+                                       allow_announce=True))
                     for v in metavariables(schema.pattern))
                 instance = substitute(schema.pattern, binding)
                 assert match_schema(schema, instance) == binding, (schema.id, instance)
