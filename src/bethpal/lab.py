@@ -71,6 +71,29 @@ class GenParams:
                              f"{len(AGENT_NAMES)} agents can be named")
 
 
+_NODE_NAMES = tuple(f"m{i}" for i in range(MAX_NODES_PER_WORLD))
+"""The name of the node :func:`random_beth` draws i-th."""
+
+
+@functools.lru_cache(maxsize=64)
+def _drawn_order(n: int) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
+    """The sorted names of n drawn nodes, each drawn node's position among
+    them (sorting puts m10 before m2), and the index of the names."""
+    nodes = tuple(sorted(_NODE_NAMES[:n]))
+    index = {a: i for i, a in enumerate(nodes)}
+    return nodes, tuple(index[a] for a in _NODE_NAMES[:n]), index
+
+
+@functools.lru_cache(maxsize=len(ATOM_NAMES))
+def _atom_sets(atoms: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    """The set of atoms of every bitmask over ``atoms`` (bit k for
+    ``atoms[k]``); the last is the set of all of them."""
+    sets = [frozenset()]
+    for atom in atoms:
+        sets += [s | {atom} for s in sets]
+    return tuple(sets)
+
+
 def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> BethModel:
     """Random rooted poset (random DAG plus a fresh root below everything)
     with a random monotone valuation.
@@ -78,28 +101,48 @@ def random_beth(rng: random.Random, max_nodes: int, atoms: Iterable[str]) -> Bet
     Node m{i} is drawn i-th and every edge goes from an earlier node to a
     later one, so the model is valid as drawn: it is built from its
     successor sets the way :func:`validate_beth` builds a model, without the
-    checks."""
+    checks.  The reverse of the drawn order is a topological order, so one
+    pass over it ORs each node's up-mask from its successors'.  Valuations
+    are drawn as bitmasks over ``atoms`` and inherited by OR."""
     atoms = tuple(atoms)
+    if not 1 <= max_nodes <= MAX_NODES_PER_WORLD:
+        raise ValueError(f"max_nodes must be between 1 and {MAX_NODES_PER_WORLD}, "
+                         f"not {max_nodes}")
+    if len(atoms) > len(ATOM_NAMES):
+        raise ValueError(f"at most {len(ATOM_NAMES)} atoms, not {len(atoms)}")
+    draw = rng.random
     n = rng.randint(0, max_nodes - 1) + 1
-    nodes = tuple(sorted(f"m{i}" for i in range(n)))
-    index = {a: i for i, a in enumerate(nodes)}
-    at = [index[f"m{i}"] for i in range(n)]     # node_order puts m10 before m2
-    succ: list[set[int]] = [set() for _ in nodes]
-    succ[0].update(at[1:])
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.4:
-                succ[at[i]].add(at[j])
-    val: list[set[str]] = [set() for _ in nodes]
+    nodes, at, index = _drawn_order(n)
+    succ: list[set[int]] = [set(at[1:])]
+    succ += [set() for _ in at[1:]]
+    for i in range(1, n - 1):
+        add = succ[at[i]].add
+        for j in at[i + 1:]:
+            if draw() < 0.4:
+                add(j)
+    # In the order drawn, a node has inherited all it will before it draws
+    # its own atoms and passes them on, so the valuation is monotone.
+    val = [0] * n
     for i in at:
-        val[i] = {atom for atom in atoms if rng.random() < 0.3}
-    # In the order drawn, a node has inherited all it will before it passes
-    # its atoms on, so inheriting along the drawn edges makes it monotone.
-    for i in at:
+        mask = val[i]
+        bit = 1
+        for _ in atoms:
+            if draw() < 0.3:
+                mask |= bit
+            bit <<= 1
+        if mask:
+            val[i] = mask
+            for j in succ[i]:
+                val[j] |= mask
+    up = [0] * n
+    for i in reversed(at):
+        mask = 1 << i
         for j in succ[i]:
-            val[j] |= val[i]
-    return BethModel(nodes, index, succ, beth._up_masks(succ), "m0",
-                     dict(zip(nodes, map(frozenset, val))), frozenset(atoms))
+            mask |= up[j]
+        up[i] = mask
+    sets = _atom_sets(atoms)
+    return BethModel(nodes, index.copy(), succ, up, "m0",
+                     dict(zip(nodes, [sets[mask] for mask in val])), sets[-1])
 
 
 def random_model(p: GenParams, seed: Optional[int] = None) -> BethKripkeModel:

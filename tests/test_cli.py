@@ -604,6 +604,9 @@ class TestHashSeedIndependence:
             # Counterexamples decoded from the lab's unions, with their models.
             ["--seed", "3", "axioms", "--no-s5", "--trials", "50"],
             ["--format", "json", "--seed", "3", "axioms", "--no-s5", "--trials", "50"],
+            # Valuations over every atom name, printed with the counterexample.
+            ["--seed", "5", "axioms", "--no-s5", "--atoms", "10", "--max-nodes", "12",
+             "--agents", "6", "--trials", "50"],
         ]
         outputs = set()
         for seed in ("1", "2", "3", "4"):
@@ -619,4 +622,6 @@ class TestHashSeedIndependence:
         assert "atom 'p' holds at 'a' but not at 'b'" in text
         assert "schema A3: counterexample at world w1, instance K{a} p -> p" in text
         assert '"verdict": "counterexample"' in text
+        assert "schema A3: counterexample at world w0, instance K{a} q -> q" in text
+        assert "val m3: {p, s, u, v, w, x, y, z};" in text
         assert text.endswith("unknown world 'v'\n")

@@ -48,6 +48,40 @@ class TestGenerators:
                     assert list(got) == list(want), (seed, name)
             assert rng.getstate() == ref_rng.getstate(), seed
 
+    def test_random_beth_at_the_bounds(self):
+        # Every atom name, and forty nodes, whose names m10 to m39 sort out of
+        # the order they are drawn in.
+        fields = ("node_order", "index", "up_mask", "covers", "leaf_mask", "leaves",
+                  "root", "val", "atoms")
+        for seed in range(300):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            built = lab.random_beth(rng, 40, lab.ATOM_NAMES)
+            expected = reference_random_beth(ref_rng, 40, lab.ATOM_NAMES)
+            for name in fields:
+                got, want = getattr(built, name), getattr(expected, name)
+                assert got == want, (seed, name)
+                if isinstance(want, dict):
+                    assert list(got) == list(want), (seed, name)
+            assert rng.getstate() == ref_rng.getstate(), seed
+
+    def test_random_beth_models_own_their_index(self):
+        rng = random.Random(0)
+        first, second = (lab.random_beth(rng, 1, ("p",)) for _ in range(2))
+        assert first.node_order == second.node_order == ("m0",)
+        assert first.index == second.index and first.index is not second.index
+
+    @pytest.mark.parametrize("max_nodes, atoms, message", [
+        (0, ("p",), "max_nodes must be between 1 and 1000, not 0"),
+        (lab.MAX_NODES_PER_WORLD + 1, ("p",), "max_nodes must be between 1 and 1000, not 1001"),
+        (4, lab.ATOM_NAMES + ("t",), "at most 10 atoms, not 11"),
+    ])
+    def test_random_beth_bounds_named(self, max_nodes, atoms, message):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lab.random_beth(rng, max_nodes, atoms)
+        assert rng.getstate() == state      # refused before any draw
+
     def test_worlds_validate_and_s5_holds(self):
         for t in range(40):
             m = random_model(GenParams(seed=split_seed(1, t), s5=True))
@@ -101,6 +135,18 @@ class TestGenerators:
         # The generator's draws, and so every lab report, stay as they were.
         p = GenParams(seed=split_seed(seed, 0), max_nodes_per_world=nodes, atom_count=3)
         assert model_digest(random_model(p)) == digest
+
+    @pytest.mark.parametrize("params, digest", [
+        (dict(seed=split_seed(5, 0), max_nodes_per_world=12, atom_count=10, num_agents=6,
+              s5=False), "133cb9fe7190"),
+        (dict(seed=split_seed(6, 0), max_nodes_per_world=40, max_worlds=30, atom_count=10),
+         "e09b369d8047"),
+        (dict(seed=split_seed(7, 0), max_nodes_per_world=1000, max_worlds=2, atom_count=10),
+         "a089a3647fc9"),
+    ])
+    def test_wide_models_are_pinned(self, params, digest):
+        # Every atom name, and node names drawn out of their sorted order.
+        assert model_digest(random_model(GenParams(**params))) == digest
 
     def test_unnameable_bounds_rejected(self):
         with pytest.raises(ValueError):
