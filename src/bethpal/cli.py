@@ -27,8 +27,9 @@ class UnreadableFile(ValueError):
 
 
 def _read(path: str) -> str:
+    """The text of ``path``, less a UTF-8 byte-order mark at its start."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
         raise UnreadableFile(f"{path} is not UTF-8 text: {e}") from None

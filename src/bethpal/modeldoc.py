@@ -51,23 +51,48 @@ def is_atom_name(name: str) -> bool:
             and name not in ("top", "bot"))
 
 
-_TOKEN = re.compile(r"\w+|\S")
 # A comment runs to the end of its line, and a line ends at every boundary
 # of str.splitlines.
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
+def _chunks(text: str) -> list[str]:
+    """The whitespace-separated chunks of ``text`` once each punctuation
+    mark is spaced apart: every mark is a chunk of its own."""
+    for c in _PUNCT:
+        text = text.replace(c, f" {c} ")
+    return text.split()
+
+
 def _tokenize(text: str) -> list[str]:
-    """The words and single characters of ``text`` outside comments, ended
-    by a ``""`` marker.  Lines are not recorded: an error finds the line of
-    its token with :func:`_line`."""
-    toks = _TOKEN.findall(_COMMENT.sub("", text))
-    stray = {t for t in set(toks) if not (t[0].isalpha() or t[0] == "_" or t in _PUNCT)}
-    if stray:
-        k = next(k for k, t in enumerate(toks) if t in stray)
-        raise DocumentError(f"stray character {toks[k][0]!r}", _line(text, k))
+    """The words and punctuation marks of ``text`` outside comments, ended
+    by a ``""`` marker.  A word is a letter or ``_`` followed by letters,
+    digits and ``_``; any other character is refused, on its line.  Lines
+    are not recorded: an error finds the line of its token with
+    :func:`_line`."""
+    toks = _chunks(_COMMENT.sub("", text))
+    for t in set(toks):
+        if not (t in _PUNCT or (t[0].isalpha() or t[0] == "_")
+                and (t.replace("_", "") or "a").isalnum()):
+            _stray(text)
     toks.append("")
     return toks
+
+
+# On the error path a line reads as runs of word characters and single other
+# characters: the first token that is neither punctuation nor a word that
+# starts with a letter or ``_`` begins with the stray character.
+_TOKEN = re.compile(r"\w+|\S")
+
+
+def _stray(text: str) -> NoReturn:
+    """Raise the error naming the first stray character of ``text`` and its
+    line; only a text that holds one is passed here."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        for t in _TOKEN.findall(_COMMENT.sub("", raw)):
+            if not (t[0].isalpha() or t[0] == "_" or t in _PUNCT):
+                raise DocumentError(f"stray character {t[0]!r}", lineno)
+    raise AssertionError("no stray character")
 
 
 def _line(text: str, k: int) -> int:
@@ -76,7 +101,7 @@ def _line(text: str, k: int) -> int:
     ask for a line."""
     line = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        n = len(_TOKEN.findall(_COMMENT.sub("", raw)))
+        n = len(_chunks(_COMMENT.sub("", raw)))
         if n:
             if k < n:
                 return lineno
@@ -163,6 +188,8 @@ def parse_model_document(text: str) -> BethKripkeModel:
                 if toks[i] != ",":
                     break
                 i += 1
+                if toks[i] != "(":
+                    _fail(text, toks, i, "'('")
         else:
             raise DocumentError(
                 f"expected 'agents', 'world', or 'access', found {head!r}", _line(text, at))

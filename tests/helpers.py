@@ -6,9 +6,11 @@ are enumerated from subsets, classical truth is a direct table walk.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable
 
 from bethpal.formula import And, Atom, Bot, Formula, Imp, Neg, Or, Top
+from bethpal.modeldoc import _COMMENT, _PUNCT, DocumentError
 
 
 def brute_maximal_chains(nodes, leq_pairs, anchor):
@@ -169,3 +171,36 @@ def reference_random_beth(rng, max_nodes, atoms):
     for a, b in edges:
         val[b] |= val[a]
     return validate_beth(names, edges, "m0", val, atoms)
+
+
+_TOKEN = re.compile(r"\w+|\S")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """``modeldoc._tokenize`` as one regular expression over the text:
+    every run of word characters and every other non-space character is a
+    token, and the first token that is neither punctuation nor a word that
+    starts with a letter or ``_`` is a stray character, named on its line.
+    Returns the tokens ended by ``""``."""
+    toks = _TOKEN.findall(_COMMENT.sub("", text))
+    stray = {t for t in set(toks) if not (t[0].isalpha() or t[0] == "_" or t in _PUNCT)}
+    if stray:
+        k = next(k for k, t in enumerate(toks) if t in stray)
+        raise DocumentError(f"stray character {toks[k][0]!r}", reference_line(text, k))
+    toks.append("")
+    return toks
+
+
+def reference_line(text: str, k: int) -> int:
+    """The line of token ``k`` of ``reference_tokenize(text)``, counted
+    line by line; the end marker is on the line of the last token, or on
+    line 1 if there is none."""
+    line = 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        n = len(_TOKEN.findall(_COMMENT.sub("", raw)))
+        if n:
+            if k < n:
+                return lineno
+            k -= n
+            line = lineno
+    return line

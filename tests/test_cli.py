@@ -213,6 +213,33 @@ class TestTotality:
         assert captured.out == ""
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is not part of its
+    text; anywhere else it is a stray character."""
+
+    def test_model_document(self, tmp_path, capsys):
+        path = tmp_path / "bom.model"
+        path.write_bytes(b"\xef\xbb\xbf" + FORK_DOC.encode())
+        assert main(["check", str(path), "s", "<p>top & <~p>top"]) == 0
+        assert capsys.readouterr() == ("true\n", "")
+
+    def test_proof_script(self, tmp_path, capsys):
+        path = tmp_path / "bom.pf"
+        path.write_bytes(b"\xef\xbb\xbf" + (PROOF_DIR / "nec_factivity.pf").read_bytes())
+        assert main(["prove", str(path)]) == 0
+        assert "accepted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xef\xbb\xbf\xef\xbb\xbf" + FORK_DOC.encode(), 1),
+        (FORK_DOC.encode().replace(b"world", b"\xef\xbb\xbfworld"), 2),
+    ])
+    def test_elsewhere_it_is_a_stray_character(self, tmp_path, capsys, data, line):
+        path = tmp_path / "bom.model"
+        path.write_bytes(data)
+        assert main(["check", str(path), "s", "p"]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: stray character '\\ufeff'\n"
+
+
 class TestAtomNames:
     def test_uppercase_atom_checks(self, tmp_path, capsys):
         path = tmp_path / "m.model"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bethpal import modeldoc
 from bethpal.beth import NonMonotoneValuation, validate_beth
@@ -8,6 +9,8 @@ from bethpal.modeldoc import (
     MAX_DOCUMENT_NODES, DocumentError, model_digest, parse_model_document,
     serialize_beth, serialize_model,
 )
+
+from helpers import reference_line, reference_tokenize
 
 FORK_DOC = """\
 # one undecided world
@@ -101,6 +104,8 @@ class TestParsing:
 
 
 WORLD = "world s { root: a; nodes: a; }"
+# Every line boundary of str.splitlines.  A comment ends at each of them.
+BOUNDARIES = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestErrorLines:
@@ -176,6 +181,22 @@ class TestErrorLines:
          "access pair names unknown world 't'"),
         ("agents: i\n" + WORLD + "\naccess i: (y, x), (s, s), (x, z)", 3,
          "access pair names unknown world 'x'"),
+        # A comma after an access pair is followed by another pair.
+        ("agents: i\n" + WORLD + "\naccess i: (s, s),\n" + WORLD.replace("s {", "t {"), 4,
+         "expected '(', found 'world'"),
+        ("agents: i\n" + WORLD + "\naccess i: (s, s),\n", 3, "unexpected end of document"),
+        # A word is a letter or _ followed by word characters; any other
+        # character, inside a word or at its start, is stray.
+        ("agents: a-b\n" + WORLD, 1, "stray character '-'"),
+        ("agents:\nworld s { root: n1%; nodes: n1; }", 2, "stray character '%'"),
+        ("agents:\nworld s { root: a;\n nodes: a, 1a; }", 3, "stray character '1'"),
+        ("\ufeffagents:\n" + WORLD, 1, "stray character '\\ufeff'"),
+        # x² is a word: the error comes after it.
+        ("agents: x²\nworld s { root: x²; nodes: x²; }\naccess x²: (s, t)", 3,
+         "access pair names unknown world 't'"),
+        # A stray character on its own line, after each line boundary.
+        *(("agents: i" + nl + WORLD + nl + "%", 3, "stray character '%'")
+          for nl in [*BOUNDARIES, "\r\n"]),
     ])
     def test_message_and_line(self, text, line, message):
         with pytest.raises(DocumentError) as exc:
@@ -191,6 +212,52 @@ class TestErrorLines:
         with pytest.raises(DocumentError) as exc:
             parse_model_document("agents: i\n" + WORLD + "\naccess i:\n  (s, s),\n  (s, t)")
         assert exc.value.line == 3
+
+
+def _outcome(tokenize, text):
+    """The tokens of ``text``, or the message and line of its error."""
+    try:
+        return tokenize(text)
+    except DocumentError as e:
+        return str(e), e.line
+
+
+# Every code point of the BMP, and every one above it that is whitespace or
+# numeric: the classes in which str methods and the regular expression of
+# the reference could part.
+_CODE_POINTS = [c for c in map(chr, range(0x110000))
+                if ord(c) < 0x10000 or c.isspace() or c.isnumeric()]
+
+# Document pieces, stray characters and word characters that are not
+# letters, for documents that mix them.
+_PIECES = st.sampled_from([
+    "agents", "world", "access", "root", "nodes", "order", "val", "{", "}", "(", ")",
+    ":", ";", ",", "<", "s", "a", "p1", "_x", "x²", "é", "٣", "1", "²", "_", "%", "-",
+    "#", "\ufeff", " ", "\t", "\xa0", "\u3000", *BOUNDARIES, "\r\n",
+])
+
+
+class TestTokenizer:
+    """``modeldoc._tokenize`` gives the tokens of the regular-expression
+    reference, or the same error on the same line, and ``_line`` counts the
+    same tokens as the reference."""
+
+    @pytest.mark.parametrize("context", ["a{c}b", "{c}x", "x {c}", "a,{c}<b", "{c}{c}",
+                                         "p\n{c}1"])
+    def test_every_code_point_in_context(self, context):
+        for c in _CODE_POINTS:
+            text = context.replace("{c}", c)
+            assert _outcome(modeldoc._tokenize, text) == _outcome(reference_tokenize, text), \
+                hex(ord(c))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_PIECES, st.characters()), max_size=40).map("".join))
+    def test_mixed_documents(self, text):
+        got = _outcome(modeldoc._tokenize, text)
+        assert got == _outcome(reference_tokenize, text)
+        if isinstance(got, list):
+            assert [modeldoc._line(text, k) for k in range(len(got))] == \
+                [reference_line(text, k) for k in range(len(got))]
 
 
 def _star(name: str, size: int) -> str:
@@ -240,10 +307,6 @@ class TestNodeBound:
         assert "more than 20,000 nodes in the document" in capsys.readouterr().err
 
 
-# Every line boundary of str.splitlines.  A comment ends at each of them.
-BOUNDARIES = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-
-
 @pytest.mark.parametrize("nl", BOUNDARIES)
 class TestBoundaryLines:
     """Lines are counted only for an error; each line boundary counts as one
@@ -256,7 +319,7 @@ class TestBoundaryLines:
          "unexpected end of document"),
         (["agents: i", WORLD, "# access i: (s, s)", "access j: (s, s)"], 4,
          "access for undeclared agent 'j'"),
-        (["agents: i", WORLD, "access i: # (s, s)", " (s, s),", "access i: (s, t)"], 3,
+        (["agents: i", WORLD, "access i: # (s, s)", " (s, s)", "access i: (s, t)"], 3,
          "access pair names unknown world 't'"),
     ])
     def test_message_and_line(self, nl, lines, line, message):
