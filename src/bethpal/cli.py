@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, Optional
 
 from . import dynamic, lab, modeldoc, proofkit, sep
 from .beth import ModelError
-from .dynamic import BethKripkeModel, render_trace
+from .dynamic import render_trace
 from .formula import ParseError, parse_formula, print_formula
 from .lab import GenParams, NoCounterexample
 from .modeldoc import DocumentError, parse_model_document, serialize_model
@@ -35,10 +36,6 @@ def _read(path: str) -> str:
         raise UnreadableFile(f"{path} is not UTF-8 text: {e}") from None
 
 
-def _load_model(path: str) -> BethKripkeModel:
-    return parse_model_document(_read(path))
-
-
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -49,7 +46,7 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = parse_model_document(_read(args.model))
     formula = parse_formula(args.formula)
     result = dynamic.satisfies(model, args.world, formula,
                                explain=args.explain, max_items=args.max_witness)
@@ -67,7 +64,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_announce(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = parse_model_document(_read(args.model))
     formula = parse_formula(args.formula)
     updated = dynamic.announce(model, formula)
     dropped_worlds = [s for s in model.world_order if s not in updated.worlds]
@@ -158,8 +155,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     script = proofkit.parse_proof(_read(args.proof))
     result = proofkit.check_proof(script)
     if args.format == "json":
-        _emit_json({"accepted": result.accepted, "line": result.line,
-                    "reason": result.reason})
+        _emit_json(asdict(result))
     elif result.accepted:
         print(f"accepted: {print_formula(script.goal)}")
     else:
@@ -170,11 +166,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 def cmd_sep(args: argparse.Namespace) -> int:
     steps = sep.run_sep(args.step)
     if args.format == "json":
-        _emit_json({"steps": [
-            {"step": st.step, "title": st.title, "facts": st.facts,
-             "world_nodes": list(st.world_nodes), "commentary": list(st.commentary)}
-            for st in steps
-        ]})
+        _emit_json({"steps": list(map(asdict, steps))})
         return 0
     for st in steps:
         print(f"== step {st.step}: {st.title} ==")
@@ -215,15 +207,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     report = lab.nontranslatability_witness(args.depth)
     if args.format == "json":
-        _emit_json({
-            "diamond_at_root": report.diamond_at_root,
-            "bare_leaf_forces_atom": report.bare_leaf_forces_atom,
-            "models_checked": report.models_checked,
-            "classes_checked": report.classes_checked,
-            "max_depth": report.max_depth,
-            "equivalent": None if report.equivalent is None
-            else print_formula(report.equivalent),
-        })
+        payload = asdict(report)
+        if report.equivalent is not None:
+            payload["equivalent"] = print_formula(report.equivalent)
+        _emit_json(payload)
     else:
         print(report.render(), end="")
     return 0 if report.equivalent is None else 1

@@ -87,11 +87,6 @@ class BethKripkeModel:
     def is_empty(self) -> bool:
         return not self.worlds
 
-    @property
-    def is_s5(self) -> bool:
-        """Every agent's accessibility is an equivalence relation."""
-        return all(report.equivalence for report in check_s5(self).values())
-
     def __repr__(self) -> str:
         return f"BethKripkeModel(worlds={self.world_order!r}, agents={sorted(self.agents)!r})"
 

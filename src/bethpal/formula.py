@@ -170,18 +170,6 @@ def depth(f: Formula) -> int:
     return 1 + max(map(depth, children(f)), default=-1)
 
 
-def atom_names(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
-
-
-def agent_names(f: Formula) -> frozenset[str]:
-    return frozenset(g.agent for g in subformulas(f) if isinstance(g, Know))
-
-
-def metavariables(f: Formula) -> frozenset[str]:
-    return frozenset(n for n in atom_names(f) if is_metavariable(n))
-
-
 def classify(f: Formula) -> str:
     """Tag a formula: announcement > epistemic > propositional."""
     tag = PROPOSITIONAL

@@ -238,12 +238,6 @@ def _shapes(n: int) -> tuple[tuple[list[set[int]], list[int], list[int]], ...]:
     return tuple(shapes)
 
 
-def _rooted_posets(n: int) -> list[frozenset[tuple[int, int]]]:
-    """The pairs of each order of :func:`_shapes`."""
-    return [frozenset((a, b) for a, targets in enumerate(succ) for b in targets)
-            for succ, _, _ in _shapes(n)]
-
-
 MAX_ENUMERATED_NODES = 4
 MAX_ENUMERATED = 100_000
 
@@ -311,11 +305,11 @@ Verdict = Union[NoCounterexample, Counterexample]
 @dataclass(frozen=True)
 class SchemaInstanceSpace:
     """Instantiation space for a schema: propositional formulas up to
-    ``depth`` over ``atoms`` for the formula metavariables, the model's own
-    agents for the agent metavariables."""
+    ``depth`` over ``atoms`` (a class constant, not a field) for the formula
+    metavariables, the model's own agents for the agent metavariables."""
     schema: Formula
     depth: int = 1
-    atoms: tuple[str, ...] = ("p", "q")
+    atoms = ("p", "q")
 
 
 def propositional_pool(atoms: Iterable[str], depth: int) -> list[Formula]:
@@ -492,7 +486,7 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
     :func:`_first_counterexample`)."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, not {trials}")
-    search = (tuple(sorted(set(space.atoms))), space.depth)
+    search = (space.atoms, space.depth)
     fvars, avars = _schema_variables(space.schema)
     for t in range(trials):
         m = random_model(gen, split_seed(gen.seed, t))

@@ -304,10 +304,6 @@ def _parse_world(text: str, toks: list[str], i: int, name: str,
     return validate_beth(nodes, order, root, val), i + 1, declared
 
 
-def _covering_pairs(w: BethModel) -> list[tuple[str, str]]:
-    return sorted((a, b) for a in w.node_order for b in w.covers[a])
-
-
 def serialize_model(m: BethKripkeModel) -> str:
     lines = ["agents: " + ", ".join(sorted(m.agents)) if m.agents else "agents:"]
     for s in m.world_order:
@@ -315,7 +311,7 @@ def serialize_model(m: BethKripkeModel) -> str:
         lines.append(f"world {s} {{")
         lines.append(f"  root: {w.root};")
         lines.append("  nodes: " + ", ".join(w.node_order) + ";")
-        covering = _covering_pairs(w)
+        covering = sorted((a, b) for a in w.node_order for b in w.covers[a])
         if covering:
             lines.append("  order: " + ", ".join(f"{a} < {b}" for a, b in covering) + ";")
         for n in w.node_order:

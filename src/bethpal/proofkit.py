@@ -53,8 +53,6 @@ SCHEMAS: dict[str, AxiomSchema] = {
     sid: AxiomSchema(sid, parse_formula(text)) for sid, text in _PATTERN_TEXT.items()
 }
 
-A1_IDS = tuple(sid for sid in SCHEMAS if sid.startswith("A1."))
-
 
 def match_schema(schema: AxiomSchema, f: Formula) -> Optional[dict[str, Formula]]:
     """Most general binding making the pattern equal ``f``, or None.  Agent
@@ -185,7 +183,7 @@ def parse_proof(text: str) -> ProofScript:
             int(head), _parse_formula(formula_text, lineno), _parse_justification(just, lineno),
         ))
     if not lines:
-        raise ProofParseError(0, "empty proof script")
+        raise ProofParseError(1, "empty proof script")
     return ProofScript(tuple(lines), lines[-1].formula)
 
 

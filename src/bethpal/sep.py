@@ -63,22 +63,23 @@ def run_sep(step: Optional[int] = None) -> list[SepStep]:
     """Evaluate the puzzle; ``step`` limits the report to one stage."""
     bundle = build_sep()
     m = bundle.model
-    steps: list[SepStep] = []
+    m1 = announce(m, parse_formula("~p1"))
+    m2 = announce(m1, parse_formula("~p2"))
+    teacher = "phi0 & (phi1 | phi2 | phi3)"
+    named = vars(bundle) | {
+        teacher: And(bundle.phi0, Or(Or(bundle.phi1, bundle.phi2), bundle.phi3))}
 
-    if step in (None, 0):
-        teacher = And(bundle.phi0, Or(Or(bundle.phi1, bundle.phi2), bundle.phi3))
-        facts = {
-            "phi0 & (phi1 | phi2 | phi3)": satisfies(m, "s", teacher).value,
-            "phi0": satisfies(m, "s", bundle.phi0).value,
-            "phi1": satisfies(m, "s", bundle.phi1).value,
-            "phi2": satisfies(m, "s", bundle.phi2).value,
-            "phi3": satisfies(m, "s", bundle.phi3).value,
-            "p3": satisfies(m, "s", bundle.p3).value,
-            "~p3": satisfies(m, "s", parse_formula("~p3")).value,
-        }
-        steps.append(SepStep(
+    def facts(model: BethKripkeModel, *texts: str) -> dict[str, bool]:
+        """Whether each text holds at world s, keyed by the text: the name of
+        a bundle formula or the teacher's announcement, else a formula."""
+        return {text: satisfies(model, "s", named[text] if text in named
+                                else parse_formula(text)).value for text in texts}
+
+    steps = [
+        SepStep(
             0, "the teacher's announcement holds, yet nothing is settled",
-            facts, m.worlds["s"].node_order,
+            facts(m, teacher, "phi0", "phi1", "phi2", "phi3", "p3", "~p3"),
+            m.worlds["s"].node_order,
             (
                 "The announcement phi0 & (phi1 | phi2 | phi3) is satisfied.",
                 "Neither p3 nor ~p3 is satisfied at the root: the exam day is "
@@ -86,34 +87,20 @@ def run_sep(step: Optional[int] = None) -> list[SepStep]:
                 "The backward argument needs 'p3 fails' to yield '~p3 holds'; "
                 "here both fail, so it cannot start.",
             ),
-        ))
-
-    m1 = announce(m, parse_formula("~p1"))
-    if step in (None, 1):
-        facts = {
-            "<p2>top": satisfies(m1, "s", parse_formula("<p2>top")).value,
-            "~K{student}p2": satisfies(m1, "s", parse_formula("~K{student}p2")).value,
-            "K{student}p2": satisfies(m1, "s", parse_formula("K{student}p2")).value,
-        }
-        steps.append(SepStep(
+        ),
+        SepStep(
             1, "after announcing ~p1: Thursday still open, still unknown",
-            facts, m1.worlds["s"].node_order,
+            facts(m1, "<p2>top", "~K{student}p2", "K{student}p2"),
+            m1.worlds["s"].node_order,
             (
                 "Announcing ~p1 removes the Wednesday branch.",
                 "p2 is still announce-able and still not known in advance.",
             ),
-        ))
-
-    if step in (None, 2):
-        m2 = announce(m1, parse_formula("~p2"))
-        facts = {
-            "K{student}p3": satisfies(m2, "s", parse_formula("K{student}p3")).value,
-            "~K{student}p3": satisfies(m2, "s", parse_formula("~K{student}p3")).value,
-            "phi3": satisfies(m, "s", bundle.phi3).value,
-        }
-        steps.append(SepStep(
+        ),
+        SepStep(
             2, "after announcing ~p2: Friday is forced and known",
-            facts, m2.worlds["s"].node_order,
+            facts(m2, "K{student}p3", "~K{student}p3") | facts(m, "phi3"),
+            m2.worlds["s"].node_order,
             (
                 "Only the root and the Friday leaf survive, so every "
                 "remaining node forces p3 and the student knows it.",
@@ -121,5 +108,6 @@ def run_sep(step: Optional[int] = None) -> list[SepStep]:
                 "original model, but that never made p3's negation true "
                 "there, so the students' regress never gets going.",
             ),
-        ))
-    return steps
+        ),
+    ]
+    return [st for st in steps if step in (None, st.step)]

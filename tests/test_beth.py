@@ -17,7 +17,7 @@ from bethpal.dynamic import BethKripkeModel, announce, forces, satisfies
 from bethpal.formula import And, Atom, Imp, Neg, Or, BOT, TOP, parse_formula
 from bethpal import beth, lab, modeldoc
 from bethpal.lab import GenParams, enumerate_small_beth, random_beth, random_model
-from bethpal.proofkit import A1_IDS, SCHEMAS
+from bethpal.proofkit import SCHEMAS
 from bethpal.formula import substitute
 
 from helpers import brute_maximal_chains, classical_eval, reference_beth
@@ -148,8 +148,9 @@ def _posets_up_to_5_nodes():
     enumerator's up-to-4-node models plus the 5-node posets it stops short of."""
     yield from enumerate_small_beth(4, ())
     names = [f"n{i}" for i in range(5)]
-    for rel in lab._rooted_posets(5):
-        yield validate_beth(names, [(names[a], names[b]) for a, b in rel], "n0")
+    for succ, _, _ in lab._shapes(5):
+        yield validate_beth(names, [(names[a], names[b]) for a, targets in enumerate(succ)
+                                    for b in targets], "n0")
 
 
 def _ladder_input(levels: int, x: str = "x", y: str = "y"):
@@ -331,10 +332,11 @@ class TestTheoremProperties:
 
     def test_intuitionistic_axioms_forced_everywhere(self):
         rng = random.Random(15)
+        a1 = [sid for sid in SCHEMAS if sid.startswith("A1.")]
         for i in range(100):
             m = random_beth(rng, 5, ("p", "q"))
             binding = {v: _random_prop(rng, 3) for v in ("X", "Y", "Z")}
-            for sid in A1_IDS:
+            for sid in a1:
                 instance = substitute(SCHEMAS[sid].pattern, binding)
                 for a in m.node_order:
                     assert forces_prop(m, a, instance), (sid, instance)

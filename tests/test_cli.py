@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -413,8 +412,7 @@ class TestCounts:
     def test_too_many_classes_exit_two(self, monkeypatch, capsys):
         # A search over four atoms on a model with every valuation of them.
         atoms = ("p", "q", "r", "s")
-        monkeypatch.setattr(lab, "SchemaInstanceSpace",
-                            functools.partial(lab.SchemaInstanceSpace, atoms=atoms))
+        monkeypatch.setattr(lab.SchemaInstanceSpace, "atoms", atoms)
         monkeypatch.setattr(lab, "random_model",
                             lambda gen, seed=None: every_valuation_model(atoms))
         assert main(["axioms", "--schema", "A3", "--depth", "3", "--trials", "1"]) == 2
@@ -443,13 +441,47 @@ class TestProve:
     ])
     def test_json(self, capsys, name, code, accepted, line, reason):
         assert main(["--format", "json", "prove", str(PROOF_DIR / name)]) == code
-        assert json.loads(capsys.readouterr().out) == {
-            "accepted": accepted, "line": line, "reason": reason}
+        assert capsys.readouterr().out == json.dumps(
+            {"accepted": accepted, "line": line, "reason": reason}, indent=2) + "\n"
 
     def test_malformed_script_exits_two(self, tmp_path):
         bad = tmp_path / "bad.pf"
         bad.write_text("1. p -> p\n")
         assert main(["prove", str(bad)]) == 2
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_empty_script_is_an_error_on_line_one(self, tmp_path, capsys, text):
+        empty = tmp_path / "empty.pf"
+        empty.write_text(text)
+        assert main(["prove", str(empty)]) == 2
+        assert capsys.readouterr().err == "error: line 1: empty proof script\n"
+
+
+SEP_STEPS = [
+    {"step": 0, "title": "the teacher's announcement holds, yet nothing is settled",
+     "facts": {"phi0 & (phi1 | phi2 | phi3)": True, "phi0": True, "phi1": True,
+               "phi2": True, "phi3": False, "p3": False, "~p3": False},
+     "world_nodes": ["fri", "now", "thu", "wed"],
+     "commentary": [
+         "The announcement phi0 & (phi1 | phi2 | phi3) is satisfied.",
+         "Neither p3 nor ~p3 is satisfied at the root: the exam day is not predetermined.",
+         "The backward argument needs 'p3 fails' to yield '~p3 holds'; here both fail, "
+         "so it cannot start."]},
+    {"step": 1, "title": "after announcing ~p1: Thursday still open, still unknown",
+     "facts": {"<p2>top": True, "~K{student}p2": True, "K{student}p2": False},
+     "world_nodes": ["fri", "now", "thu"],
+     "commentary": ["Announcing ~p1 removes the Wednesday branch.",
+                    "p2 is still announce-able and still not known in advance."]},
+    {"step": 2, "title": "after announcing ~p2: Friday is forced and known",
+     "facts": {"K{student}p3": True, "~K{student}p3": False, "phi3": False},
+     "world_nodes": ["fri", "now"],
+     "commentary": [
+         "Only the root and the Friday leaf survive, so every remaining node forces p3 "
+         "and the student knows it.",
+         "Hence the in-advance-surprise claim phi3 is false in the original model, but "
+         "that never made p3's negation true there, so the students' regress never "
+         "gets going."]},
+]
 
 
 class TestSep:
@@ -465,6 +497,11 @@ class TestSep:
         (step,) = payload["steps"]
         assert step["facts"]["K{student}p3"] is True
         assert step["world_nodes"] == ["fri", "now"]
+
+    @pytest.mark.parametrize("argv, steps", [([], SEP_STEPS), (["--step", "1"], SEP_STEPS[1:2])])
+    def test_json_bytes(self, capsys, argv, steps):
+        assert main(["--format", "json", "sep", *argv]) == 0
+        assert capsys.readouterr().out == json.dumps({"steps": steps}, indent=2) + "\n"
 
 
 class TestEnumerateAndWitness:
@@ -553,12 +590,10 @@ class TestEnumerateAndWitness:
 
     def test_witness_json(self, capsys):
         assert main(["--format", "json", "witness", "--depth", "2"]) == 0
-        report = lab.nontranslatability_witness(2)
-        assert json.loads(capsys.readouterr().out) == {
+        assert capsys.readouterr().out == json.dumps({
             "diamond_at_root": True, "bare_leaf_forces_atom": False,
-            "models_checked": report.models_checked,
-            "classes_checked": report.classes_checked, "max_depth": 2,
-            "equivalent": None}
+            "models_checked": 14, "classes_checked": 4, "max_depth": 2,
+            "equivalent": None}, indent=2) + "\n"
 
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 2

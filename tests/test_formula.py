@@ -10,9 +10,10 @@ from bethpal import formula
 from bethpal.formula import (
     And, Announce, Atom, Diamond, Imp, Know, Neg, Or,
     BOT, MAX_NESTING, TOP, ParseError, UnboundMetavariable, UnknownToken,
-    Formula, agent_names, atom_names, children, classify, depth, is_metavariable,
-    metavariables, parse_formula, print_formula, substitute,
+    Formula, children, classify, depth, is_metavariable, parse_formula, print_formula,
+    substitute,
 )
+from bethpal import lab
 from bethpal.lab import propositional_pool
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -59,7 +60,7 @@ class TestParsing:
 
     def test_uppercase_is_metavariable(self):
         f = parse_formula("X -> Y -> X")
-        assert metavariables(f) == {"X", "Y"}
+        assert lab._schema_variables(f) == (["X", "Y"], [])
 
     def test_stray_character(self):
         with pytest.raises(UnknownToken):
@@ -245,9 +246,8 @@ class TestAttributes:
         assert depth(parse_formula("[p]<q>top")) == 2
 
     def test_atom_and_agent_names(self):
-        f = parse_formula("K{a}(p -> q) & [r]K{b}p")
-        assert atom_names(f) == {"p", "q", "r"}
-        assert agent_names(f) == {"a", "b"}
+        f = parse_formula("K{a}(X -> q) & [Y]K{b}X")
+        assert lab._schema_variables(f) == (["X", "Y"], ["a", "b"])
 
     def test_is_metavariable(self):
         assert is_metavariable("X")

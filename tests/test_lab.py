@@ -7,7 +7,7 @@ import pytest
 from bethpal.beth import fingerprint_classes, forces_prop, validate_beth
 from bethpal.dynamic import BethKripkeModel, check_s5, forces, satisfies
 from bethpal.formula import (
-    TOP, Atom, agent_names, metavariables, parse_formula, print_formula, substitute,
+    TOP, Atom, Know, is_metavariable, parse_formula, print_formula, subformulas, substitute,
 )
 from bethpal import lab
 from bethpal.lab import (
@@ -168,9 +168,10 @@ class TestGenerators:
             rng = random.Random(seed)
             for agents in ((), ("a", "b")):
                 f = random_formula(rng, 3, ("p", "q"), agents, allow_announce=seed % 2 == 1)
+                _, avars = lab._schema_variables(f)
                 if not agents:
-                    assert agent_names(f) == set(), (seed, f)
-                drawn |= agent_names(f)
+                    assert avars == [], (seed, f)
+                drawn.update(avars)
         assert drawn == {"a", "b"}
 
     def test_random_formula_draws_are_pinned(self):
@@ -344,8 +345,7 @@ class TestInstanceLabeling:
     def bindings(m, schema, reps, rng):
         """Every agent choice with every pair of representatives for the
         first two formula metavariables, the others drawn from ``rng``."""
-        fvars = sorted(metavariables(schema))
-        avars = sorted(agent_names(schema))
+        fvars, avars = lab._schema_variables(schema)
         out = []
         for agents in itertools.product(sorted(m.agents), repeat=len(avars)):
             for pair in itertools.product(reps, repeat=min(2, len(fvars))):
@@ -363,8 +363,7 @@ class TestInstanceLabeling:
         :func:`naive_forces`, since a fault in a clause shared by both
         layouts labels both alike."""
         base = lab.dynamic._layout(m)
-        fvars = sorted(metavariables(schema))
-        avars = sorted(agent_names(schema))
+        fvars, avars = lab._schema_variables(schema)
         holds = lab.dynamic._ext(lab.dynamic._union(
             base, len(bindings), *per_copy_masks(
                 base.width,
@@ -427,7 +426,7 @@ class TestInstanceLabeling:
             mixed += 1
             reps = lab._semantic_reps(m, (("p", "q"), 1))
             for schema in schemas:
-                avars = sorted(agent_names(schema))
+                _, avars = lab._schema_variables(schema)
                 runs = {}
                 for b in self.bindings(m, schema, reps, rng):
                     runs.setdefault(tuple(b[i] for i in avars), []).append(b)
@@ -451,7 +450,7 @@ class TestInstanceLabeling:
         p = Atom("p")
         assert not lab.dynamic._leaves(m, "w1", p) and lab.dynamic._leaves(m, "w0", p)
         for schema in schemas:
-            fvars = sorted(metavariables(schema))
+            fvars, _ = lab._schema_variables(schema)
             bindings = [dict(zip(fvars, choice), i=Atom("a"))
                         for choice in itertools.product(reps, repeat=len(fvars))]
             self.check_copies(m, schema, bindings, oracle=True)
@@ -473,8 +472,7 @@ class TestUnionWidth:
         """The first failing (world, instance) of each of 60 trial models,
         with ``UNION_BITS`` set to ``bits(P)`` for a model of P points, and
         the copy counts of the unions built for each model."""
-        fvars = sorted(metavariables(schema))
-        avars = sorted(agent_names(schema))
+        fvars, avars = lab._schema_variables(schema)
         found, copies = [], []
 
         union = lab.dynamic._union
@@ -536,7 +534,7 @@ class TestUnionWidth:
         monkeypatch.setattr(lab.dynamic, "_union", measured)
         schema = SCHEMAS["A2"].pattern
         assert lab._first_counterexample(
-            m, schema, sorted(metavariables(schema)), sorted(agent_names(schema)),
+            m, schema, *lab._schema_variables(schema),
             lab._semantic_reps(m, (("p", "q"), 1))) is None
         assert widths and max(widths) <= lab.UNION_BITS + size
 
@@ -600,7 +598,7 @@ class TestBindingRuns:
         m = random_model(GenParams(seed=split_seed(61, 0), num_agents=3))
         base = lab.dynamic._layout(m)
         schema = parse_formula("K{i}X -> K{i}K{j}X | X")
-        fvars, avars = sorted(metavariables(schema)), sorted(agent_names(schema))
+        fvars, avars = lab._schema_variables(schema)
         reps = lab._semantic_reps(m, (("p", "q"), 1))
         bindings = lab._Bindings(avars, fvars, sorted(m.agents), reps)
         unions = []
@@ -633,10 +631,14 @@ class TestBindingRuns:
         rng = random.Random(67)
         schemas += [random_formula(rng, rng.randint(0, 5), ("X", "Y", "p"), ("i", "j"),
                                    allow_announce=True) for _ in range(2000)]
-        assert any(agent_names(f) and len(metavariables(f)) == 2 for f in schemas)
+        both = 0
         for f in schemas:
-            assert lab._schema_variables(f) == (sorted(metavariables(f)),
-                                                sorted(agent_names(f))), f
+            nodes = list(subformulas(f))
+            fvars = sorted({g.name for g in nodes if isinstance(g, Atom) and is_metavariable(g.name)})
+            avars = sorted({g.agent for g in nodes if isinstance(g, Know)})
+            assert lab._schema_variables(f) == (fvars, avars), f
+            both += bool(avars) and len(fvars) == 2
+        assert both
 
 
 class TestNegativeBounds:

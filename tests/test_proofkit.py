@@ -5,8 +5,9 @@ import pytest
 
 from bethpal.dynamic import satisfies
 from bethpal.formula import (
-    Atom, Know, agent_names, metavariables, parse_formula, substitute,
+    Atom, Know, parse_formula, substitute,
 )
+from bethpal import lab
 from bethpal.lab import GenParams, random_formula, random_model, split_seed
 from bethpal.proofkit import (
     AxiomRef, AxiomSchema, NecRef, ProofLine, ProofParseError, ProofResult,
@@ -65,11 +66,12 @@ class TestMatchSchema:
         rng = random.Random(11)
         for schema in schemas:
             for _ in range(40):
-                binding = {v: Atom(rng.choice("ab")) for v in agent_names(schema.pattern)}
+                fvars, avars = lab._schema_variables(schema.pattern)
+                binding = {v: Atom(rng.choice("ab")) for v in avars}
                 binding.update(
                     (v, random_formula(rng, 2, ("p", "q"), ("a", "b"),
                                        allow_announce=True))
-                    for v in metavariables(schema.pattern))
+                    for v in fvars)
                 instance = substitute(schema.pattern, binding)
                 assert match_schema(schema, instance) == binding, (schema.id, instance)
 
