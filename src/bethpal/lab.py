@@ -19,7 +19,7 @@ from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    TOP, is_metavariable, print_formula, substitute,
+    TOP, is_metavariable, print_formula, subformulas, substitute,
 )
 
 ATOM_NAMES = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z")
@@ -397,15 +397,16 @@ class _Bindings:
     Binding t, for t < ``total``, is a mixed-radix number, the agent digits
     first, then the formula digits: ``digits`` lists each metavariable with
     its digit's run and values, and binding t gives it ``values[t // run %
-    len(values)]``, an agent being the atom that names it."""
+    len(values)]``: a formula or an agent name.  Only :meth:`binding`, which
+    decodes a failing binding, wraps an agent name in the atom that names
+    it."""
 
     def __init__(self, avars: Sequence[str], fvars: Sequence[str],
                  agents: Sequence[str], reps: Sequence[Formula]):
         self.reps = reps
-        names = list(map(Atom, agents))
-        self.digits: list[tuple[str, int, Sequence[Formula]]] = []
+        self.digits: list[tuple[str, int, Sequence[Union[str, Formula]]]] = []
         run = 1
-        for v, values in reversed([(v, names) for v in avars] + [(v, reps) for v in fvars]):
+        for v, values in reversed([(v, agents) for v in avars] + [(v, reps) for v in fvars]):
             self.digits.append((v, run, values))
             run *= len(values)
         self.digits.reverse()
@@ -413,7 +414,11 @@ class _Bindings:
 
     def binding(self, t: int) -> dict[str, Formula]:
         """Binding ``t``, agents bound to the atoms naming them."""
-        return {v: values[t // run % len(values)] for v, run, values in self.digits}
+        binding: dict[str, Formula] = {}
+        for v, run, values in self.digits:
+            value = values[t // run % len(values)]
+            binding[v] = value if values is self.reps else Atom(value)
+        return binding
 
     def masks(self, ext: Sequence[int], width: int, start: int,
               count: int) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
@@ -430,16 +435,26 @@ class _Bindings:
             if values is self.reps:     # a formula digit
                 leaves[v] = sum(ext[k] * mask for k, mask in copies)
             else:
-                knows[v] = {values[k].name: mask for k, mask in copies}
+                knows[v] = {values[k]: mask for k, mask in copies}
         return leaves, knows
 
 
-def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
-                          avars: list[str], reps: list[Formula]) -> Optional[Counterexample]:
+@functools.lru_cache(maxsize=64)
+def _schema_variables(schema: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The formula and the agent metavariables of ``schema``, each sorted;
+    memoized, since every trial of :func:`test_validity` asks for them."""
+    nodes = list(subformulas(schema))
+    fvars = {f.name for f in nodes if isinstance(f, Atom) and is_metavariable(f.name)}
+    avars = {f.agent for f in nodes if isinstance(f, Know)}
+    return tuple(sorted(fvars)), tuple(sorted(avars))
+
+
+def _first_counterexample(m: BethKripkeModel, schema: Formula,
+                          reps: list[Formula]) -> Optional[Counterexample]:
     """The first instance of ``schema`` that fails at the root of a world of
-    ``m``, with its formula metavariables ``fvars`` bound to ``reps`` and its
-    agent metavariables ``avars`` to ``m``'s agents: bindings in the order
-    of :class:`_Bindings`, and the failing worlds in ``world_order``.
+    ``m``, with its formula metavariables bound to ``reps`` and its agent
+    metavariables to ``m``'s agents: bindings in the order of
+    :class:`_Bindings`, and the failing worlds in ``world_order``.
 
     Consecutive bindings are labeled at once, as the copies of one
     :func:`dynamic._union` of at most about ``UNION_BITS`` points (at least
@@ -448,6 +463,7 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
     only then."""
     base = dynamic._layout(m)
     ext = [dynamic._ext(base, rep) for rep in reps]
+    fvars, avars = _schema_variables(schema)
     bindings = _Bindings(avars, fvars, sorted(m.agents), reps)
     per_union = max(1, UNION_BITS // base.width)
     for start in range(0, bindings.total, per_union):
@@ -460,23 +476,6 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula, fvars: list[str],
     return None
 
 
-def _schema_variables(schema: Formula) -> tuple[list[str], list[str]]:
-    """The formula and the agent metavariables of ``schema``, each sorted,
-    read in one walk over its nodes."""
-    fvars, avars = set(), set()
-    stack = [schema]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            if is_metavariable(f.name):
-                fvars.add(f.name)
-        else:
-            if isinstance(f, Know):
-                avars.add(f.agent)
-            stack.extend(map(f.__getattribute__, f._children))
-    return sorted(fvars), sorted(avars)
-
-
 def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Verdict:
     """Draw ``trials`` models; check every (deduplicated) schema instance at
     the root of every world.  First failure wins.
@@ -487,11 +486,9 @@ def test_validity(space: SchemaInstanceSpace, gen: GenParams, trials: int) -> Ve
     if trials < 0:
         raise ValueError(f"trials must be >= 0, not {trials}")
     search = (space.atoms, space.depth)
-    fvars, avars = _schema_variables(space.schema)
     for t in range(trials):
         m = random_model(gen, split_seed(gen.seed, t))
-        found = _first_counterexample(m, space.schema, fvars, avars,
-                                      _semantic_reps(m, search))
+        found = _first_counterexample(m, space.schema, _semantic_reps(m, search))
         if found is not None:
             return found
     return NoCounterexample(trials)

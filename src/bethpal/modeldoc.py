@@ -69,45 +69,34 @@ def _tokenize(text: str) -> list[str]:
     by a ``""`` marker.  A word is a letter or ``_`` followed by letters,
     digits and ``_``; any other character is refused, on its line.  Lines
     are not recorded: an error finds the line of its token with
-    :func:`_line`."""
+    :func:`_located`."""
     toks = _chunks(_COMMENT.sub("", text))
-    for t in set(toks):
-        if not (t in _PUNCT or (t[0].isalpha() or t[0] == "_")
-                and (t.replace("_", "") or "a").isalnum()):
-            _stray(text)
+    refused = {t for t in set(toks)
+               if not (t in _PUNCT or (t[0].isalpha() or t[0] == "_")
+                       and (t.replace("_", "") or "a").isalnum())}
+    if refused:
+        # The first refused chunk holds the first stray character: its first
+        # character, unless that starts a word, else its first non-word one.
+        lineno, t = next(chunk for chunk in _located(text) if chunk[1] in refused)
+        word = t[0].isalpha() or t[0] == "_"
+        c = next(c for c in t if not (c.isalnum() or c == "_")) if word else t[0]
+        raise DocumentError(f"stray character {c!r}", lineno)
     toks.append("")
     return toks
 
 
-# On the error path a line reads as runs of word characters and single other
-# characters: the first token that is neither punctuation nor a word that
-# starts with a letter or ``_`` begins with the stray character.
-_TOKEN = re.compile(r"\w+|\S")
-
-
-def _stray(text: str) -> NoReturn:
-    """Raise the error naming the first stray character of ``text`` and its
-    line; only a text that holds one is passed here."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        for t in _TOKEN.findall(_COMMENT.sub("", raw)):
-            if not (t[0].isalpha() or t[0] == "_" or t in _PUNCT):
-                raise DocumentError(f"stray character {t[0]!r}", lineno)
-    raise AssertionError("no stray character")
+def _located(text: str) -> list[tuple[int, str]]:
+    """Each chunk of ``text`` outside comments, in order, with its line;
+    only errors ask for lines."""
+    return [(lineno, t) for lineno, raw in enumerate(text.splitlines(), start=1)
+            for t in _chunks(_COMMENT.sub("", raw))]
 
 
 def _line(text: str, k: int) -> int:
     """The line of token ``k`` of ``_tokenize(text)``; the end marker is on
-    the line of the last token, or on line 1 if there is none.  Only errors
-    ask for a line."""
-    line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        n = len(_chunks(_COMMENT.sub("", raw)))
-        if n:
-            if k < n:
-                return lineno
-            k -= n
-            line = lineno
-    return line
+    the line of the last token, or on line 1 if there is none."""
+    located = _located(text)
+    return located[min(k, len(located) - 1)][0] if located else 1
 
 
 def _fail(text: str, toks: list[str], k: int, what: str) -> NoReturn:
@@ -152,7 +141,12 @@ def parse_model_document(text: str) -> BethKripkeModel:
             if toks[i] != ":":
                 _fail(text, toks, i, "':'")
             i += 1
-            if toks[i] in ("", "world", "access"):
+            # ``world`` or ``access`` here starts the next statement, unless a
+            # comma or a statement head follows it: then it names an agent.
+            after = toks[i + 1:i + 4]
+            if toks[i] in ("", "world", "access") and not (
+                    after[:1] == [","] or len(after) == 3 and after[1] not in _PUNCT
+                    and (after[0], after[2]) in (("world", "{"), ("access", ":"))):
                 agents = []
             else:
                 agents, i = _names(text, toks, i, "agent name")

@@ -674,8 +674,7 @@ class TestFreedByReferenceCounting:
 
         def use(m):
             found = lab._first_counterexample(
-                m, schema, *lab._schema_variables(schema),
-                lab._semantic_reps(m, (("p", "q"), 1)))
+                m, schema, lab._semantic_reps(m, (("p", "q"), 1)))
             assert found is not None and found.model is m
 
         assert self.freed(lambda: random_model(GenParams(seed=split_seed(7, 0), s5=False)), use)

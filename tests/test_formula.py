@@ -60,7 +60,7 @@ class TestParsing:
 
     def test_uppercase_is_metavariable(self):
         f = parse_formula("X -> Y -> X")
-        assert lab._schema_variables(f) == (["X", "Y"], [])
+        assert lab._schema_variables(f) == (("X", "Y"), ())
 
     def test_stray_character(self):
         with pytest.raises(UnknownToken):
@@ -247,7 +247,7 @@ class TestAttributes:
 
     def test_atom_and_agent_names(self):
         f = parse_formula("K{a}(X -> q) & [Y]K{b}X")
-        assert lab._schema_variables(f) == (["X", "Y"], ["a", "b"])
+        assert lab._schema_variables(f) == (("X", "Y"), ("a", "b"))
 
     def test_is_metavariable(self):
         assert is_metavariable("X")

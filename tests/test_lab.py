@@ -170,7 +170,7 @@ class TestGenerators:
                 f = random_formula(rng, 3, ("p", "q"), agents, allow_announce=seed % 2 == 1)
                 _, avars = lab._schema_variables(f)
                 if not agents:
-                    assert avars == [], (seed, f)
+                    assert avars == (), (seed, f)
                 drawn.update(avars)
         assert drawn == {"a", "b"}
 
@@ -303,6 +303,17 @@ class TestValidityTrials:
                             lambda *args, **kwargs: lab.dynamic.EvalResult(True))
         assert verdict.verify()
         assert not Counterexample(verdict.model, verdict.world, TOP).verify()
+
+    def test_schema_variables_are_read_once_per_schema(self):
+        # Every trial binds the schema's metavariables; a bounded memo reads
+        # them on the first trial of the first run only.
+        assert lab._schema_variables.cache_info().maxsize is not None
+        space = SchemaInstanceSpace(parse_formula("K{i}X -> X"))
+        lab._schema_variables.cache_clear()
+        for _ in range(2):
+            assert lab.test_validity(space, GenParams(seed=5), 3) == NoCounterexample(3)
+        info = lab._schema_variables.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
 
     def test_counterexample_is_replayable(self):
         verdict = lab.test_validity(
@@ -472,7 +483,6 @@ class TestUnionWidth:
         """The first failing (world, instance) of each of 60 trial models,
         with ``UNION_BITS`` set to ``bits(P)`` for a model of P points, and
         the copy counts of the unions built for each model."""
-        fvars, avars = lab._schema_variables(schema)
         found, copies = [], []
 
         union = lab.dynamic._union
@@ -487,8 +497,7 @@ class TestUnionWidth:
                 m = random_model(GenParams(seed=split_seed(9, t), s5=s5))
                 mp.setattr(lab, "UNION_BITS", bits(lab.dynamic._layout(m).width))
                 copies.append([])
-                v = lab._first_counterexample(m, schema, fvars, avars,
-                                              lab._semantic_reps(m, (("p", "q"), 1)))
+                v = lab._first_counterexample(m, schema, lab._semantic_reps(m, (("p", "q"), 1)))
                 found.append(v and (v.world, v.instance))
         return found, copies
 
@@ -534,8 +543,7 @@ class TestUnionWidth:
         monkeypatch.setattr(lab.dynamic, "_union", measured)
         schema = SCHEMAS["A2"].pattern
         assert lab._first_counterexample(
-            m, schema, *lab._schema_variables(schema),
-            lab._semantic_reps(m, (("p", "q"), 1))) is None
+            m, schema, lab._semantic_reps(m, (("p", "q"), 1))) is None
         assert widths and max(widths) <= lab.UNION_BITS + size
 
 
@@ -610,7 +618,7 @@ class TestBindingRuns:
 
         monkeypatch.setattr(lab.dynamic, "_union", recorded)
         monkeypatch.setattr(lab, "UNION_BITS", per_union * base.width)
-        assert lab._first_counterexample(m, schema, fvars, avars, reps) is None
+        assert lab._first_counterexample(m, schema, reps) is None
         assert len(unions) == -(-bindings.total // per_union) > 1
         left_out = 0
         for k, pts in enumerate(unions):
@@ -636,7 +644,7 @@ class TestBindingRuns:
             nodes = list(subformulas(f))
             fvars = sorted({g.name for g in nodes if isinstance(g, Atom) and is_metavariable(g.name)})
             avars = sorted({g.agent for g in nodes if isinstance(g, Know)})
-            assert lab._schema_variables(f) == (fvars, avars), f
+            assert lab._schema_variables(f) == (tuple(fvars), tuple(avars)), f
             both += bool(avars) and len(fvars) == 2
         assert both
 

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bethpal import modeldoc
 from bethpal.beth import NonMonotoneValuation, validate_beth
 from bethpal.cli import main
+from bethpal.dynamic import BethKripkeModel
 from bethpal.lab import GenParams, random_model, split_seed
 from bethpal.modeldoc import (
     MAX_DOCUMENT_NODES, DocumentError, model_digest, parse_model_document,
@@ -191,6 +194,12 @@ class TestErrorLines:
         ("agents:\nworld s { root: n1%; nodes: n1; }", 2, "stray character '%'"),
         ("agents:\nworld s { root: a;\n nodes: a, 1a; }", 3, "stray character '1'"),
         ("\ufeffagents:\n" + WORLD, 1, "stray character '\\ufeff'"),
+        # Inside one chunk: the stray character after a word's first
+        # character, a word character that cannot start a word, and a
+        # combining mark after a letter.
+        ("agents:\nworld s { root: ab$c; nodes: a; }", 2, "stray character '$'"),
+        ("agents:\n" + WORLD + "\naccess 1ab: (s, s)", 3, "stray character '1'"),
+        ("agents: a\u0301\n" + WORLD, 1, "stray character '\u0301'"),
         # x² is a word: the error comes after it.
         ("agents: x²\nworld s { root: x²; nodes: x²; }\naccess x²: (s, t)", 3,
          "access pair names unknown world 't'"),
@@ -340,6 +349,38 @@ class TestSerialization:
             m = random_model(GenParams(seed=split_seed(17, t)))
             doc = serialize_model(m)
             assert serialize_model(parse_model_document(doc)) == doc
+
+    def test_agents_named_like_statements_round_trip(self):
+        # An agent list may start with ``world`` or ``access``, and a world
+        # may be named ``world``: the agents line is followed by that world.
+        names = ("world", "access", "agents", "b")
+        w = validate_beth(["r", "x"], [("r", "x")], "r", {"x": {"p"}})
+        for worlds in (("world",), ("s", "world"), ("access", "world")):
+            for k in range(len(names) + 1):
+                for agents in itertools.combinations(names, k):
+                    access = {a: [(s, s) for s in worlds] for a in agents[::2]}
+                    m = BethKripkeModel(dict.fromkeys(worlds, w), agents, access)
+                    doc = serialize_model(m)
+                    again = parse_model_document(doc)
+                    assert again.agents == frozenset(agents), doc
+                    assert serialize_model(again) == doc
+
+    @pytest.mark.parametrize("text, agents", [
+        ("agents: world\nworld world { root: a; nodes: a; }", {"world"}),
+        ("agents:\nworld world { root: a; nodes: a; }", set()),
+        ("agents: access\n" + WORLD + "\naccess access: (s, s)", {"access"}),
+        ("agents:\n" + WORLD, set()),
+        ("agents: access, world\n" + WORLD, {"access", "world"}),
+    ])
+    def test_agent_or_statement(self, text, agents):
+        assert parse_model_document(text).agents == agents
+
+    def test_cli_announce_then_check(self, tmp_path):
+        doc, out = tmp_path / "zz.model", tmp_path / "out.model"
+        doc.write_text("agents: zz, access\n" + WORLD + "\naccess zz: (s, s)\n")
+        assert main(["announce", str(doc), "top", "--out", str(out)]) == 0
+        assert out.read_text().startswith("agents: access, zz\n")
+        assert main(["check", str(out), "s", "top"]) == 0
 
     def test_serializer_emits_covering_edges_only(self):
         doc = serialize_model(parse_model_document(
