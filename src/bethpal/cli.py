@@ -157,7 +157,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(asdict(result))
     elif result.accepted:
-        print(f"accepted: {print_formula(script.goal)}")
+        print(f"accepted: {result.goal}")
     else:
         print(f"rejected at line {result.line}: {result.reason}")
     return 0 if result.accepted else 1

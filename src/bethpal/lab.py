@@ -74,6 +74,9 @@ class GenParams:
 _NODE_NAMES = tuple(f"m{i}" for i in range(MAX_NODES_PER_WORLD))
 """The name of the node :func:`random_beth` draws i-th."""
 
+_WORLD_NAMES = tuple(f"w{i}" for i in range(MAX_WORLDS))
+"""The name of the world :func:`random_model` draws i-th."""
+
 
 @functools.lru_cache(maxsize=64)
 def _drawn_order(n: int) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
@@ -153,7 +156,7 @@ def random_model(p: GenParams, seed: Optional[int] = None) -> BethKripkeModel:
     rng = random.Random(p.seed if seed is None else seed)
     atoms = ATOM_NAMES[:p.atom_count]
     agents = AGENT_NAMES[:p.num_agents]
-    world_names = [f"w{i}" for i in range(rng.randint(1, p.max_worlds))]
+    world_names = _WORLD_NAMES[:rng.randint(1, p.max_worlds)]
     worlds = {name: random_beth(rng, p.max_nodes_per_world, atoms) for name in world_names}
     access: dict[str, frozenset[tuple[str, str]]] = {}
     for agent in agents:
@@ -367,13 +370,27 @@ operators, so a pass costs about linearly in its width; a union holds at
 least one copy, whatever the model's size."""
 
 
-def _digit_copies(start: int, count: int, run: int, radix: int, width: int) -> dict[int, int]:
+DIGIT_CACHE_SIZE = 1024
+"""Digit shapes :func:`_digit_copies` remembers.  A ``lab-axioms`` round asks
+for 141 shapes and ``axioms --trials 500`` for 497."""
+
+BINDINGS_CACHE_SIZE = 64
+"""Binding numberings :func:`_bindings` remembers.  A ``lab-axioms`` round
+numbers 28 and ``axioms --trials 500`` 56."""
+
+
+@functools.lru_cache(maxsize=DIGIT_CACHE_SIZE)
+def _digit_copies(start: int, count: int, run: int, radix: int,
+                  width: int) -> tuple[tuple[int, int], ...]:
     """Each value that a digit of run ``run`` and radix ``radix`` takes on
     the bindings ``start`` to ``start + count - 1``, with the copies taking
     it: bit b·``width`` for binding ``start + b``.  The masks are sums of
     the runs that meet the bindings, over at most one cycle of ``radix``
     runs, repeated by one multiply; a run is the copies from its first
-    binding on less those from the next run's."""
+    binding on less those from the next run's.
+
+    The pairs depend on the digit's shape alone, never on a model's
+    labels, so they are memoized, as a tuple that no caller can change."""
     span = min(count, run * radix)
     ones = dynamic._spread(span, width)
     copies: dict[int, int] = {}
@@ -386,8 +403,8 @@ def _digit_copies(start: int, count: int, run: int, radix: int, width: int) -> d
     if count > span:
         repeat = dynamic._spread(-(-count // span), span * width)
         low = (1 << count * width) - 1
-        copies = {digit: mask * repeat & low for digit, mask in copies.items()}
-    return copies
+        return tuple((digit, mask * repeat & low) for digit, mask in copies.items())
+    return tuple(copies.items())
 
 
 class _Bindings:
@@ -431,12 +448,20 @@ class _Bindings:
         leaves: dict[str, int] = {}
         knows: dict[str, dict[str, int]] = {}
         for v, run, values in self.digits:
-            copies = _digit_copies(start, count, run, len(values), width).items()
+            copies = _digit_copies(start, count, run, len(values), width)
             if values is self.reps:     # a formula digit
                 leaves[v] = sum(ext[k] * mask for k, mask in copies)
             else:
                 knows[v] = {values[k]: mask for k, mask in copies}
         return leaves, knows
+
+
+@functools.lru_cache(maxsize=BINDINGS_CACHE_SIZE)
+def _bindings(avars: tuple[str, ...], fvars: tuple[str, ...], agents: tuple[str, ...],
+              reps: tuple[Formula, ...]) -> _Bindings:
+    """The :class:`_Bindings` of its arguments, numbered once: the numbering
+    depends on the metavariables and the values alone."""
+    return _Bindings(avars, fvars, agents, reps)
 
 
 @functools.lru_cache(maxsize=64)
@@ -464,7 +489,7 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula,
     base = dynamic._layout(m)
     ext = [dynamic._ext(base, rep) for rep in reps]
     fvars, avars = _schema_variables(schema)
-    bindings = _Bindings(avars, fvars, sorted(m.agents), reps)
+    bindings = _bindings(avars, fvars, tuple(sorted(m.agents)), tuple(reps))
     per_union = max(1, UNION_BITS // base.width)
     for start in range(0, bindings.total, per_union):
         count = min(per_union, bindings.total - start)

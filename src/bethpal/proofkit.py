@@ -110,9 +110,12 @@ class ProofScript:
 
 @dataclass(frozen=True)
 class ProofResult:
+    """A rejection names the first offending line and why; an acceptance
+    names the goal proved, in printed form."""
     accepted: bool
     line: Optional[int] = None
     reason: Optional[str] = None
+    goal: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -250,4 +253,4 @@ def check_proof(script: ProofScript) -> ProofResult:
         proved[line.index] = line.formula
     if script.lines[-1].formula != script.goal:
         return ProofResult(False, script.lines[-1].index, "last line does not match the goal")
-    return ProofResult(True)
+    return ProofResult(True, goal=print_formula(script.goal))

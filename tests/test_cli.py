@@ -435,14 +435,28 @@ class TestProve:
         out = capsys.readouterr().out
         assert "rejected at line 2" in out
 
-    @pytest.mark.parametrize("name, code, accepted, line, reason", [
-        ("nec_factivity.pf", 0, True, None, None),
-        ("broken_forward_reference.pf", 1, False, 2, "cited index not smaller"),
+    @pytest.mark.parametrize("name, code, accepted, line, reason, goal", [
+        ("nec_factivity.pf", 0, True, None, None, "K{a} (K{a} p -> p)"),
+        ("a2_chain.pf", 0, True, None, None, "r -> K{a} p & K{a} (p -> q) -> K{a} q"),
+        ("broken_forward_reference.pf", 1, False, 2, "cited index not smaller", None),
     ])
-    def test_json(self, capsys, name, code, accepted, line, reason):
+    def test_json(self, capsys, name, code, accepted, line, reason, goal):
         assert main(["--format", "json", "prove", str(PROOF_DIR / name)]) == code
         assert capsys.readouterr().out == json.dumps(
-            {"accepted": accepted, "line": line, "reason": reason}, indent=2) + "\n"
+            {"accepted": accepted, "line": line, "reason": reason, "goal": goal},
+            indent=2) + "\n"
+
+    def test_json_names_what_was_proved(self, capsys):
+        """Every accepted script proves its own goal, so no two print the
+        same JSON."""
+        outputs = []
+        for script in sorted(PROOF_DIR.glob("*.pf")):
+            if main(["--format", "json", "prove", str(script)]) == 0:
+                outputs.append(capsys.readouterr().out)
+            else:
+                capsys.readouterr()
+        assert len(outputs) == 12
+        assert len(set(outputs)) == len(outputs)
 
     def test_malformed_script_exits_two(self, tmp_path):
         bad = tmp_path / "bad.pf"

@@ -649,6 +649,83 @@ class TestBindingRuns:
         assert both
 
 
+class TestMaskMemos:
+    """A union's digit copies and binding numberings are memoized on their
+    shapes: whatever the memos hold, every trial gets the masks it would
+    build afresh, and the memos stay within their bounds."""
+
+    MEMOS = (lab._digit_copies, lab._bindings)
+
+    @staticmethod
+    def verdicts(memo):
+        """The verdict of one trial per seed 0-49 and schema A2-A6, on S5
+        and non-S5 models of 1-3 agents (every pairing over six seeds).  The
+        memos are bypassed if ``memo`` is "none", cleared before every trial
+        if it is "cold", and left as they are if it is "warm"."""
+        found = []
+        with pytest.MonkeyPatch.context() as mp:
+            if memo == "none":
+                for f in TestMaskMemos.MEMOS:
+                    mp.setattr(lab, f.__wrapped__.__name__, f.__wrapped__)
+            for seed in range(50):
+                gen = GenParams(seed=seed, num_agents=1 + seed % 3, s5=seed % 6 < 3)
+                for sid in ("A2", "A3", "A4", "A5", "A6"):
+                    if memo == "cold":
+                        for f in TestMaskMemos.MEMOS:
+                            f.cache_clear()
+                    v = lab.test_validity(SchemaInstanceSpace(SCHEMAS[sid].pattern), gen, 1)
+                    found.append(v if isinstance(v, NoCounterexample)
+                                 else (model_digest(v.model), v.world, v.instance))
+        return found
+
+    @pytest.mark.parametrize("bits", [lab.UNION_BITS, 16, 45])
+    def test_memos_change_no_verdict(self, bits, monkeypatch):
+        # A few copies per union start most unions in the middle of a run.
+        monkeypatch.setattr(lab, "UNION_BITS", bits)
+        built = self.verdicts("none")
+        assert self.verdicts("cold") == built
+        assert self.verdicts("warm") == built
+        assert lab._digit_copies.cache_info().hits > len(built)  # the warm run read the memo
+        assert any(isinstance(v, NoCounterexample) for v in built)
+        assert not all(isinstance(v, NoCounterexample) for v in built)
+
+    def test_memos_stay_within_their_bounds(self):
+        # A 200-world model at depth 2: every union starts elsewhere, and
+        # the digit memo misses far more often than it can hold.
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        space = SchemaInstanceSpace(SCHEMAS["A2"].pattern, depth=2)
+        assert lab.test_validity(space, GenParams(max_worlds=200, seed=3), 2) \
+            == NoCounterexample(2)
+        for memo, bound in zip(self.MEMOS, (lab.DIGIT_CACHE_SIZE, lab.BINDINGS_CACHE_SIZE)):
+            info = memo.cache_info()
+            assert info.maxsize == bound
+            assert info.currsize <= bound
+        assert lab._digit_copies.cache_info().misses > lab.DIGIT_CACHE_SIZE
+
+    def test_copies_cannot_be_changed(self):
+        copies = lab._digit_copies(3, 5, 2, 3, 4)
+        assert isinstance(copies, tuple) and all(isinstance(c, tuple) for c in copies)
+        assert lab._digit_copies(3, 5, 2, 3, 4) is copies
+
+    @pytest.mark.parametrize("start, values", [(0, 1), (7, 1), (10 ** 6 - 1, 2)])
+    def test_a_long_run_builds_no_run(self, start, values):
+        """A union of three copies meets at most two runs of a digit whose
+        run is 10**6 bindings; building its copies takes a few masks of the
+        union's width, not a mask of a run's (about 37 MB at 300 points a
+        copy)."""
+        build = lab._digit_copies.__wrapped__
+        tracemalloc.start()
+        try:
+            copies = build(start, 3, 10 ** 6, 6, 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [value for value, _ in copies] == list(range(values))
+        assert sum(mask for _, mask in copies) == lab.dynamic._spread(3, 300)
+        assert peak < 32 * 1024
+
+
 class TestNegativeBounds:
     """A negative depth or trial count is an error, not a vacuous verdict."""
 
