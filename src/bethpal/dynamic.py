@@ -119,14 +119,22 @@ class _Points:
     ``width`` points repeated over the copies in ``spread``: copy b holds
     bits b·width to b·width + width - 1, and bit b·width of ``spread`` is
     set.  A model's own layout is one copy (``spread == 1``).  Only leaf
-    points are ever set.  It refers to no model, so it keeps none alive."""
+    points are ever set.  It refers to no model, so it keeps none alive.
+
+    ``knows`` gives each agent a list of (``copies``, ``low``, pairs): the
+    copies reading the pairs, those copies times the bits below a field's
+    top one (the carry mask of :meth:`empty`), and one (worlds' leaves,
+    their successors' leaves) pair per distinct successor set, the
+    successors' leaves in every copy of ``spread`` and the worlds' leaves
+    in the base.  They are spread when the layout is built, so the K
+    clause multiplies no pair."""
 
     def __init__(self, width: int, spread: int, world: dict, atoms: dict, knows: dict):
         self.width = width      # the base's point count
         self.spread = spread
         self.world = world      # the world's leaves in the base; the worlds hold consecutive points
         self.atoms = atoms      # leaves carrying the atom, in every copy
-        self.knows = knows      # agent -> [(copies, [(worlds' leaves, their successors' leaves)])]
+        self.knows = knows      # agent -> [(copies, low, [(worlds' leaves, their successors' leaves)])]
         self.all = sum(world.values()) * spread
         self.labels: dict[tuple[Optional[int], Formula], int] = {}
 
@@ -150,18 +158,20 @@ def _lay_out(worlds: Mapping[str, BethModel], access: Mapping) -> _Points:
             for atom in w.val[w.node_order[i]]:
                 atoms[atom] = atoms.get(atom, 0) | 1 << size + i
         size += len(w.node_order)
-    return _Points(size, 1, world, atoms, _Knows(world, access))
+    return _Points(size, 1, world, atoms, _Knows(size, world, access))
 
 
 class _Knows(dict):
-    """The K masks of a layout's ``world`` masks under the relations
-    ``access``, built per agent on first read: one pair per distinct
-    successor set (one per block of an equivalence), in the one copy."""
+    """The K masks of a layout of ``width`` points with the ``world`` masks
+    under the relations ``access``, built per agent on first read: one pair
+    per distinct successor set (one per block of an equivalence), in the
+    one copy (see :class:`_Points`)."""
 
-    def __init__(self, world: dict, access: Mapping):
+    def __init__(self, width: int, world: dict, access: Mapping):
+        self.low = ((1 << width) - 1) >> 1     # the bits below the top one
         self.world, self.access = world, access
 
-    def __missing__(self, agent: str) -> list[tuple[int, list[tuple[int, int]]]]:
+    def __missing__(self, agent: str) -> list[tuple[int, int, list[tuple[int, int]]]]:
         if agent not in self.access:
             raise UnknownAgent(agent)
         succ = dict.fromkeys(self.world, 0)
@@ -170,7 +180,7 @@ class _Knows(dict):
         owners: dict[int, int] = {}      # successors' leaves -> the worlds' leaves
         for s, leaves in succ.items():
             owners[leaves] = owners.get(leaves, 0) | self.world[s]
-        masks = self[agent] = [(1, [(own, leaves) for leaves, own in owners.items()])]
+        masks = self[agent] = [(1, self.low, [(own, leaves) for leaves, own in owners.items()])]
         return masks
 
 
@@ -201,7 +211,9 @@ def _union(base: _Points, copies: int, leaves: Mapping[str, int],
     holding on the leaves ``leaves[X]``, over every copy, and agent
     metavariable i an agent with the K masks of agent a in the copies
     ``agents[i][a]`` (bit b·``base.width`` for copy b; an agent no copy
-    chooses is left out).  The atoms of ``base`` hold in every copy.
+    chooses is left out).  The atoms of ``base`` hold in every copy, and the
+    K pairs of each chosen agent are spread over the copies once, whichever
+    metavariables choose it.
 
     K reads pairs within a copy and an update keeps or drops each world on
     its own, so copy b of a schema's extension is the extension of its
@@ -212,8 +224,10 @@ def _union(base: _Points, copies: int, leaves: Mapping[str, int],
     spread = _spread(copies, width)
     atoms = {atom: mask * spread for atom, mask in base.atoms.items()}
     atoms.update(leaves)
-    knows = {var: [(copies_a, pairs) for agent, copies_a in choosing.items()
-                   for _, pairs in base.knows[agent]]
+    pairs = {agent: [(own, succ * spread) for _, _, one in base.knows[agent] for own, succ in one]
+             for agent in set().union(*agents.values())}
+    low = ((1 << width) - 1) >> 1
+    knows = {var: [(copies, copies * low, pairs[agent]) for agent, copies in choosing.items()]
              for var, choosing in agents.items()}
     return _Points(width, spread, base.world, atoms, knows)
 
@@ -260,10 +274,15 @@ def _label(pts: _Points, f: Formula, alive: Optional[int]) -> int:
         case Neg(x):
             return live & ~_ext(pts, x, alive)
         case Know(agent, body):
-            # A world knows the body in the copies where no successor misses it.
+            # A world knows the body in the copies where no successor misses
+            # it: the copies whose field of x is empty (see _Points.empty).
             missing = live & ~_ext(pts, body, alive)
-            return live & sum(own * pts.empty(missing & succ * pts.spread, copies)
-                              for copies, pairs in pts.knows[agent] for own, succ in pairs)
+            top, holds = pts.width - 1, 0
+            for copies, low, pairs in pts.knows[agent]:
+                for own, succ in pairs:
+                    x = missing & succ
+                    holds |= own * (copies & ~(((x & low) + low | x) >> top))
+            return live & holds
         case Announce(ann, body) | Diamond(ann, body):
             # A world without kept leaves is dropped, where [φ] holds and <φ>
             # does not; a kept world's updated root forces the body when

@@ -71,20 +71,29 @@ class GenParams:
                              f"{len(AGENT_NAMES)} agents can be named")
 
 
-_NODE_NAMES = tuple(f"m{i}" for i in range(MAX_NODES_PER_WORLD))
-"""The name of the node :func:`random_beth` draws i-th."""
+@functools.lru_cache(maxsize=1)
+def _node_names() -> tuple[str, ...]:
+    """The name of the node :func:`random_beth` draws i-th, for every i it
+    may draw; built on the first draw, so a command that draws no model
+    holds no table."""
+    return tuple(f"m{i}" for i in range(MAX_NODES_PER_WORLD))
 
-_WORLD_NAMES = tuple(f"w{i}" for i in range(MAX_WORLDS))
-"""The name of the world :func:`random_model` draws i-th."""
+
+@functools.lru_cache(maxsize=1)
+def _world_names() -> tuple[str, ...]:
+    """The name of the world :func:`random_model` draws i-th, for every i
+    it may draw; built on the first draw, like :func:`_node_names`."""
+    return tuple(f"w{i}" for i in range(MAX_WORLDS))
 
 
 @functools.lru_cache(maxsize=64)
 def _drawn_order(n: int) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
     """The sorted names of n drawn nodes, each drawn node's position among
     them (sorting puts m10 before m2), and the index of the names."""
-    nodes = tuple(sorted(_NODE_NAMES[:n]))
+    drawn = _node_names()[:n]
+    nodes = tuple(sorted(drawn))
     index = {a: i for i, a in enumerate(nodes)}
-    return nodes, tuple(index[a] for a in _NODE_NAMES[:n]), index
+    return nodes, tuple(index[a] for a in drawn), index
 
 
 @functools.lru_cache(maxsize=len(ATOM_NAMES))
@@ -156,7 +165,7 @@ def random_model(p: GenParams, seed: Optional[int] = None) -> BethKripkeModel:
     rng = random.Random(p.seed if seed is None else seed)
     atoms = ATOM_NAMES[:p.atom_count]
     agents = AGENT_NAMES[:p.num_agents]
-    world_names = _WORLD_NAMES[:rng.randint(1, p.max_worlds)]
+    world_names = _world_names()[:rng.randint(1, p.max_worlds)]
     worlds = {name: random_beth(rng, p.max_nodes_per_world, atoms) for name in world_names}
     access: dict[str, frozenset[tuple[str, str]]] = {}
     for agent in agents:
@@ -336,30 +345,74 @@ def _semantic_reps(m: BethKripkeModel,
     only on the set of distinct leaf valuations restricted to ``atoms``, and
     are searched once per atoms, depth and set (see :func:`_classes`).
 
+    The set is read off the atom masks of the model's layout, as codes: a
+    leaf's code has bit k set iff it carries ``atoms[k]``.  Splitting the
+    leaves by each atom's mask in turn leaves one nonempty part per code
+    present, and the set is the int with those codes' bits set.  A
+    representative holds on the parts of the codes whose valuations it
+    holds on, so its leaves on the layout are read off the parts too, and
+    returned with it (see :class:`_Reps`).
+
     Sound in every context, announcements included: a node survives an
     update only if some leaf above it survives, and an update never creates
     a leaf.  A propositional instance's extension in any updated model is
     therefore fixed by its classical values at the original leaves, which
     formulas of one class share."""
     atoms, depth = search
-    keep = frozenset(atoms)
-    valuations = frozenset(w.val[leaf] & keep for w in m.worlds.values()
-                           for leaf in w.names(w.leaf_mask))
-    return list(_classes(atoms, depth, valuations))
+    pts = dynamic._layout(m)
+    parts = {0: pts.all}     # code so far -> the leaves with it
+    bit = 1
+    for atom in atoms:
+        carry = pts.atoms.get(atom, 0)
+        split = {}
+        for code, leaves in parts.items():
+            if leaves & ~carry:
+                split[code] = leaves & ~carry
+            if leaves & carry:
+                split[code | bit] = leaves & carry
+        parts, bit = split, bit << 1
+    reps, holders = _classes(atoms, depth, sum(1 << code for code in parts))
+    ext = [0] * len(reps)
+    for code, holding in holders:
+        for k in holding:
+            ext[k] |= parts[code]
+    return _Reps(reps, pts, ext)
+
+
+class _Reps(list):
+    """The representatives :func:`_semantic_reps` returns: a list of
+    formulas that also keeps ``ext``, the leaves of the layout ``pts``
+    forcing each, so that :func:`_first_counterexample` need not label
+    them again.  A filtered copy is a plain list, whose representatives
+    are labeled; editing this list in place would leave ``ext`` behind."""
+
+    def __init__(self, reps: Iterable[Formula], pts: dynamic._Points, ext: list[int]):
+        super().__init__(reps)
+        self.pts, self.ext = pts, ext
 
 
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
-def _classes(atoms: tuple[str, ...], depth: int,
-             valuations: frozenset[frozenset[str]]) -> tuple[Formula, ...]:
+def _classes(atoms: tuple[str, ...], depth: int, codes: int
+             ) -> tuple[tuple[Formula, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
     """The first formula of each class on the valuation model: one world, a
-    root below one leaf per valuation (sorted), where a leaf separates two
-    formulas iff its valuation does.  A connective's extension depends only
-    on its arguments' extensions, so the class search meets the same first
-    formulas as a sweep of :func:`propositional_pool`."""
-    leaves = [f"v{i}" for i in range(len(valuations))]
+    root below one leaf per valuation, where a leaf separates two formulas
+    iff its valuation does.  The valuations are those of the codes whose
+    bits ``codes`` sets (see :func:`_semantic_reps`), sorted.  A
+    connective's extension depends only on its arguments' extensions, so
+    the class search meets the same first formulas as a sweep of
+    :func:`propositional_pool`.  With the formulas come, for each code, the
+    indices of those holding on its valuation."""
+    valuation = {code: frozenset(a for k, a in enumerate(atoms) if code >> k & 1)
+                 for code in beth._bits(codes)}
+    order = sorted(valuation.values(), key=sorted)
+    leaves = [f"v{i}" for i in range(len(order))]
     world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
-                          dict(zip(leaves, sorted(valuations, key=sorted))))
-    return tuple(fingerprint_classes(lambda f: dynamic.leaf_extension(world, f), atoms, depth))
+                          dict(zip(leaves, order)))
+    reps = tuple(fingerprint_classes(lambda f: dynamic.leaf_extension(world, f), atoms, depth))
+    ext = [dynamic.leaf_extension(world, f) for f in reps]
+    leaf = {v: 1 << world.index[name] for v, name in zip(order, leaves)}
+    return reps, tuple((code, tuple(k for k, mask in enumerate(ext) if mask & leaf[v]))
+                       for code, v in valuation.items())
 
 
 UNION_BITS = 1024
@@ -372,11 +425,13 @@ least one copy, whatever the model's size."""
 
 DIGIT_CACHE_SIZE = 1024
 """Digit shapes :func:`_digit_copies` remembers.  A ``lab-axioms`` round asks
-for 141 shapes and ``axioms --trials 500`` for 497."""
+for 141 shapes and ``axioms --trials 500`` for 477; ``axioms --schema A2
+--depth 2 --trials 5 --max-worlds 200 --agents 6`` asks for 3,465, more
+than it holds."""
 
 BINDINGS_CACHE_SIZE = 64
 """Binding numberings :func:`_bindings` remembers.  A ``lab-axioms`` round
-numbers 28 and ``axioms --trials 500`` 56."""
+numbers 8 and ``axioms --trials 500`` 16."""
 
 
 @functools.lru_cache(maxsize=DIGIT_CACHE_SIZE)
@@ -390,7 +445,11 @@ def _digit_copies(start: int, count: int, run: int, radix: int,
     binding on less those from the next run's.
 
     The pairs depend on the digit's shape alone, never on a model's
-    labels, so they are memoized, as a tuple that no caller can change."""
+    labels, so they are memoized, as a tuple that no caller can change.
+    They depend on ``start`` only through ``start % run`` and ``start //
+    run % radix``, so :meth:`_Bindings.masks` passes ``start % (run *
+    radix)``, and unions that start at the same place in the digit's cycle
+    share an entry."""
     span = min(count, run * radix)
     ones = dynamic._spread(span, width)
     copies: dict[int, int] = {}
@@ -413,28 +472,24 @@ class _Bindings:
     of ``itertools.product(product(agents, ...), product(reps, ...))``.
     Binding t, for t < ``total``, is a mixed-radix number, the agent digits
     first, then the formula digits: ``digits`` lists each metavariable with
-    its digit's run and values, and binding t gives it ``values[t // run %
-    len(values)]``: a formula or an agent name.  Only :meth:`binding`, which
-    decodes a failing binding, wraps an agent name in the atom that names
-    it."""
+    its digit's run and radix and whether it binds a formula, and binding t
+    gives it value ``t // run % radix`` of ``reps`` or ``agents``: a formula
+    or an agent name.  The numbering depends on the metavariables and the
+    numbers of values alone, so it comes from :func:`_bindings`.  Only
+    :meth:`binding`, which decodes a failing binding, wraps an agent name in
+    the atom that names it."""
 
     def __init__(self, avars: Sequence[str], fvars: Sequence[str],
                  agents: Sequence[str], reps: Sequence[Formula]):
-        self.reps = reps
-        self.digits: list[tuple[str, int, Sequence[Union[str, Formula]]]] = []
-        run = 1
-        for v, values in reversed([(v, agents) for v in avars] + [(v, reps) for v in fvars]):
-            self.digits.append((v, run, values))
-            run *= len(values)
-        self.digits.reverse()
-        self.total = run
+        self.agents, self.reps = agents, reps
+        self.digits, self.total = _bindings(tuple(avars), tuple(fvars), tuple(agents), len(reps))
 
     def binding(self, t: int) -> dict[str, Formula]:
         """Binding ``t``, agents bound to the atoms naming them."""
         binding: dict[str, Formula] = {}
-        for v, run, values in self.digits:
-            value = values[t // run % len(values)]
-            binding[v] = value if values is self.reps else Atom(value)
+        for v, run, radix, formula in self.digits:
+            k = t // run % radix
+            binding[v] = self.reps[k] if formula else Atom(self.agents[k])
         return binding
 
     def masks(self, ext: Sequence[int], width: int, start: int,
@@ -447,21 +502,29 @@ class _Bindings:
         chooses."""
         leaves: dict[str, int] = {}
         knows: dict[str, dict[str, int]] = {}
-        for v, run, values in self.digits:
-            copies = _digit_copies(start, count, run, len(values), width)
-            if values is self.reps:     # a formula digit
+        for v, run, radix, formula in self.digits:
+            copies = _digit_copies(start % (run * radix), count, run, radix, width)
+            if formula:
                 leaves[v] = sum(ext[k] * mask for k, mask in copies)
             else:
-                knows[v] = {values[k]: mask for k, mask in copies}
+                knows[v] = {self.agents[k]: mask for k, mask in copies}
         return leaves, knows
 
 
 @functools.lru_cache(maxsize=BINDINGS_CACHE_SIZE)
 def _bindings(avars: tuple[str, ...], fvars: tuple[str, ...], agents: tuple[str, ...],
-              reps: tuple[Formula, ...]) -> _Bindings:
-    """The :class:`_Bindings` of its arguments, numbered once: the numbering
-    depends on the metavariables and the values alone."""
-    return _Bindings(avars, fvars, agents, reps)
+              reps: int) -> tuple[tuple[tuple[str, int, int, bool], ...], int]:
+    """The digits and the total of :class:`_Bindings` for ``reps``
+    representatives, numbered once: the numbering depends on the
+    metavariables and the numbers of values alone, so the key hashes no
+    formula."""
+    digits = []
+    run = 1
+    for v, radix, formula in reversed([(v, len(agents), False) for v in avars]
+                                      + [(v, reps, True) for v in fvars]):
+        digits.append((v, run, radix, formula))
+        run *= radix
+    return tuple(reversed(digits)), run
 
 
 @functools.lru_cache(maxsize=64)
@@ -485,11 +548,16 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula,
     :func:`dynamic._union` of at most about ``UNION_BITS`` points (at least
     one copy), built from the runs of each metavariable's digit; the
     failing binding is decoded from its number, and the instance is built
-    only then."""
+    only then.  The representatives' leaves come with them when
+    :func:`_semantic_reps` found them on this layout, and are labeled
+    otherwise."""
     base = dynamic._layout(m)
-    ext = [dynamic._ext(base, rep) for rep in reps]
+    if isinstance(reps, _Reps) and reps.pts is base:
+        ext = reps.ext
+    else:
+        ext = [dynamic._ext(base, rep) for rep in reps]
     fvars, avars = _schema_variables(schema)
-    bindings = _bindings(avars, fvars, tuple(sorted(m.agents)), tuple(reps))
+    bindings = _Bindings(avars, fvars, tuple(sorted(m.agents)), reps)
     per_union = max(1, UNION_BITS // base.width)
     for start in range(0, bindings.total, per_union):
         count = min(per_union, bindings.total - start)

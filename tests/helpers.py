@@ -43,6 +43,23 @@ def every_valuation_model(atoms):
     return BethKripkeModel({"w": world}, (), {})
 
 
+def reference_semantic_reps(m, search):
+    """``lab._semantic_reps`` as it read the leaf valuations through the
+    node names: the set of every leaf's atoms among ``atoms``, world by
+    world, and its classes searched afresh, uncached, on a root below one
+    leaf per valuation (sorted)."""
+    from bethpal.beth import fingerprint_classes, validate_beth
+    from bethpal.dynamic import leaf_extension
+    atoms, depth = search
+    keep = frozenset(atoms)
+    valuations = frozenset(w.val[leaf] & keep for w in m.worlds.values()
+                           for leaf in w.names(w.leaf_mask))
+    leaves = [f"v{i}" for i in range(len(valuations))]
+    world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
+                          dict(zip(leaves, sorted(valuations, key=sorted))))
+    return list(fingerprint_classes(lambda f: leaf_extension(world, f), atoms, depth))
+
+
 def per_copy_masks(width, columns, choices):
     """The masks of a union of model copies (see ``dynamic._union``), built
     one copy at a time: formula metavariable X holds on ``columns[X][b]``

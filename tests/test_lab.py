@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,9 @@ from bethpal.lab import (
 from bethpal.modeldoc import model_digest, serialize_model
 from bethpal.proofkit import SCHEMAS
 
-from helpers import every_valuation_model, per_copy_masks, reference_random_beth
+from helpers import (
+    every_valuation_model, per_copy_masks, reference_random_beth, reference_semantic_reps,
+)
 
 
 class TestGenerators:
@@ -63,6 +69,23 @@ class TestGenerators:
                 if isinstance(want, dict):
                     assert list(got) == list(want), (seed, name)
             assert rng.getstate() == ref_rng.getstate(), seed
+
+    def test_import_builds_no_name_table(self):
+        # The name tables are built on the first draw, in the process that
+        # draws; a fresh import of the lab has drawn nothing.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(lab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        code = ("import bethpal.lab as lab; print(lab._node_names.cache_info().misses, "
+                "lab._world_names.cache_info().misses)")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["0", "0"]
+
+    def test_name_tables_cover_the_bounds(self):
+        random_model(GenParams(seed=1))
+        assert lab._node_names() == tuple(f"m{i}" for i in range(lab.MAX_NODES_PER_WORLD))
+        assert lab._world_names() == tuple(f"w{i}" for i in range(lab.MAX_WORLDS))
+        assert lab._node_names.cache_info().currsize == lab._world_names.cache_info().currsize == 1
 
     def test_random_beth_models_own_their_index(self):
         rng = random.Random(0)
@@ -602,7 +625,9 @@ class TestBindingRuns:
     @pytest.mark.parametrize("per_union", [1, 2, 5])
     def test_unchosen_agents_are_left_out(self, per_union, monkeypatch):
         # Three agents, and unions of a few copies each: a union lists the
-        # K pairs of the agents its copies choose, and of no other.
+        # K pairs of the agents its copies choose, and of no other, each
+        # pair's successors spread over the union's copies; an agent that
+        # both metavariables choose has its pairs spread once.
         m = random_model(GenParams(seed=split_seed(61, 0), num_agents=3))
         base = lab.dynamic._layout(m)
         schema = parse_formula("K{i}X -> K{i}K{j}X | X")
@@ -620,18 +645,25 @@ class TestBindingRuns:
         monkeypatch.setattr(lab, "UNION_BITS", per_union * base.width)
         assert lab._first_counterexample(m, schema, reps) is None
         assert len(unions) == -(-bindings.total // per_union) > 1
-        left_out = 0
+        left_out = shared = 0
         for k, pts in enumerate(unions):
             batch = [bindings.binding(t) for t in
                      range(k * per_union, min((k + 1) * per_union, bindings.total))]
             _, choosing = per_copy_masks(base.width, {}, {
                 var: [b[var].name for b in batch] for var in avars})
+            spread = sum(1 << b * base.width for b in range(len(batch)))
+            low = (1 << base.width - 1) - 1
+            spread_pairs = {}
             for var in avars:
-                assert {(copies, id(pairs)) for copies, pairs in pts.knows[var]} == {
-                    (copies, id(pairs)) for a, copies in choosing[var].items()
-                    for _, pairs in base.knows[a]}, (k, var)
+                assert {(copies, low_c, tuple(pairs)) for copies, low_c, pairs in pts.knows[var]} == {
+                    (copies, copies * low, tuple((own, succ * spread) for own, succ in pairs))
+                    for a, copies in choosing[var].items()
+                    for _, _, pairs in base.knows[a]}, (k, var)
+                for a, (_, _, pairs) in zip(choosing[var], pts.knows[var]):
+                    assert spread_pairs.setdefault(a, pairs) is pairs, (k, var, a)
                 left_out += len(choosing[var]) < len(m.agents)
-        assert left_out
+            shared += len(spread_pairs) < sum(len(choosing[var]) for var in avars)
+        assert left_out and shared
 
     def test_one_pass_over_the_schema(self):
         schemas = [a.pattern for a in SCHEMAS.values()]
@@ -690,18 +722,48 @@ class TestMaskMemos:
         assert not all(isinstance(v, NoCounterexample) for v in built)
 
     def test_memos_stay_within_their_bounds(self):
-        # A 200-world model at depth 2: every union starts elsewhere, and
-        # the digit memo misses far more often than it can hold.
+        # 200-world models of six agents at depth 2: the unions start at
+        # many places in the digits' cycles, and the digit memo misses far
+        # more often than it can hold.
         for memo in self.MEMOS:
             memo.cache_clear()
         space = SchemaInstanceSpace(SCHEMAS["A2"].pattern, depth=2)
-        assert lab.test_validity(space, GenParams(max_worlds=200, seed=3), 2) \
+        assert lab.test_validity(space, GenParams(max_worlds=200, num_agents=6, seed=3), 2) \
             == NoCounterexample(2)
         for memo, bound in zip(self.MEMOS, (lab.DIGIT_CACHE_SIZE, lab.BINDINGS_CACHE_SIZE)):
             info = memo.cache_info()
             assert info.maxsize == bound
             assert info.currsize <= bound
         assert lab._digit_copies.cache_info().misses > lab.DIGIT_CACHE_SIZE
+
+    def test_unions_in_mid_cycle_hit_the_digit_memo(self):
+        # axioms --schema A2 --depth 2 --trials 5 --max-worlds 200 --agents 6:
+        # the unions start mid-run on every digit, at places that recur in
+        # the digits' cycles, so the memo keyed by those places hits, and
+        # every union gets the masks it would build afresh.
+        space = SchemaInstanceSpace(SCHEMAS["A2"].pattern, depth=2)
+        gen = GenParams(max_worlds=200, num_agents=6)
+
+        def run():
+            masks = []
+            union = lab.dynamic._union
+
+            def recorded(base, n, leaves, agents):
+                masks.append((n, leaves, agents))
+                return union(base, n, leaves, agents)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lab.dynamic, "_union", recorded)
+                return lab.test_validity(space, gen, 5), masks
+
+        lab._digit_copies.cache_clear()
+        memoized = run()
+        info = lab._digit_copies.cache_info()
+        assert info.hits > info.misses > lab.DIGIT_CACHE_SIZE
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lab, "_digit_copies", lab._digit_copies.__wrapped__)
+            assert run() == memoized
+        assert memoized[0] == NoCounterexample(5)
 
     def test_copies_cannot_be_changed(self):
         copies = lab._digit_copies(3, 5, 2, 3, 4)
@@ -819,6 +881,41 @@ class TestClassesByValuations:
             gen = GenParams(seed=split_seed(53, t), s5=s5, atom_count=1 + t % 3)
             m = random_model(gen)
             assert lab._semantic_reps(m, (("p", "q"), 1)) == _extension_dedup(m, pool)
+
+    def test_matches_the_name_based_dedup(self):
+        """The classes read off the layout's codes are those of the leaf
+        valuations read through the node names, and the leaves read off the
+        codes for each are those labeling gives it: on random models, S5
+        and not, of 1-10 atoms and 1-6 agents, over the instance atoms, one
+        atom, atoms in another order, and atoms the models may lack."""
+        searches = [(("p", "q"), 1), (("p",), 2), (("q", "p"), 1), (("p", "t"), 1),
+                    (("t",), 0), (("z", "y"), 1)]
+        rng = random.Random(73)
+        drawn = set()
+        for t in range(500):
+            gen = GenParams(seed=split_seed(73, t), s5=rng.random() < 0.5,
+                            atom_count=rng.randint(1, 10), num_agents=rng.randint(1, 6))
+            drawn.add((gen.s5, gen.atom_count, gen.num_agents))
+            m = random_model(gen)
+            base = lab.dynamic._layout(m)
+            for search in searches:
+                reps = lab._semantic_reps(m, search)
+                assert reps == reference_semantic_reps(m, search), (t, search)
+                assert reps.pts is base
+                assert reps.ext == [lab.dynamic._ext(base, f) for f in reps], (t, search)
+        assert {s5 for s5, _, _ in drawn} == {True, False}
+        assert {atoms for _, atoms, _ in drawn} == set(range(1, 11))
+        assert {agents for _, _, agents in drawn} == set(range(1, 7))
+
+    @pytest.mark.parametrize("atoms", [("p",), ("p", "q"), ("p", "q", "r")])
+    def test_matches_the_name_based_dedup_on_every_valuation(self, atoms):
+        m = every_valuation_model(atoms)
+        base = lab.dynamic._layout(m)
+        for search in [(atoms, 1), (atoms, 2), (atoms[::-1], 1), ((*atoms, "t"), 1),
+                       (atoms[:1], 2), ((*atoms, *atoms), 1)]:
+            reps = lab._semantic_reps(m, search)
+            assert reps == reference_semantic_reps(m, search), search
+            assert reps.ext == [lab.dynamic._ext(base, f) for f in reps], search
 
     def test_depth_three_finds_every_class(self):
         """Over p, q a formula of depth 3 can pick out any set of leaf
