@@ -98,6 +98,12 @@ def cmd_announce(args: argparse.Namespace) -> int:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
+    for option, given in (("--hyp-depth", args.hyp_depth is not None),
+                          ("--hyp-announcements", args.hyp_announcements),
+                          ("--hyp-out", args.hyp_out is not None)):
+        if given and not args.hypothesis:
+            print(f"error: {option} needs --hypothesis", file=sys.stderr)
+            return 2
     gen = GenParams(max_nodes_per_world=args.max_nodes, max_worlds=args.max_worlds,
                     num_agents=args.agents, atom_count=args.atoms,
                     seed=args.seed, s5=not args.no_s5)
@@ -126,7 +132,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     hypothesis_report = None
     if args.hypothesis:
         hypothesis_report = lab.test_announcement_hypothesis(
-            gen, args.trials, depth=args.hyp_depth,
+            gen, args.trials, depth=2 if args.hyp_depth is None else args.hyp_depth,
             include_announcements=args.hyp_announcements)
         if args.hyp_out:
             _write(args.hyp_out, hypothesis_report.render())
@@ -269,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="draw irreflexive random relations instead of equivalences")
     relations.add_argument("--hypothesis", action="store_true",
                            help="also run the [phi]psi <-> (phi -> psi) experiment")
-    p.add_argument("--hyp-depth", type=_count(0, lab.MAX_HYPOTHESIS_DEPTH), default=2)
+    p.add_argument("--hyp-depth", type=_count(0, lab.MAX_HYPOTHESIS_DEPTH))
     p.add_argument("--hyp-announcements", action="store_true",
                    help="allow nested announcements in sampled formulas")
     p.add_argument("--hyp-out", help="write the experiment report to this file")

@@ -3,8 +3,8 @@ enumeration, schema validity trials, the announcement-reduction experiment,
 a cache-free reference evaluator, and the non-translatability witness.
 
 Everything here is reproducible: a generator consumes one seeded RNG in a
-fixed order, and per-trial seeds are split deterministically, so parallel
-and serial runs of a suite see the same models.
+fixed order, and per-trial seeds are split deterministically, so the model
+of trial t depends only on ``split_seed(seed, t)``.
 """
 from __future__ import annotations
 
@@ -72,25 +72,17 @@ class GenParams:
 
 
 @functools.lru_cache(maxsize=1)
-def _node_names() -> tuple[str, ...]:
-    """The name of the node :func:`random_beth` draws i-th, for every i it
-    may draw; built on the first draw, so a command that draws no model
-    holds no table."""
-    return tuple(f"m{i}" for i in range(MAX_NODES_PER_WORLD))
-
-
-@functools.lru_cache(maxsize=1)
 def _world_names() -> tuple[str, ...]:
     """The name of the world :func:`random_model` draws i-th, for every i
-    it may draw; built on the first draw, like :func:`_node_names`."""
+    it may draw; built on the first draw, not at import."""
     return tuple(f"w{i}" for i in range(MAX_WORLDS))
 
 
 @functools.lru_cache(maxsize=64)
 def _drawn_order(n: int) -> tuple[tuple[str, ...], tuple[int, ...], dict[str, int]]:
-    """The sorted names of n drawn nodes, each drawn node's position among
-    them (sorting puts m10 before m2), and the index of the names."""
-    drawn = _node_names()[:n]
+    """The sorted names m{i} of n drawn nodes, each drawn node's position
+    among them (sorting puts m10 before m2), and the index of the names."""
+    drawn = [f"m{i}" for i in range(n)]
     nodes = tuple(sorted(drawn))
     index = {a: i for i, a in enumerate(nodes)}
     return nodes, tuple(index[a] for a in drawn), index
@@ -394,25 +386,21 @@ class _Reps(list):
 @functools.lru_cache(maxsize=CLASS_CACHE_SIZE)
 def _classes(atoms: tuple[str, ...], depth: int, codes: int
              ) -> tuple[tuple[Formula, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The first formula of each class on the valuation model: one world, a
-    root below one leaf per valuation, where a leaf separates two formulas
-    iff its valuation does.  The valuations are those of the codes whose
-    bits ``codes`` sets (see :func:`_semantic_reps`), sorted.  A
-    connective's extension depends only on its arguments' extensions, so
-    the class search meets the same first formulas as a sweep of
-    :func:`propositional_pool`.  With the formulas come, for each code, the
-    indices of those holding on its valuation."""
-    valuation = {code: frozenset(a for k, a in enumerate(atoms) if code >> k & 1)
-                 for code in beth._bits(codes)}
-    order = sorted(valuation.values(), key=sorted)
-    leaves = [f"v{i}" for i in range(len(order))]
-    world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
-                          dict(zip(leaves, order)))
-    reps = tuple(fingerprint_classes(lambda f: dynamic.leaf_extension(world, f), atoms, depth))
-    ext = [dynamic.leaf_extension(world, f) for f in reps]
-    leaf = {v: 1 << world.index[name] for v, name in zip(order, leaves)}
-    return reps, tuple((code, tuple(k for k, mask in enumerate(ext) if mask & leaf[v]))
-                       for code, v in valuation.items())
+    """The first formula of each class on the codes whose bits ``codes``
+    sets (see :func:`_semantic_reps`), labeled on one world whose points
+    are those codes, all leaves, where the connectives are classical: point
+    c carries ``atoms[k]`` iff bit k of c is set.  A connective's extension
+    depends only on its arguments' extensions, so the class search meets
+    the same first formulas as a sweep of :func:`propositional_pool`.  With
+    the formulas come, for each code, the indices of those holding on it."""
+    present = list(beth._bits(codes))
+    carry = {atom: sum(1 << code for code in present if code >> k & 1)
+             for k, atom in enumerate(atoms)}
+    pts = dynamic._Points(codes.bit_length(), 1, {"": codes}, carry, {})
+    reps = tuple(fingerprint_classes(lambda f: dynamic._ext(pts, f), atoms, depth))
+    ext = [dynamic._ext(pts, f) for f in reps]
+    return reps, tuple((code, tuple(k for k, mask in enumerate(ext) if mask >> code & 1))
+                       for code in present)
 
 
 UNION_BITS = 1024
@@ -468,28 +456,32 @@ def _digit_copies(start: int, count: int, run: int, radix: int,
 
 class _Bindings:
     """The bindings of a schema's agent metavariables ``avars`` to
-    ``agents`` and formula metavariables ``fvars`` to ``reps``, in the order
-    of ``itertools.product(product(agents, ...), product(reps, ...))``.
-    Binding t, for t < ``total``, is a mixed-radix number, the agent digits
-    first, then the formula digits: ``digits`` lists each metavariable with
-    its digit's run and radix and whether it binds a formula, and binding t
-    gives it value ``t // run % radix`` of ``reps`` or ``agents``: a formula
-    or an agent name.  The numbering depends on the metavariables and the
-    numbers of values alone, so it comes from :func:`_bindings`.  Only
-    :meth:`binding`, which decodes a failing binding, wraps an agent name in
-    the atom that names it."""
+    ``agents`` and formula metavariables ``fvars`` to ``reps``
+    representatives, in the order of ``itertools.product(product(agents,
+    ...), product(reps, ...))``.  Binding t, for t < ``total``, is a
+    mixed-radix number, the agent digits first: ``digits`` lists each
+    metavariable with its digit's run and radix and whether it binds a
+    formula, and binding t gives it value ``t // run % radix``.  The
+    numbering depends on the numbers of values alone, so :func:`_bindings`
+    memoizes it; :meth:`binding` decodes a failing binding to a trial's
+    own representatives, and alone wraps an agent name in its atom."""
 
     def __init__(self, avars: Sequence[str], fvars: Sequence[str],
-                 agents: Sequence[str], reps: Sequence[Formula]):
-        self.agents, self.reps = agents, reps
-        self.digits, self.total = _bindings(tuple(avars), tuple(fvars), tuple(agents), len(reps))
+                 agents: Sequence[str], reps: int):
+        self.agents = agents
+        digits, run = [], 1
+        for v, radix, formula in reversed([(v, len(agents), False) for v in avars]
+                                          + [(v, reps, True) for v in fvars]):
+            digits.append((v, run, radix, formula))
+            run *= radix
+        self.digits, self.total = tuple(reversed(digits)), run
 
-    def binding(self, t: int) -> dict[str, Formula]:
-        """Binding ``t``, agents bound to the atoms naming them."""
+    def binding(self, t: int, reps: Sequence[Formula]) -> dict[str, Formula]:
+        """Binding ``t`` to ``reps``, agents bound to the atoms naming them."""
         binding: dict[str, Formula] = {}
         for v, run, radix, formula in self.digits:
             k = t // run % radix
-            binding[v] = self.reps[k] if formula else Atom(self.agents[k])
+            binding[v] = reps[k] if formula else Atom(self.agents[k])
         return binding
 
     def masks(self, ext: Sequence[int], width: int, start: int,
@@ -513,18 +505,10 @@ class _Bindings:
 
 @functools.lru_cache(maxsize=BINDINGS_CACHE_SIZE)
 def _bindings(avars: tuple[str, ...], fvars: tuple[str, ...], agents: tuple[str, ...],
-              reps: int) -> tuple[tuple[tuple[str, int, int, bool], ...], int]:
-    """The digits and the total of :class:`_Bindings` for ``reps``
-    representatives, numbered once: the numbering depends on the
-    metavariables and the numbers of values alone, so the key hashes no
-    formula."""
-    digits = []
-    run = 1
-    for v, radix, formula in reversed([(v, len(agents), False) for v in avars]
-                                      + [(v, reps, True) for v in fvars]):
-        digits.append((v, run, radix, formula))
-        run *= radix
-    return tuple(reversed(digits)), run
+              reps: int) -> _Bindings:
+    """The :class:`_Bindings` numbering for ``reps`` representatives, built
+    once per key: it depends on the counts alone, so the key hashes no formula."""
+    return _Bindings(avars, fvars, agents, reps)
 
 
 @functools.lru_cache(maxsize=64)
@@ -557,7 +541,7 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula,
     else:
         ext = [dynamic._ext(base, rep) for rep in reps]
     fvars, avars = _schema_variables(schema)
-    bindings = _Bindings(avars, fvars, tuple(sorted(m.agents)), reps)
+    bindings = _bindings(avars, fvars, tuple(sorted(m.agents)), len(reps))
     per_union = max(1, UNION_BITS // base.width)
     for start in range(0, bindings.total, per_union):
         count = min(per_union, bindings.total - start)
@@ -565,7 +549,8 @@ def _first_counterexample(m: BethKripkeModel, schema: Formula,
         failure = dynamic._first_failure(union, schema)
         if failure is not None:
             copy, world = failure
-            return Counterexample(m, world, substitute(schema, bindings.binding(start + copy)))
+            binding = bindings.binding(start + copy, reps)
+            return Counterexample(m, world, substitute(schema, binding))
     return None
 
 

@@ -131,13 +131,16 @@ def _parse_binding(text: str, lineno: int) -> tuple[tuple[str, Formula], ...]:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ProofParseError(lineno, f"malformed binding {text!r}")
-    items = []
+    items: dict[str, Formula] = {}
     for part in body[1:-1].split(","):
         if "=" not in part:
             raise ProofParseError(lineno, f"malformed binding entry {part.strip()!r}")
         name, value = part.split("=", 1)
-        items.append((name.strip(), _parse_formula(value, lineno)))
-    return tuple(items)
+        name = name.strip()
+        if name in items:
+            raise ProofParseError(lineno, f"{name!r} is bound twice")
+        items[name] = _parse_formula(value, lineno)
+    return tuple(items.items())
 
 
 def _parse_formula(text: str, lineno: int) -> Formula:
@@ -220,11 +223,15 @@ def check_proof(script: ProofScript) -> ProofResult:
                         return ProofResult(False, line.index,
                                            f"not an instance of {schema_id}")
                 else:
+                    bound = dict(binding)
                     try:
-                        instance = substitute(schema.pattern, dict(binding))
+                        instance = substitute(schema.pattern, bound)
                     except UnboundMetavariable as e:
-                        return ProofResult(False, line.index,
-                                           f"unbound metavariable {e.name!r} in {schema_id}")
+                        reason = f"unbound metavariable {e.name!r} in {schema_id}"
+                        if e.name in bound:     # an agent bound to a formula naming none
+                            reason = (f"agent {e.name!r} in {schema_id} is bound to "
+                                      f"{print_formula(bound[e.name])!r}, which names no agent")
+                        return ProofResult(False, line.index, reason)
                     if instance != line.formula:
                         return ProofResult(
                             False, line.index,

@@ -60,6 +60,26 @@ def reference_semantic_reps(m, search):
     return list(fingerprint_classes(lambda f: leaf_extension(world, f), atoms, depth))
 
 
+def reference_classes(atoms, depth, codes):
+    """``lab._classes`` as it searched a fan: the valuations of the codes
+    whose bits ``codes`` sets, sorted, each on its own leaf above a root,
+    and a built world labeled through ``leaf_extension``; each code's
+    representatives read back through its valuation's leaf."""
+    from bethpal.beth import _bits, fingerprint_classes, validate_beth
+    from bethpal.dynamic import leaf_extension
+    valuation = {code: frozenset(a for k, a in enumerate(atoms) if code >> k & 1)
+                 for code in _bits(codes)}
+    order = sorted(valuation.values(), key=sorted)
+    leaves = [f"v{i}" for i in range(len(order))]
+    world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
+                          dict(zip(leaves, order)))
+    reps = tuple(fingerprint_classes(lambda f: leaf_extension(world, f), atoms, depth))
+    ext = [leaf_extension(world, f) for f in reps]
+    leaf = {v: 1 << world.index[name] for v, name in zip(order, leaves)}
+    return reps, tuple((code, tuple(k for k, mask in enumerate(ext) if mask & leaf[v]))
+                       for code, v in valuation.items())
+
+
 def per_copy_masks(width, columns, choices):
     """The masks of a union of model copies (see ``dynamic._union``), built
     one copy at a time: formula metavariable X holds on ``columns[X][b]``

@@ -317,6 +317,14 @@ class TestAxioms:
         assert "not allowed with argument --no-s5" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("option", [["--hyp-depth", "5"], ["--hyp-announcements"],
+                                        ["--hyp-out", "r.log"]])
+    def test_experiment_options_need_the_experiment(self, tmp_path, monkeypatch, capsys, option):
+        monkeypatch.chdir(tmp_path)
+        assert main(["axioms", "--trials", "2", *option]) == 2
+        assert capsys.readouterr() == ("", f"error: {option[0]} needs --hypothesis\n")
+        assert not (tmp_path / "r.log").exists()
+
     def test_hypothesis_report_file(self, tmp_path, capsys):
         out = tmp_path / "hyp.log"
         assert main(["--seed", "3", "axioms", "--schema", "A6", "--trials", "10",
@@ -462,6 +470,17 @@ class TestProve:
         bad = tmp_path / "bad.pf"
         bad.write_text("1. p -> p\n")
         assert main(["prove", str(bad)]) == 2
+
+    @pytest.mark.parametrize("line, code, out, err", [
+        ("1. p -> q -> p ; A1.1 [X=p, X=r, Y=q]", 2, "", "error: line 1: 'X' is bound twice\n"),
+        ("1. K{a}p -> p ; A3 [X=p, i=p&q]", 1, "rejected at line 1: agent 'i' in A3 is bound "
+                                               "to 'p & q', which names no agent\n", ""),
+    ])
+    def test_binding_errors(self, tmp_path, capsys, line, code, out, err):
+        script = tmp_path / "binding.pf"
+        script.write_text(line + "\n")
+        assert main(["prove", str(script)]) == code
+        assert capsys.readouterr() == (out, err)
 
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
     def test_empty_script_is_an_error_on_line_one(self, tmp_path, capsys, text):

@@ -24,7 +24,8 @@ from bethpal.modeldoc import model_digest, serialize_model
 from bethpal.proofkit import SCHEMAS
 
 from helpers import (
-    every_valuation_model, per_copy_masks, reference_random_beth, reference_semantic_reps,
+    every_valuation_model, per_copy_masks, reference_classes, reference_random_beth,
+    reference_semantic_reps,
 )
 
 
@@ -71,11 +72,11 @@ class TestGenerators:
             assert rng.getstate() == ref_rng.getstate(), seed
 
     def test_import_builds_no_name_table(self):
-        # The name tables are built on the first draw, in the process that
-        # draws; a fresh import of the lab has drawn nothing.
+        # The node and world names are built on the first draw, in the
+        # process that draws; a fresh import of the lab has drawn nothing.
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(lab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-        code = ("import bethpal.lab as lab; print(lab._node_names.cache_info().misses, "
+        code = ("import bethpal.lab as lab; print(lab._drawn_order.cache_info().misses, "
                 "lab._world_names.cache_info().misses)")
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
@@ -83,9 +84,13 @@ class TestGenerators:
 
     def test_name_tables_cover_the_bounds(self):
         random_model(GenParams(seed=1))
-        assert lab._node_names() == tuple(f"m{i}" for i in range(lab.MAX_NODES_PER_WORLD))
+        n = lab.MAX_NODES_PER_WORLD
+        nodes, at, index = lab._drawn_order(n)
+        assert [nodes[i] for i in at] == [f"m{i}" for i in range(n)]
+        assert list(nodes) == sorted(nodes) and index == {a: i for i, a in enumerate(nodes)}
         assert lab._world_names() == tuple(f"w{i}" for i in range(lab.MAX_WORLDS))
-        assert lab._node_names.cache_info().currsize == lab._world_names.cache_info().currsize == 1
+        assert lab._world_names.cache_info().currsize == 1
+        assert lab._drawn_order.cache_info().maxsize == 64
 
     def test_random_beth_models_own_their_index(self):
         rng = random.Random(0)
@@ -596,14 +601,14 @@ class TestBindingRuns:
     def test_decoding_follows_the_product(self):
         for shape in self.SHAPES:
             fvars, avars, names, reps = self.space(*shape)
-            bindings = lab._Bindings(avars, fvars, names, reps)
+            bindings = lab._Bindings(avars, fvars, names, len(reps))
             product = list(itertools.product(itertools.product(names, repeat=len(avars)),
                                              itertools.product(reps, repeat=len(fvars))))
             assert bindings.total == len(product)
             for t, (agents, choice) in enumerate(product):
                 expected = dict(zip(avars, map(Atom, agents)))
                 expected.update(zip(fvars, choice))
-                assert bindings.binding(t) == expected, (shape, t)
+                assert bindings.binding(t, reps) == expected, (shape, t)
 
     @pytest.mark.parametrize("width", [1, 5, 64])
     def test_masks_match_the_copies(self, width):
@@ -611,8 +616,8 @@ class TestBindingRuns:
         for shape in self.SHAPES:
             fvars, avars, names, reps = self.space(*shape)
             ext = [rng.getrandbits(width) for _ in reps]
-            bindings = lab._Bindings(avars, fvars, names, reps)
-            decoded = [bindings.binding(t) for t in range(bindings.total)]
+            bindings = lab._Bindings(avars, fvars, names, len(reps))
+            decoded = [bindings.binding(t, reps) for t in range(bindings.total)]
             for per_union in {1, 2, 3, 7, bindings.total}:
                 for start in range(0, bindings.total, per_union):
                     batch = decoded[start:start + per_union]
@@ -633,7 +638,7 @@ class TestBindingRuns:
         schema = parse_formula("K{i}X -> K{i}K{j}X | X")
         fvars, avars = lab._schema_variables(schema)
         reps = lab._semantic_reps(m, (("p", "q"), 1))
-        bindings = lab._Bindings(avars, fvars, sorted(m.agents), reps)
+        bindings = lab._bindings(avars, fvars, tuple(sorted(m.agents)), len(reps))
         unions = []
         union = lab.dynamic._union
 
@@ -647,7 +652,7 @@ class TestBindingRuns:
         assert len(unions) == -(-bindings.total // per_union) > 1
         left_out = shared = 0
         for k, pts in enumerate(unions):
-            batch = [bindings.binding(t) for t in
+            batch = [bindings.binding(t, reps) for t in
                      range(k * per_union, min((k + 1) * per_union, bindings.total))]
             _, choosing = per_copy_masks(base.width, {}, {
                 var: [b[var].name for b in batch] for var in avars})
@@ -764,6 +769,19 @@ class TestMaskMemos:
             mp.setattr(lab, "_digit_copies", lab._digit_copies.__wrapped__)
             assert run() == memoized
         assert memoized[0] == NoCounterexample(5)
+
+    def test_a_numbering_decodes_every_list_of_its_length(self):
+        # The numbering is memoized on the counts alone: a repeated key gets
+        # the same object, which decodes whichever representatives a trial
+        # passes, in the order of itertools.product.
+        key = (("i",), ("X", "Y"), ("a", "b"), 3)
+        bindings = lab._bindings(*key)
+        assert lab._bindings(*key) is bindings
+        for reps in ([Atom("p"), Atom("q"), TOP], [parse_formula("~p"), parse_formula("p & r"),
+                                                    Atom("q")]):
+            assert [bindings.binding(t, reps) for t in range(bindings.total)] == [
+                {"i": Atom(a), "X": x, "Y": y}
+                for a, x, y in itertools.product(("a", "b"), reps, reps)]
 
     def test_copies_cannot_be_changed(self):
         copies = lab._digit_copies(3, 5, 2, 3, 4)
@@ -906,6 +924,27 @@ class TestClassesByValuations:
         assert {s5 for s5, _, _ in drawn} == {True, False}
         assert {atoms for _, atoms, _ in drawn} == set(range(1, 11))
         assert {agents for _, _, agents in drawn} == set(range(1, 7))
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_codes_give_the_classes_of_their_fan(self, count):
+        """Labeled on the codes themselves, the class search finds the
+        representatives, and each code the indices of those holding on it,
+        that it finds on a fan of the codes' valuations: for every nonempty
+        set of codes over one to three atoms, at depths 0-2."""
+        atoms = lab.ATOM_NAMES[:count]
+        for depth in (0, 1, 2):
+            for codes in range(1, 1 << (1 << count)):
+                assert lab._classes.__wrapped__(atoms, depth, codes) == \
+                    reference_classes(atoms, depth, codes), (depth, codes)
+
+    def test_codes_build_no_world(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr(lab.beth.BethModel, "__init__", built)
+        monkeypatch.setattr(lab.dynamic, "leaf_extension", built)
+        reps, holders = lab._classes.__wrapped__(("p", "q"), 2, 0b1011)
+        assert len(reps) == 8 and [code for code, _ in holders] == [0, 1, 3]
 
     @pytest.mark.parametrize("atoms", [("p",), ("p", "q"), ("p", "q", "r")])
     def test_matches_the_name_based_dedup_on_every_valuation(self, atoms):

@@ -119,6 +119,12 @@ class TestCheckProof:
         result = check_proof(parse_proof("1. p -> q -> p ; A1.1 [X=p]"))
         assert not result.accepted and "unbound metavariable" in result.reason
 
+    def test_agent_bound_to_a_compound_formula(self):
+        # i is bound, to a formula that names no agent: not an unbound name.
+        result = check_proof(parse_proof("1. K{a}p -> p ; A3 [X=p, i=p&q]"))
+        assert result == ProofResult(
+            False, 1, "agent 'i' in A3 is bound to 'p & q', which names no agent")
+
     def test_mp_antecedent_mismatch(self):
         script = parse_proof(
             "1. p & q -> p ; A1.4\n"
@@ -195,6 +201,7 @@ class TestParseProof:
     @pytest.mark.parametrize("text, message", [
         ("1. p -> q -> p ; A1.1 X=p, Y=q", "malformed binding 'X=p, Y=q'"),
         ("1. p -> q -> p ; A1.1 [X=p, Y]", "malformed binding entry 'Y'"),
+        ("1. p -> q -> p ; A1.1 [X=p, X=r, Y=q]", "'X' is bound twice"),
         ("1. p -> q -> p ;  ", "missing justification"),
         ("1. q -> p ; MP 1", "MP needs two line numbers"),
         ("1. q -> p ; MP 1 x", "MP needs two line numbers"),
