@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
-from .formula import And, Atom, Formula, Imp, Neg, Or, BOT, TOP
+from .formula import And, Atom, Formula, Imp, Neg, Or, BOT, TOP, is_propositional
 
 
 class ModelError(ValueError):
@@ -144,10 +144,11 @@ class BethModel:
 
     The order is kept as bitmasks over ``node_order``: bit j of
     ``up_mask[i]`` is set iff node i is below or equal to node j, and bit i of
-    ``leaf_mask`` iff node i is a leaf.  Checking reads only these and
-    ``index``.  ``covers``, ``leaves`` and ``nodes``, and ``up`` and
-    ``leq_pairs``, which spell the order out as sets in space quadratic in
-    the number of nodes, are built on first use."""
+    ``leaf_mask`` iff node i is a leaf.  Checking reads only these, ``val``
+    and ``index``, as a world of a ``dynamic.BethKripkeModel``.  ``covers``,
+    ``leaves`` and ``nodes``, and ``up`` and ``leq_pairs``, which spell the
+    order out as sets in space quadratic in the number of nodes, are built
+    on first use."""
 
     def __init__(self, nodes: tuple[str, ...], index: dict[str, int], succ: list[set[int]],
                  up_mask: list[int], root: str, val: dict[str, frozenset[str]],
@@ -164,7 +165,6 @@ class BethModel:
         self.val = val
         self.atoms = atoms
         self._succ = succ
-        self._points = None     # the layout dynamic.leaf_extension labels it on
 
     @functools.cached_property
     def covers(self) -> dict[str, tuple[str, ...]]:
@@ -359,10 +359,12 @@ def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
 def forces_prop(m: BethModel, a: str, f: Formula) -> bool:
     """Propositional forcing at a node: atoms and ∨ through bars, → and ¬ by
     quantifying over the up-set.  On a finite model that is: every leaf
-    above ``a`` forces ``f``."""
-    from .dynamic import leaf_extension     # dynamic builds on this module
+    above ``a`` forces ``f``, in ``m`` as a world without agents."""
+    from . import dynamic       # dynamic builds on this module
     m.ensure_node(a)
-    return not m.up_mask[m.index[a]] & m.leaf_mask & ~leaf_extension(m, f)
+    if not is_propositional(f):
+        raise NonPropositionalFormula(f)
+    return dynamic.forces(dynamic.BethKripkeModel({"w": m}, (), {}), "w", a, f).value
 
 
 MAX_LAYER = 100_000
@@ -409,12 +411,12 @@ def equivalent_up_to_depth(x: PointedBeth, y: PointedBeth, d: int,
 
     Candidates are explored breadth-first by depth with duplicate pruning by
     semantic fingerprint (see :func:`fingerprint_classes`), so the search
-    space stays small even at generous depths.
+    space stays small even at generous depths.  Both models are labeled as
+    the worlds of one model without agents.
     """
-    from .dynamic import leaf_extension
-    classes = fingerprint_classes(
-        lambda f: (leaf_extension(x.model, f), leaf_extension(y.model, f)),
-        sorted(set(atoms)), d)
-    return next((f for f in classes
-                 if forces_prop(x.model, x.point, f) != forces_prop(y.model, y.point, f)),
-                None)
+    from . import dynamic
+    m = dynamic.BethKripkeModel({"x": x.model, "y": y.model}, (), {})
+    pts = dynamic._layout(m)
+    classes = fingerprint_classes(lambda f: dynamic._ext(pts, f), sorted(set(atoms)), d)
+    return next((f for f in classes if dynamic.forces(m, "x", x.point, f).value
+                 != dynamic.forces(m, "y", y.point, f).value), None)

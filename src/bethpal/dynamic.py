@@ -24,8 +24,7 @@ from typing import Iterable, Mapping, Optional
 from . import beth
 from .beth import BethModel
 from .formula import (
-    And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top, TOP,
-    is_propositional, print_formula,
+    And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top, TOP, print_formula,
 )
 
 
@@ -123,7 +122,7 @@ class _Points:
 
     ``knows`` gives each agent a list of (``copies``, ``low``, pairs): the
     copies reading the pairs, those copies times the bits below a field's
-    top one (the carry mask of :meth:`empty`), and one (worlds' leaves,
+    top one (the carry mask of :func:`_unmissed`), and one (worlds' leaves,
     their successors' leaves) pair per distinct successor set, the
     successors' leaves in every copy of ``spread`` and the worlds' leaves
     in the base.  They are spread when the layout is built, so the K
@@ -137,15 +136,6 @@ class _Points:
         self.knows = knows      # agent -> [(copies, low, [(worlds' leaves, their successors' leaves)])]
         self.all = sum(world.values()) * spread
         self.labels: dict[tuple[Optional[int], Formula], int] = {}
-
-    def empty(self, x: int, copies: int) -> int:
-        """The copies of ``copies`` (a part of ``spread``) where the mask
-        ``x`` has no bit, all at once: within each of their fields the bits
-        below the top one carry into it when any is set, and no carry leaves
-        a field."""
-        top = self.width - 1
-        low = copies * ((1 << top) - 1)
-        return copies & ~(((x & low) + low | x) >> top)
 
 
 def _lay_out(worlds: Mapping[str, BethModel], access: Mapping) -> _Points:
@@ -274,44 +264,36 @@ def _label(pts: _Points, f: Formula, alive: Optional[int]) -> int:
         case Neg(x):
             return live & ~_ext(pts, x, alive)
         case Know(agent, body):
-            # A world knows the body in the copies where no successor misses
-            # it: the copies whose field of x is empty (see _Points.empty).
-            missing = live & ~_ext(pts, body, alive)
-            top, holds = pts.width - 1, 0
-            for copies, low, pairs in pts.knows[agent]:
-                for own, succ in pairs:
-                    x = missing & succ
-                    holds |= own * (copies & ~(((x & low) + low | x) >> top))
-            return live & holds
+            # A world knows the body where no successor misses it.
+            return live & _unmissed(pts, live & ~_ext(pts, body, alive), pts.knows[agent])
         case Announce(ann, body) | Diamond(ann, body):
             # A world without kept leaves is dropped, where [φ] holds and <φ>
             # does not; a kept world's updated root forces the body when
-            # every kept leaf does.  With no kept leaf the body is not read.
+            # every kept leaf does: it is its own only successor.  With no
+            # kept leaf the body is not read.
             kept = _ext(pts, ann, alive)
             failed = kept & ~_ext(pts, body, kept) if kept else 0
-            spread, holds = pts.spread, 0
-            for world in pts.world.values():
-                copies = pts.empty(failed & world * spread, spread)
-                if isinstance(f, Diamond):
-                    copies &= ~pts.empty(kept & world * spread, spread)
-                holds |= world * copies
+            spread = pts.spread
+            itself = [(spread, spread * (((1 << pts.width) - 1) >> 1),
+                       [(world, world * spread) for world in pts.world.values()])]
+            holds = _unmissed(pts, failed, itself)
+            if isinstance(f, Diamond):
+                holds &= ~_unmissed(pts, kept, itself)
             return live & holds
     raise TypeError(f"not a formula: {f!r}")
 
 
-def leaf_extension(w: BethModel, f: Formula) -> int:
-    """The leaves of the bare model ``w`` forcing the propositional formula
-    ``f``, as a bitmask over ``w.node_order``: ``w`` is labeled on the layout
-    of a model without agents whose one world it is, which ``w`` keeps.  The
-    memo holds propositional formulas only, so ``f`` is checked on a miss."""
-    if w._points is None:
-        w._points = _lay_out({"w": w}, {})
-    hit = w._points.labels.get((None, f))
-    if hit is None:
-        if not is_propositional(f):
-            raise beth.NonPropositionalFormula(f)
-        hit = _ext(w._points, f)
-    return hit
+def _unmissed(pts: _Points, missing: int, knows: list) -> int:
+    """The leaves of the worlds, copy by copy, whose successors miss no leaf
+    of ``missing``, under (copies, low, pairs) lists as in :class:`_Points`:
+    in each copy's field of x, the bits below the top one carry into it
+    when any is set, and no carry leaves a field."""
+    top, holds = pts.width - 1, 0
+    for copies, low, pairs in knows:
+        for own, succ in pairs:
+            x = missing & succ
+            holds |= own * (copies & ~(((x & low) + low | x) >> top))
+    return holds
 
 
 def _lift(w: BethModel, leaves: int, live: int) -> int:

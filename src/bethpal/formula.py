@@ -406,6 +406,16 @@ def _print(f: Formula, level: int) -> str:
 # ---------------------------------------------------------------------------
 # Schema substitution
 
+def metavariables(schema: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The formula and the agent metavariables of ``schema``, each sorted:
+    its uppercase-initial atoms, and the agents of its K operators, every
+    one of which a schema binds."""
+    nodes = list(subformulas(schema))
+    fvars = {f.name for f in nodes if isinstance(f, Atom) and is_metavariable(f.name)}
+    avars = {f.agent for f in nodes if isinstance(f, Know)}
+    return tuple(sorted(fvars)), tuple(sorted(avars))
+
+
 def substitute(schema: Formula, binding: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace every metavariable atom (uppercase-initial) by
     its bound formula.  Agent names bound in the mapping are replaced too; the

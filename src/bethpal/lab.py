@@ -19,7 +19,7 @@ from .beth import BethModel, BoundTooLarge, fingerprint_classes, validate_beth
 from .dynamic import BethKripkeModel
 from .formula import (
     And, Announce, Atom, Bot, Diamond, Formula, Imp, Know, Neg, Or, Top,
-    TOP, is_metavariable, print_formula, subformulas, substitute,
+    TOP, metavariables, print_formula, substitute,
 )
 
 ATOM_NAMES = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z")
@@ -428,8 +428,7 @@ def _digit_copies(start: int, count: int, run: int, radix: int,
     """Each value that a digit of run ``run`` and radix ``radix`` takes on
     the bindings ``start`` to ``start + count - 1``, with the copies taking
     it: bit b·``width`` for binding ``start + b``.  The masks are sums of
-    the runs that meet the bindings, over at most one cycle of ``radix``
-    runs, repeated by one multiply; a run is the copies from its first
+    the runs that meet the bindings; a run is the copies from its first
     binding on less those from the next run's.
 
     The pairs depend on the digit's shape alone, never on a model's
@@ -438,19 +437,14 @@ def _digit_copies(start: int, count: int, run: int, radix: int,
     run % radix``, so :meth:`_Bindings.masks` passes ``start % (run *
     radix)``, and unions that start at the same place in the digit's cycle
     share an entry."""
-    span = min(count, run * radix)
-    ones = dynamic._spread(span, width)
+    ones = dynamic._spread(count, width)
     copies: dict[int, int] = {}
     digit, skip = divmod(start, run)
     head = ones     # the copies from the current run's first binding on
-    for end in range(run - skip, span + run, run):
+    for end in range(run - skip, count + run, run):
         rest = ones >> end * width << end * width
         copies[digit % radix] = copies.get(digit % radix, 0) | head ^ rest
         head, digit = rest, digit + 1
-    if count > span:
-        repeat = dynamic._spread(-(-count // span), span * width)
-        low = (1 << count * width) - 1
-        return tuple((digit, mask * repeat & low) for digit, mask in copies.items())
     return tuple(copies.items())
 
 
@@ -513,12 +507,9 @@ def _bindings(avars: tuple[str, ...], fvars: tuple[str, ...], agents: tuple[str,
 
 @functools.lru_cache(maxsize=64)
 def _schema_variables(schema: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The formula and the agent metavariables of ``schema``, each sorted;
-    memoized, since every trial of :func:`test_validity` asks for them."""
-    nodes = list(subformulas(schema))
-    fvars = {f.name for f in nodes if isinstance(f, Atom) and is_metavariable(f.name)}
-    avars = {f.agent for f in nodes if isinstance(f, Know)}
-    return tuple(sorted(fvars)), tuple(sorted(avars))
+    """The :func:`formula.metavariables` of ``schema``; memoized, since every
+    trial of :func:`test_validity` asks for them."""
+    return metavariables(schema)
 
 
 def _first_counterexample(m: BethKripkeModel, schema: Formula,
@@ -781,7 +772,8 @@ class WitnessReport:
 def nontranslatability_witness(max_depth: int = 4) -> WitnessReport:
     """Materialize the witness model for '<p>top has no propositional
     equivalent' and search the depth-bounded propositional fragment over {p}
-    for an equivalent, deduplicating by semantic fingerprint."""
+    for an equivalent, deduplicating by semantic fingerprint, with the
+    enumerated models labeled as the worlds of one model."""
     witness = validate_beth(
         ("a", "b", "c"), (("a", "b"), ("a", "c")), "a", {"b": {"p"}}, ("p",))
     wrapped = BethKripkeModel({"w": witness}, (), {})
@@ -790,15 +782,19 @@ def nontranslatability_witness(max_depth: int = 4) -> WitnessReport:
     bare_leaf = dynamic.forces(wrapped, "w", "c", Atom("p")).value
 
     models = list(enumerate_small_beth(3, ("p",)))
-    target = tuple(dynamic.satisfies(BethKripkeModel({"w": m}, (), {}), "w", diamond).value
-                   for m in models)
+    worlds = {f"w{i:02}": m for i, m in enumerate(models)}     # names sorted as enumerated
+    together = BethKripkeModel(worlds, (), {})
+    pts = dynamic._layout(together)
+
+    def values(f: Formula) -> tuple[bool, ...]:
+        return tuple(dynamic.satisfies(together, s, f).value for s in worlds)
+
+    target = values(diamond)
     equivalent: Optional[Formula] = None
     classes = 0
-    for f in fingerprint_classes(lambda f: tuple(dynamic.leaf_extension(m, f) for m in models),
-                                 ("p",), max_depth):
+    for f in fingerprint_classes(lambda f: dynamic._ext(pts, f), ("p",), max_depth):
         classes += 1
-        if equivalent is None and target == tuple(
-                beth.forces_prop(m, m.root, f) for m in models):
+        if equivalent is None and target == values(f):
             equivalent = f
     return WitnessReport(diamond_at_root, bare_leaf, len(models), classes,
                          max_depth, equivalent)

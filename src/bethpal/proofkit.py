@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .formula import (
     Atom, Formula, Imp, Know, ParseError, UnboundMetavariable, children,
-    is_metavariable, parse_formula, print_formula, substitute,
+    is_metavariable, metavariables, parse_formula, print_formula, substitute,
 )
 
 
@@ -224,6 +224,11 @@ def check_proof(script: ProofScript) -> ProofResult:
                                            f"not an instance of {schema_id}")
                 else:
                     bound = dict(binding)
+                    names = set().union(*metavariables(schema.pattern))
+                    stray = next((name for name in bound if name not in names), None)
+                    if stray is not None:
+                        return ProofResult(False, line.index, f"binding names {stray!r}, "
+                                                              f"which {schema_id} does not have")
                     try:
                         instance = substitute(schema.pattern, bound)
                     except UnboundMetavariable as e:

@@ -47,9 +47,9 @@ def reference_semantic_reps(m, search):
     """``lab._semantic_reps`` as it read the leaf valuations through the
     node names: the set of every leaf's atoms among ``atoms``, world by
     world, and its classes searched afresh, uncached, on a root below one
-    leaf per valuation (sorted)."""
+    leaf per valuation (sorted), labeled as the one world of a model."""
     from bethpal.beth import fingerprint_classes, validate_beth
-    from bethpal.dynamic import leaf_extension
+    from bethpal.dynamic import BethKripkeModel, _ext, _layout
     atoms, depth = search
     keep = frozenset(atoms)
     valuations = frozenset(w.val[leaf] & keep for w in m.worlds.values()
@@ -57,24 +57,26 @@ def reference_semantic_reps(m, search):
     leaves = [f"v{i}" for i in range(len(valuations))]
     world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
                           dict(zip(leaves, sorted(valuations, key=sorted))))
-    return list(fingerprint_classes(lambda f: leaf_extension(world, f), atoms, depth))
+    pts = _layout(BethKripkeModel({"w": world}, (), {}))
+    return list(fingerprint_classes(lambda f: _ext(pts, f), atoms, depth))
 
 
 def reference_classes(atoms, depth, codes):
     """``lab._classes`` as it searched a fan: the valuations of the codes
     whose bits ``codes`` sets, sorted, each on its own leaf above a root,
-    and a built world labeled through ``leaf_extension``; each code's
-    representatives read back through its valuation's leaf."""
+    and a built world labeled as the one world of a model, at offset 0;
+    each code's representatives read back through its valuation's leaf."""
     from bethpal.beth import _bits, fingerprint_classes, validate_beth
-    from bethpal.dynamic import leaf_extension
+    from bethpal.dynamic import BethKripkeModel, _ext, _layout
     valuation = {code: frozenset(a for k, a in enumerate(atoms) if code >> k & 1)
                  for code in _bits(codes)}
     order = sorted(valuation.values(), key=sorted)
     leaves = [f"v{i}" for i in range(len(order))]
     world = validate_beth(["root", *leaves], [("root", v) for v in leaves], "root",
                           dict(zip(leaves, order)))
-    reps = tuple(fingerprint_classes(lambda f: leaf_extension(world, f), atoms, depth))
-    ext = [leaf_extension(world, f) for f in reps]
+    pts = _layout(BethKripkeModel({"w": world}, (), {}))
+    reps = tuple(fingerprint_classes(lambda f: _ext(pts, f), atoms, depth))
+    ext = [_ext(pts, f) for f in reps]
     leaf = {v: 1 << world.index[name] for v, name in zip(order, leaves)}
     return reps, tuple((code, tuple(k for k, mask in enumerate(ext) if mask & leaf[v]))
                        for code, v in valuation.items())

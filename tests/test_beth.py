@@ -248,6 +248,10 @@ class TestForcing:
         with pytest.raises(NonPropositionalFormula):
             forces_prop(fork_pq, "a", parse_formula("<p>top"))
 
+    def test_unknown_node_before_modal(self, fork_pq):
+        with pytest.raises(UnknownNode):
+            forces_prop(fork_pq, "zz", parse_formula("K{a}p"))
+
     def test_open_fork_forces_excluded_middle(self, fork_pq):
         # Finite models settle every disjunction at their leaves, so p|~p is
         # forced even where neither p nor ~p is; openness shows up at the

@@ -475,6 +475,8 @@ class TestProve:
         ("1. p -> q -> p ; A1.1 [X=p, X=r, Y=q]", 2, "", "error: line 1: 'X' is bound twice\n"),
         ("1. K{a}p -> p ; A3 [X=p, i=p&q]", 1, "rejected at line 1: agent 'i' in A3 is bound "
                                                "to 'p & q', which names no agent\n", ""),
+        ("1. p -> q -> p ; A1.1 [X=p, Y=q, W=r]", 1,
+         "rejected at line 1: binding names 'W', which A1.1 does not have\n", ""),
     ])
     def test_binding_errors(self, tmp_path, capsys, line, code, out, err):
         script = tmp_path / "binding.pf"

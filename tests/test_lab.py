@@ -942,7 +942,6 @@ class TestClassesByValuations:
             raise AssertionError("a world was built")
 
         monkeypatch.setattr(lab.beth.BethModel, "__init__", built)
-        monkeypatch.setattr(lab.dynamic, "leaf_extension", built)
         reps, holders = lab._classes.__wrapped__(("p", "q"), 2, 0b1011)
         assert len(reps) == 8 and [code for code, _ in holders] == [0, 1, 3]
 

@@ -125,6 +125,17 @@ class TestCheckProof:
         assert result == ProofResult(
             False, 1, "agent 'i' in A3 is bound to 'p & q', which names no agent")
 
+    @pytest.mark.parametrize("line, name, schema_id", [
+        ("1. p -> q -> p ; A1.1 [X=p, Y=q, W=r, j=s&t]", "W", "A1.1"),
+        ("1. K{a}p -> p ; A3 [X=p, i=a, Z=q]", "Z", "A3"),
+        ("1. p -> q -> p ; A1.1 [X=p, Y=q, x=r]", "x", "A1.1"),
+    ])
+    def test_binding_of_a_name_the_schema_lacks(self, line, name, schema_id):
+        # The instance is the stated formula, yet the binding names more:
+        # the first such name, in binding order.
+        assert check_proof(parse_proof(line)) == ProofResult(
+            False, 1, f"binding names {name!r}, which {schema_id} does not have")
+
     def test_mp_antecedent_mismatch(self):
         script = parse_proof(
             "1. p & q -> p ; A1.4\n"
