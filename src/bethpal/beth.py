@@ -359,7 +359,10 @@ def is_bar(m: BethModel, a: str, bar: Iterable[str]) -> bool:
 def forces_prop(m: BethModel, a: str, f: Formula) -> bool:
     """Propositional forcing at a node: atoms and ∨ through bars, → and ¬ by
     quantifying over the up-set.  On a finite model that is: every leaf
-    above ``a`` forces ``f``, in ``m`` as a world without agents."""
+    above ``a`` forces ``f``, in ``m`` as a world without agents.  Each call
+    lays the model out afresh, so a caller with many questions about one
+    model should build ``BethKripkeModel({"w": m}, (), {})`` once and call
+    :func:`dynamic.forces` on it."""
     from . import dynamic       # dynamic builds on this module
     m.ensure_node(a)
     if not is_propositional(f):

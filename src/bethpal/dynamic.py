@@ -120,21 +120,22 @@ class _Points:
     set.  A model's own layout is one copy (``spread == 1``).  Only leaf
     points are ever set.  It refers to no model, so it keeps none alive.
 
-    ``knows`` gives each agent a list of (``copies``, ``low``, pairs): the
-    copies reading the pairs, those copies times the bits below a field's
-    top one (the carry mask of :func:`_unmissed`), and one (worlds' leaves,
-    their successors' leaves) pair per distinct successor set, the
-    successors' leaves in every copy of ``spread`` and the worlds' leaves
-    in the base.  They are spread when the layout is built, so the K
-    clause multiplies no pair."""
+    ``knows`` gives each agent a list of (``copies``, pairs) entries: the
+    copies reading the pairs, and one (worlds' leaves, their successors'
+    leaves) pair per distinct successor set, the successors' leaves in
+    every copy of ``spread`` and the worlds' leaves in the base.  They are
+    spread when the layout is built, so the K clause multiplies no pair.
+    ``low`` sets the bits below the top one of every copy's field: the
+    carry mask of :func:`_unmissed`."""
 
     def __init__(self, width: int, spread: int, world: dict, atoms: dict, knows: dict):
         self.width = width      # the base's point count
         self.spread = spread
         self.world = world      # the world's leaves in the base; the worlds hold consecutive points
         self.atoms = atoms      # leaves carrying the atom, in every copy
-        self.knows = knows      # agent -> [(copies, low, [(worlds' leaves, their successors' leaves)])]
+        self.knows = knows      # agent -> [(copies, [(worlds' leaves, their successors' leaves)])]
         self.all = sum(world.values()) * spread
+        self.low = (((1 << width) - 1) >> 1) * spread
         self.labels: dict[tuple[Optional[int], Formula], int] = {}
 
 
@@ -148,20 +149,19 @@ def _lay_out(worlds: Mapping[str, BethModel], access: Mapping) -> _Points:
             for atom in w.val[w.node_order[i]]:
                 atoms[atom] = atoms.get(atom, 0) | 1 << size + i
         size += len(w.node_order)
-    return _Points(size, 1, world, atoms, _Knows(size, world, access))
+    return _Points(size, 1, world, atoms, _Knows(world, access))
 
 
 class _Knows(dict):
-    """The K masks of a layout of ``width`` points with the ``world`` masks
-    under the relations ``access``, built per agent on first read: one pair
-    per distinct successor set (one per block of an equivalence), in the
-    one copy (see :class:`_Points`)."""
+    """The K masks of a layout with the ``world`` masks under the relations
+    ``access``, built per agent on first read: one pair per distinct
+    successor set (one per block of an equivalence), in the one copy (see
+    :class:`_Points`)."""
 
-    def __init__(self, width: int, world: dict, access: Mapping):
-        self.low = ((1 << width) - 1) >> 1     # the bits below the top one
+    def __init__(self, world: dict, access: Mapping):
         self.world, self.access = world, access
 
-    def __missing__(self, agent: str) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    def __missing__(self, agent: str) -> list[tuple[int, list[tuple[int, int]]]]:
         if agent not in self.access:
             raise UnknownAgent(agent)
         succ = dict.fromkeys(self.world, 0)
@@ -170,7 +170,7 @@ class _Knows(dict):
         owners: dict[int, int] = {}      # successors' leaves -> the worlds' leaves
         for s, leaves in succ.items():
             owners[leaves] = owners.get(leaves, 0) | self.world[s]
-        masks = self[agent] = [(1, self.low, [(own, leaves) for leaves, own in owners.items()])]
+        masks = self[agent] = [(1, [(own, leaves) for leaves, own in owners.items()])]
         return masks
 
 
@@ -214,10 +214,9 @@ def _union(base: _Points, copies: int, leaves: Mapping[str, int],
     spread = _spread(copies, width)
     atoms = {atom: mask * spread for atom, mask in base.atoms.items()}
     atoms.update(leaves)
-    pairs = {agent: [(own, succ * spread) for _, _, one in base.knows[agent] for own, succ in one]
+    pairs = {agent: [(own, succ * spread) for _, one in base.knows[agent] for own, succ in one]
              for agent in set().union(*agents.values())}
-    low = ((1 << width) - 1) >> 1
-    knows = {var: [(copies, copies * low, pairs[agent]) for agent, copies in choosing.items()]
+    knows = {var: [(copies, pairs[agent]) for agent, copies in choosing.items()]
              for var, choosing in agents.items()}
     return _Points(width, spread, base.world, atoms, knows)
 
@@ -274,8 +273,7 @@ def _label(pts: _Points, f: Formula, alive: Optional[int]) -> int:
             kept = _ext(pts, ann, alive)
             failed = kept & ~_ext(pts, body, kept) if kept else 0
             spread = pts.spread
-            itself = [(spread, spread * (((1 << pts.width) - 1) >> 1),
-                       [(world, world * spread) for world in pts.world.values()])]
+            itself = [(spread, [(world, world * spread) for world in pts.world.values()])]
             holds = _unmissed(pts, failed, itself)
             if isinstance(f, Diamond):
                 holds &= ~_unmissed(pts, kept, itself)
@@ -285,11 +283,11 @@ def _label(pts: _Points, f: Formula, alive: Optional[int]) -> int:
 
 def _unmissed(pts: _Points, missing: int, knows: list) -> int:
     """The leaves of the worlds, copy by copy, whose successors miss no leaf
-    of ``missing``, under (copies, low, pairs) lists as in :class:`_Points`:
-    in each copy's field of x, the bits below the top one carry into it
-    when any is set, and no carry leaves a field."""
-    top, holds = pts.width - 1, 0
-    for copies, low, pairs in knows:
+    of ``missing``, under (copies, pairs) lists as in :class:`_Points`: in
+    each copy's field of x, the bits below the top one carry into it when
+    any is set, and no carry leaves a field."""
+    top, low, holds = pts.width - 1, pts.low, 0
+    for copies, pairs in knows:
         for own, succ in pairs:
             x = missing & succ
             holds |= own * (copies & ~(((x & low) + low | x) >> top))

@@ -28,7 +28,7 @@ import hashlib
 import re
 from typing import NoReturn
 
-from .beth import BethModel, validate_beth
+from .beth import BethModel, ModelError, validate_beth
 from .dynamic import BethKripkeModel, UnknownAgent, UnknownWorld
 
 
@@ -99,16 +99,23 @@ def _line(text: str, k: int) -> int:
     return located[min(k, len(located) - 1)][0] if located else 1
 
 
-def _fail(text: str, toks: list[str], k: int, what: str) -> NoReturn:
-    """Raise the error for token ``k``, found where ``what`` was expected."""
+def _fail(text: str, toks: list[str], i: int, shape: tuple[str, ...]) -> NoReturn:
+    """Raise the error for the first token from ``i`` on that does not fit
+    the run ``shape`` expected there.  In a shape a punctuation mark stands
+    for itself, and any other entry for a name of that kind."""
+    k, want = next((i + j, want) for j, want in enumerate(shape)
+                   if (toks[i + j] != want if want in _PUNCT else toks[i + j] in _PUNCT))
     found = toks[k]
+    what = repr(want) if want in _PUNCT else want
     message = f"expected {what}, found {found!r}" if found else "unexpected end of document"
     raise DocumentError(message, _line(text, k))
 
 
-# The parser reads the token list by index.  ``tok in _PUNCT`` also holds for
-# the end marker, so that one test rejects both a missing name and the end
-# of the document, and a token that passes it is never the marker.
+# The parser reads the token list by index and tests each fixed run of
+# tokens with one condition, whose misfit :func:`_fail` reports.  ``tok in
+# _PUNCT`` also holds for the end marker, so that one test rejects both a
+# missing name and the end of the document, and a token that passes it is
+# never the marker; no run is read past a token that fails.
 
 def _names(text: str, toks: list[str], i: int, what: str) -> tuple[list[str], int]:
     """The comma-separated names from token ``i`` on, and the index of the
@@ -116,7 +123,7 @@ def _names(text: str, toks: list[str], i: int, what: str) -> tuple[list[str], in
     start = i
     while True:
         if toks[i] in _PUNCT:
-            _fail(text, toks, i, what)
+            _fail(text, toks, i, (what,))
         if toks[i + 1] != ",":
             return toks[start:i + 1:2], i + 1
         i += 2
@@ -139,7 +146,7 @@ def parse_model_document(text: str) -> BethKripkeModel:
             if agents is not None:
                 raise DocumentError("duplicate agents declaration", _line(text, at))
             if toks[i] != ":":
-                _fail(text, toks, i, "':'")
+                _fail(text, toks, i, (":",))
             i += 1
             # ``world`` or ``access`` here starts the next statement, unless a
             # comma or a statement head follows it: then it names an agent.
@@ -153,37 +160,29 @@ def parse_model_document(text: str) -> BethKripkeModel:
         elif head == "world":
             name = toks[i]
             if name in _PUNCT:
-                _fail(text, toks, i, "world name")
+                _fail(text, toks, i, ("world name",))
             if name in worlds:
                 raise DocumentError(f"duplicate world {name!r}", _line(text, at))
-            worlds[name], i, declared = _parse_world(text, toks, i + 1, name, declared)
+            try:
+                worlds[name], i, declared = _parse_world(text, toks, i + 1, name, declared)
+            except ModelError as e:     # from validate_beth: say where
+                e.args = (f"line {_line(text, at)}: world {name!r}: {e}",)
+                raise
         elif head == "access":
-            agent = toks[i]
-            if agent in _PUNCT:
-                _fail(text, toks, i, "agent name")
-            if toks[i + 1] != ":":
-                _fail(text, toks, i + 1, "':'")
+            if (agent := toks[i]) in _PUNCT or toks[i + 1] != ":":
+                _fail(text, toks, i, ("agent name", ":"))
             i += 2
             pairs = access.setdefault(agent, set())
             access_at.setdefault(agent, at)
-            while toks[i] == "(":
-                a = toks[i + 1]
-                if a in _PUNCT:
-                    _fail(text, toks, i + 1, "world name")
-                if toks[i + 2] != ",":
-                    _fail(text, toks, i + 2, "','")
-                b = toks[i + 3]
-                if b in _PUNCT:
-                    _fail(text, toks, i + 3, "world name")
-                if toks[i + 4] != ")":
-                    _fail(text, toks, i + 4, "')'")
+            more = toks[i] == "("       # after a comma, a pair must follow
+            while more:
+                if not (toks[i] == "(" and (a := toks[i + 1]) not in _PUNCT and toks[i + 2] == ","
+                        and (b := toks[i + 3]) not in _PUNCT and toks[i + 4] == ")"):
+                    _fail(text, toks, i, ("(", "world name", ",", "world name", ")"))
                 pairs.add((a, b))
                 i += 5
-                if toks[i] != ",":
-                    break
-                i += 1
-                if toks[i] != "(":
-                    _fail(text, toks, i, "'('")
+                if more := toks[i] == ",":
+                    i += 1
         else:
             raise DocumentError(
                 f"expected 'agents', 'world', or 'access', found {head!r}", _line(text, at))
@@ -212,7 +211,7 @@ def _parse_world(text: str, toks: list[str], i: int, name: str,
     its own.  A ``nodes`` entry that takes the count past MAX_DOCUMENT_NODES
     is refused before any model is built."""
     if toks[i] != "{":
-        _fail(text, toks, i, "'{'")
+        _fail(text, toks, i, ("{",))
     i += 1
     root: str | None = None
     nodes: list[str] | None = None
@@ -223,15 +222,10 @@ def _parse_world(text: str, toks: list[str], i: int, name: str,
         key = toks[i]
         at = i
         if key in _PUNCT:
-            _fail(text, toks, i, "'root', 'nodes', 'order', or 'val'")
+            _fail(text, toks, i, ("'root', 'nodes', 'order', or 'val'",))
         if key == "val":
-            node = toks[i + 1]
-            if node in _PUNCT:
-                _fail(text, toks, i + 1, "node name")
-            if toks[i + 2] != ":":
-                _fail(text, toks, i + 2, "':'")
-            if toks[i + 3] != "{":
-                _fail(text, toks, i + 3, "'{'")
+            if (node := toks[i + 1]) in _PUNCT or toks[i + 2] != ":" or toks[i + 3] != "{":
+                _fail(text, toks, i + 1, ("node name", ":", "{"))
             if node in val:
                 raise DocumentError(f"duplicate valuation for node {node!r}", _line(text, at))
             i += 4
@@ -247,49 +241,40 @@ def _parse_world(text: str, toks: list[str], i: int, name: str,
                         named.add(atom)
             val[node] = set(atoms)
             if toks[i] != "}":
-                _fail(text, toks, i, "'}'")
+                _fail(text, toks, i, ("}",))
             i += 1
-        elif key == "order":
+        elif key in ("order", "nodes", "root"):
             if toks[i + 1] != ":":
-                _fail(text, toks, i + 1, "':'")
+                _fail(text, toks, i + 1, (":",))
             i += 2
-            while True:
-                a = toks[i]
-                if a in _PUNCT:
-                    _fail(text, toks, i, "node name")
-                if toks[i + 1] != "<":
-                    _fail(text, toks, i + 1, "'<'")
-                b = toks[i + 2]
-                if b in _PUNCT:
-                    _fail(text, toks, i + 2, "node name")
-                order.append((a, b))
-                i += 3
-                if toks[i] != ",":
-                    break
+            if key == "order":
+                while True:
+                    if ((a := toks[i]) in _PUNCT or toks[i + 1] != "<"
+                            or (b := toks[i + 2]) in _PUNCT):
+                        _fail(text, toks, i, ("node name", "<", "node name"))
+                    order.append((a, b))
+                    i += 3
+                    if toks[i] != ",":
+                        break
+                    i += 1
+            elif key == "nodes":
+                if nodes is not None:
+                    raise DocumentError("duplicate nodes declaration", _line(text, at))
+                nodes, i = _names(text, toks, i, "node name")
+                declared += len(nodes)
+                if declared > MAX_DOCUMENT_NODES:
+                    raise DocumentError(f"more than {MAX_DOCUMENT_NODES:,} nodes in the document",
+                                        _line(text, at))
+            else:
+                if root is not None:
+                    raise DocumentError("duplicate root declaration", _line(text, at))
+                if (root := toks[i]) in _PUNCT:
+                    _fail(text, toks, i, ("node name",))
                 i += 1
-        elif key == "nodes":
-            if toks[i + 1] != ":":
-                _fail(text, toks, i + 1, "':'")
-            if nodes is not None:
-                raise DocumentError("duplicate nodes declaration", _line(text, at))
-            nodes, i = _names(text, toks, i + 2, "node name")
-            declared += len(nodes)
-            if declared > MAX_DOCUMENT_NODES:
-                raise DocumentError(f"more than {MAX_DOCUMENT_NODES:,} nodes in the document",
-                                    _line(text, at))
-        elif key == "root":
-            if toks[i + 1] != ":":
-                _fail(text, toks, i + 1, "':'")
-            if root is not None:
-                raise DocumentError("duplicate root declaration", _line(text, at))
-            root = toks[i + 2]
-            if root in _PUNCT:
-                _fail(text, toks, i + 2, "node name")
-            i += 3
         else:
             raise DocumentError(f"unknown world entry {key!r}", _line(text, at))
         if toks[i] != ";":
-            _fail(text, toks, i, "';'")
+            _fail(text, toks, i, (";",))
         i += 1
     if root is None:
         raise DocumentError(f"world {name!r} has no root", _line(text, i))

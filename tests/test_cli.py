@@ -59,6 +59,13 @@ class TestCheck:
         assert main(["check", model_file, "s", "p &"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_validation_error_names_its_world_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.model"
+        path.write_text("agents:\nworld s { root: r; nodes: r; }\n"
+                        "world t { root: r; nodes: r; val x: {p}; }\n")
+        assert main(["check", str(path), "s", "p"]) == 2
+        assert capsys.readouterr().err == "error: line 3: world 't': unknown node 'x'\n"
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "no-such-file", "s", "p"]) == 2
 

@@ -658,13 +658,14 @@ class TestBindingRuns:
                 var: [b[var].name for b in batch] for var in avars})
             spread = sum(1 << b * base.width for b in range(len(batch)))
             low = (1 << base.width - 1) - 1
+            assert pts.low == low * spread, k
             spread_pairs = {}
             for var in avars:
-                assert {(copies, low_c, tuple(pairs)) for copies, low_c, pairs in pts.knows[var]} == {
-                    (copies, copies * low, tuple((own, succ * spread) for own, succ in pairs))
+                assert {(copies, tuple(pairs)) for copies, pairs in pts.knows[var]} == {
+                    (copies, tuple((own, succ * spread) for own, succ in pairs))
                     for a, copies in choosing[var].items()
-                    for _, _, pairs in base.knows[a]}, (k, var)
-                for a, (_, _, pairs) in zip(choosing[var], pts.knows[var]):
+                    for _, pairs in base.knows[a]}, (k, var)
+                for a, (_, pairs) in zip(choosing[var], pts.knows[var]):
                     assert spread_pairs.setdefault(a, pairs) is pairs, (k, var, a)
                 left_out += len(choosing[var]) < len(m.agents)
             shared += len(spread_pairs) < sum(len(choosing[var]) for var in avars)

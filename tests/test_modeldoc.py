@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bethpal import modeldoc
-from bethpal.beth import NonMonotoneValuation, validate_beth
+from bethpal.beth import (
+    NonMonotoneValuation, NoRoot, NotAPartialOrder, UnknownNode, validate_beth,
+)
 from bethpal.cli import main
 from bethpal.dynamic import BethKripkeModel
 from bethpal.lab import GenParams, random_model, split_seed
@@ -104,6 +106,27 @@ class TestParsing:
             parse_model_document(
                 "agents:\nworld s { root: a; nodes: a, b; order: a < b; "
                 "val a: {p}; }")
+
+    # The second world of two, whose statement starts on line 3 and whose
+    # faulty entry lies further down: the message names line 3 and 't'.
+    @pytest.mark.parametrize("body, error, attr, value, message", [
+        ("root: r; nodes: r;\n val x: {p};", UnknownNode, "node", "x", "unknown node 'x'"),
+        ("root: z;\n nodes: r;", UnknownNode, "node", "z", "unknown node 'z'"),
+        ("root: r; nodes: r, a, b;\n order: r < a, a < b, b < a;", NotAPartialOrder,
+         "witness", ("a", "b"), "order has a cycle through 'a' and 'b'"),
+        ("root: r;\n nodes: r, a;", NoRoot, "witness", ("r", "a"),
+         "declared root 'r' is not below node 'a'"),
+        ("root: r; nodes: r, a;\n order: r < a;\n val r: {p};", NonMonotoneValuation,
+         "witness", ("r", "a", "p"), "atom 'p' holds at 'r' but not at 'a' above it"),
+    ])
+    def test_validation_errors_name_their_world_and_line(self, body, error, attr, value,
+                                                         message):
+        with pytest.raises(error) as exc:
+            parse_model_document("agents:\nworld s { root: r; nodes: r; }\n"
+                                 f"world t {{\n {body} }}\n")
+        assert type(exc.value) is error
+        assert getattr(exc.value, attr) == value
+        assert str(exc.value) == f"line 3: world 't': {message}"
 
 
 WORLD = "world s { root: a; nodes: a; }"
